@@ -9,6 +9,8 @@ key=value config file can pre-set any long option (explicit flags win).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -209,11 +211,12 @@ def _latex_table(headers: list[str], rows: list[list[str]], caption: str) -> str
 
 
 def _csv_lines(headers: list[str], rows: list[list[str]], meta: dict) -> str:
-    lines = [f"# {k}={v}" for k, v in sorted(meta.items())]
-    lines.append(",".join(headers))
-    for row in rows:
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    out.writelines(f"# {k}={v}\n" for k, v in sorted(meta.items()))
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 # -- subcommand payloads -----------------------------------------------------

@@ -1,18 +1,19 @@
 """Pullbacks of equivariant Grassmannian classes to pointed-curve moduli.
 
-The pullback of the Schubert class of a partition mu at genus g is
+The pullback of the Schubert class of a partition mu at genus g lives in
+Q[lambda_1..lambda_g, psi].  It is the Kempf-Laksov determinant of
+schur.psi_matrix(mu, g): entry (i, j) is the degree-(mu_i + j - i) part
+of (sum_a s_a) * c(interval), where the Segre classes of E*,
 
-    u^|mu| * s*_mu(z_1, ..., z_n),   z_i = (x_i + (i - g) u) / u,
+    s_a = h_a(x) = -sum_{i=1}^{min(a,g)} lambda_i s_(a-i),   s_0 = 1,
 
-with n = max(g, l(mu)) and z_i pinned to 0 beyond g.  Writing the
-factorial Schur polynomial as a sum of homogeneous parts T_k clears all
-u-denominators:
-
-    u^|mu| * t_mu(v_1 / u, ...) = sum_k u^(|mu| - k) T_k(v_1, ..., v_n),
-
-so the result is a genuine polynomial in x_1..x_g and u, and u maps to
--psi at the end.  The x_i are Chern roots of the dual Hodge bundle, so
-the lambda basis is reached through e_a(x) -> (-1)^a lambda_a.
+carry the x-dependence and the interval {0..mu_i - i + g - 1} contributes
+plain rational multiples of psi^b.  The determinant is expanded by
+cofactors.  The x_i are Chern roots of the dual Hodge bundle, so
+e_a(x) = (-1)^a lambda_a; value_x is the same class written back in the
+roots, obtained by expanding each lambda-monomial as that signed product
+of elementary symmetric polynomials.  It is derived lazily, on first
+access, and is never needed to compute value_lambda.
 """
 
 from __future__ import annotations
@@ -20,11 +21,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
-from .exactalg import MultiPoly, PSI, U, Variable, _mono_mul, kap, lam, mono_sort_key, xvar
-from .schur import _t_mu_table, complete_in_x, elementary_in_x
+from .exactalg import (
+    MultiPoly,
+    PSI,
+    U,
+    Variable,
+    _det_cofactor,
+    _mono_mul,
+    kap,
+    lam,
+    mono_sort_key,
+    xvar,
+)
+from .schur import psi_matrix
 from .semigroups import Partition
 
 __all__ = [
@@ -43,96 +55,73 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PullbackClass:
-    """A pullback class in both the x-root and lambda presentations."""
+    """A pullback class in the lambda presentation, with its x-root view."""
 
     genus: int
     partition: Optional[Partition]
     power: Optional[int]
-    value_x: MultiPoly
     value_lambda: MultiPoly
     mode: str = "CM"
 
     @property
     def degree(self) -> int | None:
-        return self.value_x.weighted_degree()
+        return self.value_lambda.weighted_degree()
+
+    @cached_property
+    def value_x(self) -> MultiPoly:
+        """value_lambda under lambda_a -> (-1)^a e_a(x_1..x_g)."""
+        g = self.genus
+        xs = [xvar(i) for i in range(1, g + 1)]
+        xmonos: dict = {}
+        acc: dict = {}
+        for mono, coeff in self.value_lambda.items():
+            diffs = [0] * g
+            rest = []
+            for var, e in mono:
+                if var.family == "lambda":
+                    diffs[var.index - 1] = e
+                else:
+                    rest.append((var, e))
+            if sum(a * d for a, d in enumerate(diffs, start=1)) % 2:
+                coeff = -coeff
+            if coeff.denominator == 1:
+                coeff = coeff.numerator  # int arithmetic is much faster
+            rest = tuple(rest)
+            for vec, ecoef in _elementary_product_table(g, tuple(diffs)):
+                xmono = xmonos.get(vec)
+                if xmono is None:
+                    xmono = xmonos[vec] = tuple((x, e) for x, e in zip(xs, vec) if e)
+                key = _mono_mul(rest, xmono)
+                val = acc.get(key, 0) + coeff * ecoef
+                if val:
+                    acc[key] = val
+                else:
+                    acc.pop(key, None)
+        return MultiPoly(acc)
 
 
-def homogenize_and_pin(parts: tuple[int, ...], g: int, n: int, shift: int = 0) -> MultiPoly:
-    """u^|mu| t_mu(v_1/u .. v_n/u) with v_i = x_i - shift*u + (n-g) u for
-    i <= g and v_i = (n - i - shift) u beyond, returned in x and u.
-
-    Homogenizing the factorial Schur polynomial clears every denominator:
-    the degree-k part picks up u^(|mu| - k).
-    """
-    weight = sum(parts)
-    a = n - g - shift  # u-offset of the live arguments
-    pinned = [n - i - shift for i in range(g + 1, n + 1)]  # constants times u
-    # fold the pinned arguments and the homogenizing u power; keys are
-    # (f_1..f_g, u exponent)
-    table: dict[tuple[int, ...], int] = {}
-    for t, c in _t_mu_table(tuple(parts), n):
-        u_exp = weight - sum(t)
-        for i, e in enumerate(t[g:]):
-            c *= pinned[i] ** e
-            u_exp += e
-        if not c:
-            continue
-        key = t[:g] + (u_exp,)
-        acc = table.get(key, 0) + c
-        if acc:
-            table[key] = acc
-        else:
-            del table[key]
-    # expand x_i + a u one variable at a time
-    if a != 0:
-        for i in range(g):
-            nxt: dict[tuple[int, ...], int] = {}
-            for key, c in table.items():
-                e = key[i]
-                if e == 0:
-                    acc = nxt.get(key, 0) + c
-                    if acc:
-                        nxt[key] = acc
-                    else:
-                        del nxt[key]
-                    continue
-                head, tail, u_exp = key[:i], key[i + 1 : g], key[g]
-                for f in range(e, -1, -1):
-                    q = c * math.comb(e, f) * a ** (e - f)
-                    newkey = head + (f,) + tail + (u_exp + e - f,)
-                    acc = nxt.get(newkey, 0) + q
-                    if acc:
-                        nxt[newkey] = acc
-                    else:
-                        del nxt[newkey]
-            table = nxt
-    out = {}
-    for key, c in table.items():
-        mono = tuple((xvar(i + 1), f) for i, f in enumerate(key[:g]) if f)
-        if key[g]:
-            mono = mono + ((U, key[g]),)
-        out[mono] = Fraction(c)
-    return MultiPoly(out)
-
-
-def kstar_schubert(mu: Partition, g: int, padding: int = 0) -> PullbackClass:
+def kstar_schubert(mu: Partition, g: int) -> PullbackClass:
     """Pullback of the equivariant Schubert class of mu at genus g.
 
-    Extra pinned arguments (padding > 0) must not change the value; the
-    class is zero whenever l(mu) exceeds g.
+    The cofactor expansion of the Kempf-Laksov determinant; the class is
+    zero whenever l(mu) exceeds g.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
-    n = max(g, mu.length) + padding
-    value_u = homogenize_and_pin(mu.parts, g, n)
-    value_x = value_u.substitute({U: -MultiPoly.variable(PSI)})
-    return PullbackClass(
-        genus=g,
-        partition=mu,
-        power=None,
-        value_x=value_x,
-        value_lambda=to_lambda_basis(value_x, g),
-    )
+    value = _det_cofactor([list(row) for row in psi_matrix(mu, g).entry_rows()])
+    return PullbackClass(genus=g, partition=mu, power=None, value_lambda=value)
+
+
+@lru_cache(maxsize=None)
+def _power_sum_lambda(g: int, t: int) -> MultiPoly:
+    """p_t(x_1..x_g) in the lambda basis by Newton's identity:
+    p_t = -sum_{1<=i<t, i<=g} lambda_i p_(t-i) - t lambda_t (last term for t <= g)."""
+    out = MultiPoly.zero()
+    for i in range(1, min(t - 1, g) + 1):
+        out = out - MultiPoly.variable(lam(i)) * _power_sum_lambda(g, t - i)
+    if t <= g:
+        out = out - MultiPoly.variable(lam(t)).scale(t)
+    return out
 
 
 def kstar_power_sum(s: int, g: int, chern_normalized: bool = False) -> PullbackClass:
@@ -146,32 +135,14 @@ def kstar_power_sum(s: int, g: int, chern_normalized: bool = False) -> PullbackC
     """
     if g < 1 or s < 1:
         raise ValueError("genus and power must be at least 1")
-    psi = MultiPoly.variable(PSI)
-    value = MultiPoly.zero()
-    for i in range(1, g + 1):
-        value = value + MultiPoly.variable(xvar(i)) ** s
     tail = sum((i - g) ** s for i in range(1, g + 1))
-    value = value - (psi**s).scale(tail)
+    value = _power_sum_lambda(g, s) - (MultiPoly.variable(PSI) ** s).scale(tail)
     if chern_normalized:
         value = value.scale(Fraction(1, math.factorial(s)))
-    return PullbackClass(
-        genus=g,
-        partition=None,
-        power=s,
-        value_x=value,
-        value_lambda=to_lambda_basis(value, g),
-    )
+    return PullbackClass(genus=g, partition=None, power=s, value_lambda=value)
 
 
 # -- lambda basis -----------------------------------------------------------
-
-
-def _is_symmetric_in_x(p: MultiPoly, g: int) -> bool:
-    for i in range(1, g):
-        swap = {xvar(i): MultiPoly.variable(xvar(i + 1)), xvar(i + 1): MultiPoly.variable(xvar(i))}
-        if p.substitute(swap) != p:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +181,9 @@ def to_lambda_basis(p: MultiPoly, g: int) -> MultiPoly:
     input that is not symmetric in the x block.  Classical elimination:
     peel off the lex-leading x orbit with the matching product of
     elementary symmetric polynomials; every step only creates smaller
-    orbits, so a max-heap over x exponent vectors drives the loop.
+    orbits, so a max-heap over x exponent vectors drives the loop.  No
+    class is computed through it: it inverts PullbackClass.value_x and
+    serves as an independent check of the lambda-native routes.
     """
     import heapq
 

@@ -30,6 +30,7 @@ from .exactalg import (
     det_rows_with_distinct_variables,
     div_monic_linear,
     exact_div,
+    lam,
     xvar,
     zvar,
 )
@@ -191,131 +192,6 @@ def factorial_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
     return _schur_ratio(rows, zs)
 
 
-# -- fast generic evaluation ------------------------------------------------
-#
-# For the generic alphabet z_1..z_n everything has integer coefficients,
-# so the determinant ratio runs on plain exponent tuples and ints; the
-# pullback pipeline consumes these tables directly.
-
-ExpTable = dict[tuple[int, ...], int]
-
-
-def _falling_coeffs(k: int) -> list[int]:
-    out = [1]
-    for c in range(k):
-        nxt = [0] * (len(out) + 1)
-        for p, q in enumerate(out):
-            nxt[p + 1] += q
-            nxt[p] -= c * q
-        out = nxt
-    return out
-
-
-def _divide_table(table: ExpTable, i: int, j: int) -> ExpTable:
-    """Exact synthetic division of a table by (z_i - z_j)."""
-    layers: dict[int, ExpTable] = {}
-    for t, c in table.items():
-        base = t[:i] + (0,) + t[i + 1 :]
-        layers.setdefault(t[i], {})[base] = c
-    if not layers:
-        return {}
-    quot: ExpTable = {}
-    carry: ExpTable = {}
-    for k in range(max(layers), 0, -1):
-        level = layers.get(k, {})
-        for t, c in carry.items():
-            acc = level.get(t, 0) + c
-            if acc:
-                level[t] = acc
-            else:
-                level.pop(t, None)
-        for t, c in level.items():
-            full = t[:i] + (k - 1,) + t[i + 1 :]
-            quot[full] = quot.get(full, 0) + c
-        carry = {t[:j] + (t[j] + 1,) + t[j + 1 :]: c for t, c in level.items()}
-    residue = layers.get(0, {})
-    for t, c in carry.items():
-        acc = residue.get(t, 0) + c
-        if acc:
-            residue[t] = acc
-        else:
-            residue.pop(t, None)
-    if residue:
-        raise ValueError("not divisible")
-    return quot
-
-
-def _divided_difference(table: ExpTable, k: int) -> ExpTable:
-    """(p - swap_k p) / (z_k - z_{k+1}) term by term (0-based k).
-
-    A monomial z_k^a z_{k+1}^b maps to sign(a - b) times the geometric
-    block sum_{i} z_k^i z_{k+1}^(a+b-1-i), so no subtraction or division
-    ever materializes.
-    """
-    out: ExpTable = {}
-    for t, c in table.items():
-        a, b = t[k], t[k + 1]
-        if a == b:
-            continue
-        lo, hi = (b, a) if a > b else (a, b)
-        val = c if a > b else -c
-        total = a + b - 1
-        head, tail = t[:k], t[k + 2 :]
-        for i in range(lo, hi):
-            key = head + (i, total - i) + tail
-            acc = out.get(key, 0) + val
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _t_mu_table(parts: tuple[int, ...], n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """t_mu(z_1..z_n) as a frozen {exponent tuple: int} table.
-
-    The determinant-over-Vandermonde ratio equals the full divided
-    difference operator applied to the product of the diagonal entries
-    prod_i (z_i)_(mu_i + n - i), which keeps intermediates small.
-    """
-    if len(parts) > n:
-        raise ValueError("insufficient variables")
-    exponents = [(parts[j] if j < len(parts) else 0) + n - (j + 1) for j in range(n)]
-    table: ExpTable = {(0,) * n: 1}
-    for i, e in enumerate(exponents):
-        coeffs = _falling_coeffs(e)
-        nxt: ExpTable = {}
-        for t, c in table.items():
-            head, tail = t[:i], t[i + 1 :]
-            for p, q in enumerate(coeffs):
-                if not q:
-                    continue
-                key = head + (p,) + tail
-                acc = nxt.get(key, 0) + c * q
-                if acc:
-                    nxt[key] = acc
-                else:
-                    del nxt[key]
-        table = nxt
-    word: list[int] = []
-    for m in range(1, n):
-        word.extend(range(m, 0, -1))
-    for k in reversed(word):
-        table = _divided_difference(table, k - 1)
-    return tuple(sorted(table.items()))
-
-
-@lru_cache(maxsize=None)
-def factorial_schur_generic(parts: tuple[int, ...], n: int) -> MultiPoly:
-    """t_mu in the generic alphabet z_1..z_n, cached per (mu, n)."""
-    terms = {}
-    for t, c in _t_mu_table(parts, n):
-        mono = tuple((zvar(i + 1), e) for i, e in enumerate(t) if e)
-        terms[mono] = Fraction(c)
-    return MultiPoly(terms)
-
-
 def shifted_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
     """s*_mu(z_1..z_n) = t_mu(z_1 + n - 1, ..., z_n); zero when l(mu) > n."""
     zs = [MultiPoly._wrap(a) for a in args]
@@ -399,67 +275,81 @@ def complete_of_values(values: Sequence[int], b: int) -> Fraction:
     return acc[b]
 
 
-def _psi_entry(mu: Partition, g: int, i: int, j: int) -> MultiPoly:
-    """Entry (i, j) of the complete-homogeneous matrix form.
+@lru_cache(maxsize=None)
+def _segre_class(g: int, a: int) -> MultiPoly:
+    """h_a(x_1..x_g) in the lambda basis, the Segre class of E*.
 
-    The total degree-(mu_i + j - i) part of the series
-    (sum_a h_a(x)) * c(interval), where the interval list is
-    {0..mu_i - i + g - 1} with elementary coefficients when the interval
-    is genuine, and {0..i - mu_i - g} with complete coefficients when it
-    is inverted.
+    Since e_i(x) = (-1)^i lambda_i, the identity sum_i (-1)^i e_i h_(a-i) = 0
+    reads s_a = -sum_{i=1}^{min(a,g)} lambda_i s_(a-i), with s_0 = 1.
     """
-    k = mu.part(i) + j - i
-    if k < 0:
+    if a < 0:
         return MultiPoly.zero()
-    psi = MultiPoly.variable(PSI)
-    r = mu.part(i) - i + g
+    if a == 0:
+        return MultiPoly.one()
     out = MultiPoly.zero()
-    for b in range(0, k + 1):
-        if r >= 1:
-            coeff = elementary_of_values(range(0, r), b)
-        else:
-            coeff = complete_of_values(range(0, -r + 1), b)
-        if not coeff:
-            continue
-        out = out + complete_in_x(g, k - b).scale(coeff) * psi**b
+    for i in range(1, min(a, g) + 1):
+        out = out - MultiPoly.variable(lam(i)) * _segre_class(g, a - i)
     return out
 
 
-def _psi_prime_entry(mu: Partition, g: int, i: int, j: int) -> MultiPoly:
-    """Entry (i, j) of the dual (elementary) matrix form, via mu conjugate."""
-    mc = mu.conjugate()
-    k = mc.part(i) + j - i
+def _signed_lambda(g: int, a: int) -> MultiPoly:
+    """e_a(x_1..x_g) = (-1)^a lambda_a in the lambda basis."""
+    if a < 0 or a > g:
+        return MultiPoly.zero()
+    if a == 0:
+        return MultiPoly.one()
+    return MultiPoly.variable(lam(a)).scale((-1) ** a)
+
+
+@lru_cache(maxsize=None)
+def _matrix_entry(variant: str, g: int, r: int, k: int) -> MultiPoly:
+    """Degree-k part of (sum_a c_a(x)) * c(interval) in lambda and psi.
+
+    For "psi", c_a(x) = h_a(x) and the interval list {0..r-1} enters with
+    elementary coefficients when r >= 1, or {0..-r} with complete
+    coefficients when it is inverted; "psi_prime" uses c_a(x) = e_a(x)
+    and swaps the two coefficient kinds.
+    """
     if k < 0:
         return MultiPoly.zero()
+    if variant == "psi":
+        series, genuine, inverted = _segre_class, elementary_of_values, complete_of_values
+    else:
+        series, genuine, inverted = _signed_lambda, complete_of_values, elementary_of_values
     psi = MultiPoly.variable(PSI)
-    t = i - mc.part(i) + g
     out = MultiPoly.zero()
     for b in range(0, k + 1):
-        if t >= 1:
-            coeff = complete_of_values(range(0, t), b)
-        else:
-            coeff = elementary_of_values(range(0, -t + 1), b)
-        if not coeff:
-            continue
-        out = out + elementary_in_x(g, k - b).scale(coeff) * psi**b
+        coeff = genuine(range(0, r), b) if r >= 1 else inverted(range(0, -r + 1), b)
+        if coeff:
+            out = out + series(g, k - b).scale(coeff) * psi**b
     return out
 
 
 def psi_matrix(mu: Partition, g: int, variant: str = "psi") -> PolyMatrix:
-    """Matrix whose determinant is the Schubert-class pullback for mu.
+    """Kempf-Laksov matrix whose determinant is the Schubert-class pullback.
 
-    variant "psi" is l(mu) x l(mu) with complete-homogeneous entries;
-    variant "psi_prime" is l(mu') x l(mu') with elementary entries.  Both
-    determinants agree with the shifted-Schur evaluation of the pullback.
+    Entries are polynomials in lambda_1..lambda_g and psi.  Variant "psi"
+    is l(mu) x l(mu): entry (i, j) has degree k = mu_i + j - i and
+    interval bound r = mu_i - i + g, with Segre (complete-homogeneous)
+    entries.  Variant "psi_prime" is l(mu') x l(mu') with elementary
+    entries, built the same way from the conjugate mu' with the bound
+    r = i - mu'_i + g.  Both determinants equal kstar_schubert(mu, g).
     """
     if variant == "psi":
-        size = mu.length
-        entry = _psi_entry
+        parts, sign = mu, 1
     elif variant == "psi_prime":
-        size = mu.conjugate().length
-        entry = _psi_prime_entry
+        parts, sign = mu.conjugate(), -1
     else:
         raise ValueError("variant must be 'psi' or 'psi_prime'")
+    size = parts.length
     if size == 0:
         return PolyMatrix([])
-    return PolyMatrix([[entry(mu, g, i, j) for j in range(1, size + 1)] for i in range(1, size + 1)])
+    return PolyMatrix(
+        [
+            [
+                _matrix_entry(variant, g, g + sign * (parts.part(i) - i), parts.part(i) + j - i)
+                for j in range(1, size + 1)
+            ]
+            for i in range(1, size + 1)
+        ]
+    )

@@ -185,16 +185,15 @@ def sandwich_report(g: int, cutoff: int) -> HilbertReport:
     lower = hilbert_quotient_lower(g, cutoff)
     if g >= 1:
         upper = hilbert_quotient_upper(g, cutoff)
-        generators = relation_generators(g, cutoff)
     else:
         upper = [GradedAlgebraSpec(g, cutoff).dim(d) for d in range(cutoff + 1)]
-        generators = []
     for d in range(cutoff + 1):
         if lower[d] > upper[d]:
             raise AssertionError(
                 f"sandwich violated at degree {d}: lower {lower[d]} > upper {upper[d]}"
             )
-    counts = [sum(1 for mu, _ in generators if mu.weight == d) for d in range(cutoff + 1)]
+    weights = [mu.weight for mu in violating_partitions(g, cutoff)]
+    counts = [weights.count(d) for d in range(cutoff + 1)]
     return HilbertReport(
         genus=g,
         cutoff=cutoff,

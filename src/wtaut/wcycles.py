@@ -5,26 +5,33 @@ the partition mu of its index sequence (index-g component convention):
 
     [W_H] = u^|mu| * s*_mu(z_1..z_g),   z_i = (x_i + (i - g - 1) u) / u,
 
-equivalently u^|mu| t_mu(x_1/u - 1, ..., x_g/u - 1), with u -> -psi and
-the result rewritten in the lambda basis.  The unit argument shift is
-what makes mu = (1) reproduce the classical Weierstrass divisor class
-g(g+1)/2 psi - lambda_1.  The unshifted evaluation u^|mu| t_mu(x/u)
-is kept available for comparison: it is the plain Schubert pullback
-kstar_schubert(mu, g).value_lambda (in s*_mu(z) with
-z_i = (x_i + (i - g) u) / u the shifted-Schur stagger cancels the
-offset), and for mu = (1) it is g(g-1)/2 psi - lambda_1.  Pushing
-forward along the forgetful map sends lambda-monomial times psi^m to
-the same lambda-monomial times kappa_(m-1), dropping the degree by one.
-"""
+equivalently u^|mu| t_mu(x_1/u - 1, ..., x_g/u - 1) with u -> -psi.  That
+is the plain Schubert pullback kstar_schubert(mu, g).value_lambda, the
+same expression without the -1, with every Chern root twisted by
+x_i -> x_i - u = x_i + psi.  Since lambda_a = (-1)^a e_a(x), the twist is
+the substitution
 
+    lambda_a -> sum_{j<=a} C(g-j, a-j) lambda_j (-psi)^(a-j),   lambda_0 = 1,
+
+applied to the plain class.  The unit argument shift is what makes
+mu = (1) reproduce the classical Weierstrass divisor class
+g(g+1)/2 psi - lambda_1.  The unshifted evaluation u^|mu| t_mu(x/u) is
+kept available for comparison: it is the plain pullback itself (in
+s*_mu(z) with z_i = (x_i + (i - g) u) / u the shifted-Schur stagger
+cancels the offset), and for mu = (1) it is g(g-1)/2 psi - lambda_1.
+Pushing forward along the forgetful map sends lambda-monomial times
+psi^m to the same lambda-monomial times kappa_(m-1), dropping the degree
+by one.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 from .errors import DataError
-from .exactalg import MultiPoly, PSI, U, kap
-from .pullback import homogenize_and_pin, to_lambda_basis
+from .exactalg import MultiPoly, PSI, kap, lam
+from .pullback import kstar_schubert
 from .semigroups import (
     IndexSequence,
     NumericalSemigroup,
@@ -75,10 +82,17 @@ class CycleClass:
         }
 
 
-def _cycle_value(mu: Partition, g: int, unshifted: bool) -> MultiPoly:
-    shift = 0 if unshifted else 1
-    value_u = homogenize_and_pin(mu.parts, g, g, shift=shift)
-    return value_u.substitute({U: -MultiPoly.variable(PSI)})
+def _twist_roots(p: MultiPoly, g: int) -> MultiPoly:
+    """x_i -> x_i + psi on a class in lambda and psi."""
+    minus_psi = -MultiPoly.variable(PSI)
+    lams = [MultiPoly.one()] + [MultiPoly.variable(lam(j)) for j in range(1, g + 1)]
+    sigma = {}
+    for a in range(1, g + 1):
+        image = MultiPoly.zero()
+        for j in range(a + 1):
+            image = image + lams[j] * (minus_psi ** (a - j)).scale(comb(g - j, a - j))
+        sigma[lam(a)] = image
+    return p.substitute(sigma)
 
 
 def pushforward_rule(pointed: MultiPoly) -> MultiPoly:
@@ -115,8 +129,9 @@ def weierstrass_class(semigroup: NumericalSemigroup, unshifted: bool = False) ->
     if g < 1:
         raise DataError("cycle classes need genus at least 1")
     mu = hprime_partition(weierstrass_sequence(semigroup), g)
-    pointed_x = _cycle_value(mu, g, unshifted)
-    pointed = to_lambda_basis(pointed_x, g)
+    pointed = kstar_schubert(mu, g).value_lambda
+    if not unshifted:
+        pointed = _twist_roots(pointed, g)
     return CycleClass(
         genus=g,
         semigroup=semigroup,
@@ -140,8 +155,9 @@ def virtual_class(mu: Partition, g: int, unshifted: bool = False) -> CycleClass:
     if g < 1:
         raise DataError("cycle classes need genus at least 1")
     seq = sequence_from_hprime_partition(mu, g)
-    pointed_x = _cycle_value(mu, g, unshifted)
-    pointed = to_lambda_basis(pointed_x, g)
+    pointed = kstar_schubert(mu, g).value_lambda
+    if not unshifted:
+        pointed = _twist_roots(pointed, g)
     return CycleClass(
         genus=g,
         semigroup=None,

@@ -15,7 +15,7 @@ from wtaut.pullback import (
     smooth_power_sum,
     to_lambda_basis,
 )
-from wtaut.schur import complete_in_x, elementary_in_x
+from wtaut.schur import ParamSequence, complete_in_x, double_schur, elementary_in_x
 from wtaut.semigroups import Partition, partitions_up_to
 
 PSI_P = MultiPoly.variable(PSI)
@@ -59,12 +59,19 @@ def test_kstar_homogeneous_of_weight():
             assert value.weighted_degree() == mu.weight
 
 
-def test_kstar_padding_stability():
-    for g in (1, 2, 3):
-        for mu in partitions_up_to(4):
-            base = kstar_schubert(mu, g).value_x
-            for pad in (1, 2, 3):
-                assert kstar_schubert(mu, g, padding=pad).value_x == base
+def test_kstar_matches_double_schur_oracle():
+    # u^|mu| t_mu(x/u) is the double Schur polynomial with a_m = (m - 1) u;
+    # u -> -psi and the x-to-lambda change of basis give the class
+    a = ParamSequence.affine_u(1, -1)
+    for g in (1, 2, 3, 4):
+        xs = [X(i) for i in range(1, g + 1)]
+        for mu in partitions_up_to(6):
+            value = kstar_schubert(mu, g).value_lambda
+            if mu.length > g:
+                assert value.is_zero(), (mu.parts, g)
+                continue
+            oracle = double_schur(mu, xs, a).substitute({U: -PSI_P})
+            assert value == to_lambda_basis(oracle, g), (mu.parts, g)
 
 
 def test_kstar_requires_positive_genus():
@@ -118,6 +125,15 @@ def test_power_sum_newton_identities():
             acc = acc + (term if a % 2 else -term)
         # the a = s term contributes (-1)^(s-1) s e_s
         assert x_part(s) == acc
+
+
+def test_power_sum_matches_x_root_oracle():
+    for g in range(1, 6):
+        for s in range(1, 9):
+            x_part = sum((X(i) ** s for i in range(1, g + 1)), MultiPoly.zero())
+            tail = sum((i - g) ** s for i in range(1, g + 1))
+            oracle = to_lambda_basis(x_part - (PSI_P**s).scale(tail), g)
+            assert kstar_power_sum(s, g).value_lambda == oracle, (s, g)
 
 
 def test_power_sum_chern_normalization_flag():

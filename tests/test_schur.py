@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from wtaut.exactalg import MultiPoly, PSI, U, xvar, zvar
+from wtaut.pullback import to_lambda_basis
 from wtaut.schur import (
     ParamSequence,
     complete_in_x,
     double_schur,
     elementary_in_x,
     factorial_schur,
-    factorial_schur_generic,
     falling_factorial,
     generalized_power,
     generic_arguments,
@@ -72,14 +72,6 @@ def test_factorial_schur_row_two_one_variable():
 def test_factorial_schur_insufficient_variables():
     with pytest.raises(ValueError, match="insufficient variables"):
         factorial_schur(Partition((1, 1)), generic_arguments(1))
-
-
-def test_factorial_schur_generic_matches_determinant_route():
-    for n in (1, 2, 3, 4):
-        for mu in partitions_up_to(4, max_length=n):
-            assert factorial_schur_generic(mu.parts, n) == factorial_schur(
-                mu, generic_arguments(n)
-            )
 
 
 def test_factorial_schur_symmetric_in_arguments():
@@ -160,14 +152,17 @@ def test_double_schur_factorial_agreement_on_random_rationals():
 
 
 def test_double_schur_recovers_equivariant_pullback():
-    # parameters a_m = (m - 1) u reproduce the homogenized factorial Schur
-    from wtaut.pullback import homogenize_and_pin
+    # parameters a_m = (m - 1) u reproduce the homogenized factorial Schur,
+    # which is the Schubert pullback in the x roots once u -> -psi
+    from wtaut.pullback import kstar_schubert
 
     a = ParamSequence.affine_u(1, -1)
+    psi = MultiPoly.variable(PSI)
     for g in (1, 2, 3):
         for mu in partitions_up_to(3, max_length=g):
             xs = [MultiPoly.variable(xvar(i)) for i in range(1, g + 1)]
-            assert double_schur(mu, xs, a) == homogenize_and_pin(mu.parts, g, g)
+            value = double_schur(mu, xs, a).substitute({U: -psi})
+            assert value == kstar_schubert(mu, g).value_x
 
 
 # -- homogeneous decomposition ------------------------------------------------------
@@ -213,13 +208,13 @@ def test_psi_matrix_single_box_genus_two():
     m = psi_matrix(Partition((1,)), 2, "psi")
     x1, x2 = MultiPoly.variable(xvar(1)), MultiPoly.variable(xvar(2))
     assert m.rows == m.cols == 1
-    assert m[0, 0] == x1 + x2 + MultiPoly.variable(PSI)
+    assert m[0, 0] == to_lambda_basis(x1 + x2 + MultiPoly.variable(PSI), 2)
 
 
 def test_psi_matrix_row_two_genus_one():
     m = psi_matrix(Partition((2,)), 1, "psi")
     x1 = MultiPoly.variable(xvar(1))
-    assert m[0, 0] == x1**2 + x1 * MultiPoly.variable(PSI)
+    assert m[0, 0] == to_lambda_basis(x1**2 + x1 * MultiPoly.variable(PSI), 1)
 
 
 def test_psi_matrix_empty_partition():
@@ -243,7 +238,7 @@ def test_psi_matrix_determinants_agree_small():
 
     for g in (1, 2, 3):
         for mu in partitions_up_to(4):
-            expected = kstar_schubert(mu, g).value_x
+            expected = to_lambda_basis(kstar_schubert(mu, g).value_x, g)
             assert psi_matrix(mu, g, "psi").det() == expected
             assert psi_matrix(mu, g, "psi_prime").det() == expected
 

@@ -1,16 +1,20 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from wtaut.errors import DataError
-from wtaut.exactalg import MultiPoly, PSI, kap, lam
-from wtaut.pullback import kstar_power_sum, kstar_schubert
+from wtaut.exactalg import MultiPoly, PSI, U, kap, lam, xvar
+from wtaut.pullback import kstar_power_sum, kstar_schubert, to_lambda_basis
+from wtaut.schur import ParamSequence, double_schur
 from wtaut.semigroups import (
     IndexSequence,
     NumericalSemigroup,
     Partition,
     enumerate_semigroups,
     hprime_partition,
+    partitions_up_to,
     weierstrass_sequence,
 )
 from wtaut.tautring import ev_homomorphism
@@ -22,6 +26,7 @@ from wtaut.wcycles import (
     weierstrass_class,
 )
 
+DATA = Path(__file__).parent / "data"
 PSI_P = MultiPoly.variable(PSI)
 L = lambda i: MultiPoly.variable(lam(i))  # noqa: E731
 K = lambda j: MultiPoly.variable(kap(j))  # noqa: E731
@@ -83,6 +88,27 @@ def test_unshifted_class_is_schubert_pullback():
             assert unshifted.class_pointed == kstar_schubert(mu, g).value_lambda, h.gaps
             if mu.weight:
                 assert unshifted.class_pointed != weierstrass_class(h).class_pointed, h.gaps
+
+
+def test_virtual_class_matches_double_schur_oracle():
+    # u^|mu| t_mu(x/u - 1) is the double Schur polynomial with
+    # a_m = (m - 1) u in the arguments x_i - u
+    a = ParamSequence.affine_u(1, -1)
+    u = MultiPoly.variable(U)
+    for g in (1, 2, 3, 4):
+        args = [MultiPoly.variable(xvar(i)) - u for i in range(1, g + 1)]
+        for mu in partitions_up_to(6, max_length=g):
+            oracle = double_schur(mu, args, a).substitute({U: -PSI_P})
+            assert virtual_class(mu, g).class_pointed == to_lambda_basis(oracle, g), (mu.parts, g)
+
+
+def test_five_by_five_class_matches_reference():
+    # gaps {1,3,5,7,9,11} give mu = (5,4,3,2,1) at g = 6: a 5 x 5 determinant
+    ref = json.loads((DATA / "class_g6_gaps_1_3_5_7_9_11.json").read_text())
+    cycle = weierstrass_class(NumericalSemigroup.from_gaps(ref["gaps"]))
+    assert list(cycle.partition.parts) == ref["partition"]
+    assert cycle.class_pointed.canonical_str() == ref["class_pointed"]
+    assert cycle.class_unpointed.canonical_str() == ref["class_unpointed"]
 
 
 def test_virtual_class_examples():
