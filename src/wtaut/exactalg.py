@@ -14,6 +14,7 @@ printed polynomials and JSON payloads are byte-stable across runs.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,7 @@ __all__ = [
     "PSI",
     "U",
     "exact_div",
+    "echelon_basis",
     "rank_over_q",
 ]
 
@@ -737,34 +739,44 @@ def det_rows_with_distinct_variables(
     return partial.get((1 << n) - 1, MultiPoly.zero())
 
 
-def rank_over_q(matrix: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank of a rational matrix via Gaussian elimination."""
-    rows = [[_coerce_coeff(e) for e in row] for row in matrix]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged matrix")
-    rank = 0
-    col = 0
-    nrows = len(rows)
-    while rank < nrows and col < width:
-        pivot = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
+def echelon_basis(matrix: Sequence[Sequence[Scalar]]) -> dict[int, list[int]]:
+    """Row-echelon basis of the row space of a rational matrix.
+
+    Maps each pivot column to a primitive integer row whose first
+    nonzero entry sits in that column and is positive.  Elimination is
+    fraction-free (Bareiss, Math. Comp. 1968): each incoming row has its
+    denominators cleared, then row <- b*row - a*prow against the pivot
+    row with the same leading column (a, b the two leads over their
+    gcd), until it vanishes or leads at a new pivot column, where it is
+    stored divided by its content.  The set of pivot columns depends
+    only on the row space.
+    """
+    width = None
+    pivots: dict[int, list[int]] = {}
+    for entries in matrix:
+        row = [_coerce_coeff(e) for e in entries]
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError("ragged matrix")
+        scale = math.lcm(*(c.denominator for c in row))
+        row = [c.numerator * (scale // c.denominator) for c in row]
+        lead = next((j for j, v in enumerate(row) if v), None)
+        while lead in pivots:
+            prow = pivots[lead]
+            common = math.gcd(row[lead], prow[lead])
+            a, b = row[lead] // common, prow[lead] // common
+            row[lead:] = [b * v - a * w for v, w in zip(row[lead:], prow[lead:])]
+            lead = next((j for j in range(lead + 1, width) if row[j]), None)
+        if lead is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, nrows):
-            if rows[i][col]:
-                factor = rows[i][col] / pv
-                ri, rr = rows[i], rows[rank]
-                for j in range(col, width):
-                    ri[j] -= factor * rr[j]
-        rank += 1
-        col += 1
-    return rank
+        content = math.gcd(*row)
+        if row[lead] < 0:
+            content = -content
+        pivots[lead] = [v // content for v in row]
+    return pivots
+
+
+def rank_over_q(matrix: Sequence[Sequence[Scalar]]) -> int:
+    """Exact rank of a rational matrix: the size of its echelon basis."""
+    return len(echelon_basis(matrix))

@@ -31,6 +31,7 @@ from .exactalg import (
     Variable,
     _det_cofactor,
     _mono_mul,
+    echelon_basis,
     kap,
     lam,
     mono_sort_key,
@@ -50,6 +51,7 @@ __all__ = [
     "bernoulli",
     "chern_interval",
     "lambda_psi_monomials",
+    "coefficient_rows",
 ]
 
 
@@ -311,68 +313,55 @@ def lambda_psi_monomials(g: int, degree: int) -> list[MultiPoly]:
     return out
 
 
+def coefficient_rows(polys: list[MultiPoly], basis: list[MultiPoly]) -> list[list[Fraction]]:
+    """Coefficients of each polynomial on a monomial basis of its degree slice."""
+    index = {m.terms()[0][0]: i for i, m in enumerate(basis)}
+    rows = []
+    for p in polys:
+        row = [Fraction(0)] * len(basis)
+        for mono, c in p.items():
+            row[index[mono]] = c
+        rows.append(row)
+    return rows
+
+
 @lru_cache(maxsize=None)
 def _mumford_pivots(g: int, degree: int):
-    """Reduced row-echelon form of the degree slice of the Mumford ideal.
+    """Row-echelon basis of the degree slice of the Mumford ideal.
 
-    Returns (basis monomials, pivot map column -> reduced row).
+    Returns (basis monomials, exactalg.echelon_basis of the coefficient
+    rows of m * generator): pivot column -> primitive integer row.
     """
-    ideal = MumfordIdeal.for_genus(g)
     basis = lambda_psi_monomials(g, degree)
-    index = {m.terms()[0][0]: i for i, m in enumerate(basis)}
-    rows: list[list[Fraction]] = []
-    for gen_degree, gen in ideal.generators:
-        if gen_degree > degree:
-            continue
-        for m in lambda_psi_monomials(g, degree - gen_degree):
-            product = m * gen
-            row = [Fraction(0)] * len(basis)
-            for mono, c in product.items():
-                row[index[mono]] = c
-            rows.append(row)
-    pivots: dict[int, list[Fraction]] = {}
-    for row in rows:
-        for col in sorted(pivots):
-            if row[col]:
-                factor = row[col]
-                prow = pivots[col]
-                for j in range(col, len(row)):
-                    row[j] -= factor * prow[j]
-        lead = next((j for j, v in enumerate(row) if v), None)
-        if lead is None:
-            continue
-        inv = Fraction(1) / row[lead]
-        row = [v * inv for v in row]
-        for col, prow in pivots.items():
-            if prow[lead]:
-                factor = prow[lead]
-                for j in range(len(row)):
-                    prow[j] -= factor * row[j]
-        pivots[lead] = row
-    return basis, pivots
+    products = [
+        m * gen
+        for gen_degree, gen in MumfordIdeal.for_genus(g).generators
+        if gen_degree <= degree
+        for m in lambda_psi_monomials(g, degree - gen_degree)
+    ]
+    return basis, echelon_basis(coefficient_rows(products, basis))
 
 
 def mumford_reduce(p: MultiPoly, g: int) -> MultiPoly:
     """Normal form modulo the Mumford relations, degree by degree.
 
-    Idempotent, and zero exactly on members of the ideal.
+    Reducing against the echelon rows in increasing pivot order clears
+    every pivot column, which makes the result unique.  Idempotent, and
+    zero exactly on members of the ideal.
     """
     for v in p.variables():
-        if v.family not in ("lambda", "psi"):
-            raise ValueError("mumford_reduce expects a polynomial in lambda and psi")
+        if v.family not in ("lambda", "psi") or v.index > g:
+            raise ValueError("mumford_reduce expects a polynomial in lambda_1..lambda_g and psi")
     out = MultiPoly.zero()
     for degree, comp in enumerate(p.homogeneous_components()):
         if comp.is_zero():
             continue
         basis, pivots = _mumford_pivots(g, degree)
-        index = {m.terms()[0][0]: i for i, m in enumerate(basis)}
-        vec = [Fraction(0)] * len(basis)
-        for mono, c in comp.items():
-            vec[index[mono]] = c
+        (vec,) = coefficient_rows([comp], basis)
         for col in sorted(pivots):
             if vec[col]:
-                factor = vec[col]
                 prow = pivots[col]
+                factor = vec[col] / prow[col]
                 for j in range(col, len(vec)):
                     vec[j] -= factor * prow[j]
         for i, c in enumerate(vec):

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import DataError
 from .exactalg import MultiPoly, PSI, lam, rank_over_q
-from .pullback import kstar_schubert, lambda_psi_monomials
+from .pullback import coefficient_rows, kstar_schubert, lambda_psi_monomials
 from .schur import elementary_of_values
 from .semigroups import (
     NumericalSemigroup,
@@ -99,19 +99,6 @@ def relation_generators(g: int, max_weight: int) -> list[tuple[Partition, MultiP
     ]
 
 
-def _coeff_rows(
-    products: list[MultiPoly], basis: list[MultiPoly]
-) -> list[list[Fraction]]:
-    index = {m.terms()[0][0]: i for i, m in enumerate(basis)}
-    rows = []
-    for p in products:
-        row = [Fraction(0)] * len(basis)
-        for mono, c in p.items():
-            row[index[mono]] = c
-        rows.append(row)
-    return rows
-
-
 def hilbert_quotient_upper(g: int, cutoff: int) -> list[int]:
     """dim A_d minus the rank of the degree-d slice of the relation ideal."""
     algebra = GradedAlgebraSpec(g, cutoff)
@@ -126,7 +113,7 @@ def hilbert_quotient_upper(g: int, cutoff: int) -> list[int]:
                 continue
             for m in algebra.monomials(d - w):
                 products.append(m * gen)
-        rank = rank_over_q(_coeff_rows(products, basis)) if products else 0
+        rank = rank_over_q(coefficient_rows(products, basis)) if products else 0
         dims.append(len(basis) - rank)
     return dims
 

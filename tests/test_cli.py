@@ -25,6 +25,9 @@ GOLDEN_ARGV = {
     "pullback_g4_p221_smooth": ["pullback", "--genus", "4", "--partition", "2,2,1", "--mode", "smooth"],
     "psum_g1_4_power3_smooth": ["psum", "--genus", "1-4", "--power", "3", "--mode", "smooth"],
     "relations_g4_w8": ["relations", "--genus", "4", "--max-weight", "8"],
+    "hilbert_g0_4_d8": ["hilbert", "--genus", "0-4", "--max-degree", "8"],
+    "hilbert_g3_d10": ["hilbert", "--genus", "3", "--max-degree", "10"],
+    "pullback_g5_p32_smooth": ["pullback", "--genus", "5", "--partition", "3,2", "--mode", "smooth"],
 }
 
 CSV_ARGV = [

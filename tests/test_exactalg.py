@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from wtaut.exactalg import (
     exact_div,
     div_linear_difference,
     det_rows_with_distinct_variables,
+    echelon_basis,
     kap,
     lam,
     rank_over_q,
@@ -158,6 +160,7 @@ def test_rank_identity():
 
 def test_rank_proportional_rows():
     assert rank_over_q([[1, 2], [2, 4], [3, 6]]) == 1
+    assert rank_over_q([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
 
 
 def _minor_rank(matrix):
@@ -177,16 +180,37 @@ def _minor_rank(matrix):
     return best
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(10))
 def test_rank_matches_minor_enumeration(seed):
     import random
 
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 5), rng.randint(1, 6)
     matrix = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+    if seed >= 6:  # rational entries exercise the denominator clearing
+        matrix = [[Fraction(e, rng.choice((2, 3, 6))) for e in row] for row in matrix]
     if seed % 2:  # force rank deficiency
-        matrix.append(list(matrix[0]))
+        matrix.append([e * Fraction(3, 2) for e in matrix[0]] if seed >= 6 else list(matrix[0]))
     assert rank_over_q(matrix) == _minor_rank(matrix)
+
+
+def test_rank_rejects_floats():
+    with pytest.raises(TypeError):
+        rank_over_q([[1, 0.5], [0, 1]])
+
+
+def test_rank_rejects_ragged_matrix():
+    with pytest.raises(ValueError):
+        rank_over_q([[1, 2, 3], [4, 5]])
+
+
+def test_echelon_basis_rows_are_primitive_with_positive_leads():
+    basis = echelon_basis([[0, Fraction(-2, 3), Fraction(4, 3)], [0, 1, 0], [0, 0, 0], [1, 1, 1]])
+    assert sorted(basis) == [0, 1, 2]
+    for col, row in basis.items():
+        assert all(v == 0 for v in row[:col])
+        assert row[col] > 0
+        assert math.gcd(*row) == 1
 
 
 # -- division ----------------------------------------------------------------

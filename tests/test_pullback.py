@@ -218,6 +218,35 @@ def test_mumford_even_power_sums_vanish():
 def test_mumford_rejects_foreign_variables():
     with pytest.raises(ValueError):
         mumford_reduce(X(1), 2)
+    with pytest.raises(ValueError):  # lambda_3 does not exist at genus 2
+        mumford_reduce(L(3), 2)
+
+
+def _random_slice_element(rng, g, degree):
+    terms = lambda_psi_monomials(g, degree)
+    coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in terms]
+    return sum((m.scale(c) for m, c in zip(terms, coeffs)), MultiPoly.zero())
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_mumford_normal_form_is_unique(g):
+    """Adding an ideal element sum c * m * gen leaves the normal form unchanged."""
+    import random
+
+    rng = random.Random(g)
+    generators = MumfordIdeal.for_genus(g).generators
+    for degree in range(2 * g + 3):
+        p = _random_slice_element(rng, g, degree)
+        q = sum(
+            (
+                _random_slice_element(rng, g, degree - gen_degree) * gen
+                for gen_degree, gen in generators
+                if gen_degree <= degree
+            ),
+            MultiPoly.zero(),
+        )
+        assert mumford_reduce(q, g).is_zero()
+        assert mumford_reduce(p + q, g) == mumford_reduce(p, g)
 
 
 # -- Bernoulli numbers ---------------------------------------------------------------
