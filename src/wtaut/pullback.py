@@ -8,11 +8,12 @@ of (sum_a s_a) * c(interval), where the Segre classes of E*,
     s_a = h_a(x) = -sum_{i=1}^{min(a,g)} lambda_i s_(a-i),   s_0 = 1,
 
 carry the x-dependence and the interval {0..mu_i - i + g - 1} contributes
-plain rational multiples of psi^b.  The determinant is expanded by
-cofactors.  The x_i are Chern roots of the dual Hodge bundle, so
-e_a(x) = (-1)^a lambda_a; value_x is the same class written back in the
-roots, obtained by expanding each lambda-monomial as that signed product
-of elementary symmetric polynomials.  It is derived lazily, on first
+plain rational multiples of psi^b.  The determinant is PolyMatrix.det,
+a Laplace expansion with memoised minors.  The x_i are Chern roots of
+the dual Hodge bundle, so e_a(x) = (-1)^a lambda_a; value_x is the same
+class written back in the roots, obtained by expanding each
+lambda-monomial as that signed product of elementary symmetric
+polynomials.  It is derived lazily, on first
 access, and is never needed to compute value_lambda.
 """
 
@@ -29,7 +30,6 @@ from .exactalg import (
     PSI,
     U,
     Variable,
-    _det_cofactor,
     _mono_mul,
     echelon_basis,
     kap,
@@ -105,12 +105,12 @@ class PullbackClass:
 def kstar_schubert(mu: Partition, g: int) -> PullbackClass:
     """Pullback of the equivariant Schubert class of mu at genus g.
 
-    The cofactor expansion of the Kempf-Laksov determinant; the class is
-    zero whenever l(mu) exceeds g.
+    The Kempf-Laksov determinant of psi_matrix(mu, g); the class is zero
+    whenever l(mu) exceeds g.
     """
     if g < 1:
         raise ValueError("genus must be at least 1")
-    value = _det_cofactor([list(row) for row in psi_matrix(mu, g).entry_rows()])
+    value = psi_matrix(mu, g).det()
     return PullbackClass(genus=g, partition=mu, power=None, value_lambda=value)
 
 

@@ -1,19 +1,19 @@
 """Factorial, shifted, and double Schur polynomials, plus the matrix forms.
 
-The factorial Schur polynomial of a partition mu in n arguments is the
-ratio of determinants
+The double Schur polynomial of a partition mu in n arguments over a
+parameter sequence a is the ratio of determinants
 
-    t_mu(z_1..z_n) = det[(z_i)_(mu_j + n - j)] / det[(z_i)_(n - j)]
+    s_mu(z_1..z_n | a) = det[(z_i | a)^(mu_j + n - j)] / det[(z_i | a)^(n - j)]
 
-where (z)_(k) = z (z-1) ... (z-k+1) is the falling factorial power.  The
-denominator equals the Vandermonde product of the arguments, and the
-numerator is always exactly divisible by it; both determinants are
-computed and the quotient is obtained by exact polynomial division
-against the product form.  Shifted Schur polynomials are the staggered
-substitution s*_mu(z_1..z_n) = t_mu(z_1 + n - 1, ..., z_n), which makes
-the stability identity s*_mu(z, 0) = s*_mu(z) hold by construction.
-Double Schur polynomials replace falling factorials with products over
-an arbitrary parameter sequence.
+where (z | a)^k = (z - a_1) ... (z - a_k) is the generalized power.  The
+denominator equals the Vandermonde product of the arguments, so the
+numerator (PolyMatrix.det) is divided exactly by the factors
+z_i - z_j one at a time; numeric and symbolic arguments take the same
+route.  The factorial Schur polynomial t_mu is the specialization
+a_m = m - 1, where (z | a)^k is the falling factorial z (z-1) ... (z-k+1).
+Shifted Schur polynomials are the staggered substitution
+s*_mu(z_1..z_n) = t_mu(z_1 + n - 1, ..., z_n), which makes the
+stability identity s*_mu(z, 0) = s*_mu(z) hold by construction.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .exactalg import (
     PolyMatrix,
     PSI,
     U,
-    det_rows_with_distinct_variables,
     div_monic_linear,
     exact_div,
     lam,
@@ -106,13 +105,7 @@ class ParamSequence:
 
 def falling_factorial(z: Value, i: int) -> MultiPoly:
     """z (z - 1) ... (z - i + 1); equals 1 when i = 0."""
-    if i < 0:
-        raise ValueError("falling factorial power must be non-negative")
-    z = MultiPoly._wrap(z)
-    out = MultiPoly.one()
-    for c in range(i):
-        out = out * (z - c)
-    return out
+    return generalized_power(z, i, ParamSequence.factorial())
 
 
 def generalized_power(z: Value, k: int, a: ParamSequence) -> MultiPoly:
@@ -171,25 +164,9 @@ def _extract_monic_linear(diff: MultiPoly):
     return None
 
 
-def _schur_ratio(rows: list[list[MultiPoly]], args: Sequence[MultiPoly]) -> MultiPoly:
-    """det(rows) divided by the Vandermonde of args, exactly."""
-    symbolic = any(arg.variables() for arg in args)
-    if symbolic:
-        num = det_rows_with_distinct_variables(rows)
-    else:
-        num = PolyMatrix(rows).det()
-    return _divide_by_vandermonde(num, args)
-
-
 def factorial_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
-    """t_mu(z_1..z_n) as the exact ratio of falling-factorial determinants."""
-    zs = [MultiPoly._wrap(a) for a in args]
-    n = len(zs)
-    if mu.length > n:
-        raise ValueError("insufficient variables")
-    exponents = [mu.part(j) + n - j for j in range(1, n + 1)]
-    rows = [[falling_factorial(z, e) for e in exponents] for z in zs]
-    return _schur_ratio(rows, zs)
+    """t_mu(z_1..z_n): the double Schur polynomial with a_m = m - 1."""
+    return double_schur(mu, args, ParamSequence.factorial())
 
 
 def shifted_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
@@ -203,10 +180,10 @@ def shifted_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
 
 
 def double_schur(mu: Partition, args: Sequence[Value], a: ParamSequence) -> MultiPoly:
-    """Determinant ratio with generalized powers over the parameters a.
+    """det[(x_i | a)^(mu_j + n - j)] divided exactly by the Vandermonde of x.
 
-    Reduces to factorial_schur for a_m = m - 1 and to the classical Schur
-    polynomial for a identically zero.
+    The one determinant-ratio route: factorial_schur is a_m = m - 1, and
+    a identically zero gives the classical Schur polynomial.
     """
     xs = [MultiPoly._wrap(v) for v in args]
     n = len(xs)
@@ -214,7 +191,7 @@ def double_schur(mu: Partition, args: Sequence[Value], a: ParamSequence) -> Mult
         raise ValueError("insufficient variables")
     exponents = [mu.part(j) + n - j for j in range(1, n + 1)]
     rows = [[generalized_power(x, e, a) for e in exponents] for x in xs]
-    return _schur_ratio(rows, xs)
+    return _divide_by_vandermonde(PolyMatrix(rows).det(), xs)
 
 
 def homogeneous_components(p: MultiPoly, weight=None) -> list[MultiPoly]:

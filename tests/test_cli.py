@@ -28,6 +28,14 @@ GOLDEN_ARGV = {
     "hilbert_g0_4_d8": ["hilbert", "--genus", "0-4", "--max-degree", "8"],
     "hilbert_g3_d10": ["hilbert", "--genus", "3", "--max-degree", "10"],
     "pullback_g5_p32_smooth": ["pullback", "--genus", "5", "--partition", "3,2", "--mode", "smooth"],
+    "schur_eval_factorial_p31_values": [
+        "schur-eval", "--kind", "factorial", "--partition", "3,1", "--values", "1/2,2,5,7"
+    ],
+    "schur_eval_shifted_p321_values": [
+        "schur-eval", "--kind", "shifted", "--partition", "3,2,1", "--values", "1/2,2,5,7,-3,11/3"
+    ],
+    "schur_eval_factorial_p21_z3": ["schur-eval", "--kind", "factorial", "--partition", "2,1", "--variables", "3"],
+    "schur_eval_shifted_p31_z3": ["schur-eval", "--kind", "shifted", "--partition", "3,1", "--variables", "3"],
 }
 
 CSV_ARGV = [
@@ -69,6 +77,8 @@ def test_golden_payload_bytes(capsys, name):
         (["class", "--genus", "two", "--gaps", "1,3"], 2),
         (["class", "--genus", "2", "--gaps", "1,2,3"], 3),
         (["class", "--genus", "13", "--partition", "1"], 4),
+        (["schur-eval", "--partition", "1", "--variables", "7"], 4),
+        (["schur-eval", "--partition", "1", "--values", ",".join(map(str, range(13)))], 4),
     ],
 )
 def test_exit_codes(capsys, argv, code):

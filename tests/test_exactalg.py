@@ -12,10 +12,9 @@ from wtaut.exactalg import (
     PSI,
     U,
     Variable,
-    exact_div,
-    div_linear_difference,
-    det_rows_with_distinct_variables,
+    div_monic_linear,
     echelon_basis,
+    exact_div,
     kap,
     lam,
     rank_over_q,
@@ -228,7 +227,7 @@ def test_exact_div_rejects_non_divisor():
 
 def test_div_linear_difference_matches_general():
     p = (X1 - X2) * (X1**2 + X2 * PSI_P + 7)
-    fast = div_linear_difference(p, xvar(1), xvar(2))
+    fast = div_monic_linear(p, xvar(1), X2)
     assert fast == exact_div(p, X1 - X2)
 
 
@@ -313,12 +312,22 @@ def test_det_equal_rows_vanish(entries):
     assert PolyMatrix(m).det() == 0
 
 
-@given(st.lists(polys(max_terms=2, max_exp=2), min_size=25, max_size=25))
-@settings(max_examples=10, deadline=None)
-def test_det_strategies_agree_on_5x5(entries):
-    from wtaut.exactalg import _det_cofactor
+def _leibniz_det(rows):
+    """Sum over permutations: the determinant by definition."""
+    n = len(rows)
+    total = MultiPoly.zero()
+    for perm in itertools.permutations(range(n)):
+        term = MultiPoly.one()
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = total + (-term if inversions % 2 else term)
+    return total
 
-    rows = [entries[5 * i : 5 * i + 5] for i in range(5)]
-    bareiss = PolyMatrix(rows).det()  # n = 5 takes the elimination path
-    assert bareiss == _det_cofactor([list(r) for r in rows])
-    assert bareiss == det_rows_with_distinct_variables(rows)
+
+@given(st.lists(polys(max_terms=2, max_exp=2), min_size=36, max_size=36))
+@settings(max_examples=10, deadline=None)
+def test_det_matches_leibniz_oracle(entries):
+    for n in (5, 6):
+        rows = [entries[n * i : n * i + n] for i in range(n)]
+        assert PolyMatrix(rows).det() == _leibniz_det(rows)
