@@ -55,7 +55,6 @@ from .semigroups import (
     weierstrass_sequence,
 )
 from .tautring import (
-    GradedAlgebraSpec,
     HilbertReport,
     ev_homomorphism,
     hilbert_quotient_lower,

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional
 
+from .errors import DataError
 from .exactalg import (
     MultiPoly,
     PSI,
@@ -288,7 +289,8 @@ class MumfordIdeal:
                 gens.append((2 * k, comps[2 * k]))
         # odd components cancel identically
         for d in range(1, len(comps), 2):
-            assert comps[d].is_zero()
+            if not comps[d].is_zero():
+                raise DataError(f"Mumford relation has a nonzero odd component in degree {d}")
         return cls(genus=g, generators=tuple(gens))
 
 

@@ -10,8 +10,10 @@ weights i and 1.  Two ideals sandwich the (unknown) tautological ring R:
   lambda_i -> e_i(s_1 + 1, ..., s_g + 1) psi^i per semigroup, giving a
   lower bound h_d(A/I_ev) <= h_d(R).
 
-Both dimension counts are exact linear algebra over Q on the monomial
-basis of each degree slice; no Groebner machinery is involved.
+The upper bound has a closed form, a count of partitions inside the
+staircase (see `hilbert_quotient_upper`).  The lower bound is exact
+linear algebra over Q on the monomial basis of each degree slice; no
+Groebner machinery is involved.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from .errors import DataError
 from .exactalg import MultiPoly, PSI, lam, rank_over_q
-from .pullback import coefficient_rows, kstar_schubert, lambda_psi_monomials
+from .pullback import kstar_schubert, lambda_psi_monomials
 from .schur import elementary_of_values
 from .semigroups import (
     NumericalSemigroup,
@@ -32,29 +34,15 @@ from .semigroups import (
 )
 
 __all__ = [
-    "GradedAlgebraSpec",
     "HilbertReport",
     "relation_generators",
     "hilbert_quotient_upper",
     "hilbert_quotient_lower",
+    "in_staircase",
     "ev_homomorphism",
     "sandwich_report",
     "violating_partitions",
 ]
-
-
-@dataclass(frozen=True)
-class GradedAlgebraSpec:
-    """The free algebra Q[lambda_1..lambda_g, psi] truncated at a degree."""
-
-    genus: int
-    cutoff: int
-
-    def monomials(self, degree: int) -> list[MultiPoly]:
-        return lambda_psi_monomials(self.genus, degree)
-
-    def dim(self, degree: int) -> int:
-        return len(self.monomials(degree))
 
 
 @dataclass(frozen=True)
@@ -74,18 +62,24 @@ class HilbertReport:
         ]
 
 
+def in_staircase(mu: Partition, g: int) -> bool:
+    """Whether mu fits in the staircase delta_g = (g, g-1, ..., 1).
+
+    That is mu_i <= g - i + 1 for every i; partitions longer than g
+    never fit.
+    """
+    return all(p <= g - i for i, p in enumerate(mu.parts))
+
+
 def violating_partitions(g: int, max_weight: int) -> list[Partition]:
     """Partitions of length <= g whose sequence escapes every semigroup.
 
     In partition terms (virtual cardinality g - 1): some part satisfies
-    mu_i >= g - i + 2.  Longer partitions are omitted because their
-    pullback classes vanish identically.
+    mu_i >= g - i + 2, i.e. mu does not fit in the staircase.  Longer
+    partitions are omitted because their pullback classes vanish
+    identically.
     """
-    out = []
-    for mu in partitions_up_to(max_weight, max_length=g):
-        if any(mu.part(i) >= g - i + 2 for i in range(1, mu.length + 1)):
-            out.append(mu)
-    return out
+    return [mu for mu in partitions_up_to(max_weight, max_length=g) if not in_staircase(mu, g)]
 
 
 def relation_generators(g: int, max_weight: int) -> list[tuple[Partition, MultiPoly]]:
@@ -100,22 +94,23 @@ def relation_generators(g: int, max_weight: int) -> list[tuple[Partition, MultiP
 
 
 def hilbert_quotient_upper(g: int, cutoff: int) -> list[int]:
-    """dim A_d minus the rank of the degree-d slice of the relation ideal."""
-    algebra = GradedAlgebraSpec(g, cutoff)
-    generators = relation_generators(g, cutoff) if g >= 1 else []
-    dims = []
-    for d in range(cutoff + 1):
-        basis = algebra.monomials(d)
-        products = []
-        for mu, gen in generators:
-            w = mu.weight
-            if w > d:
-                continue
-            for m in algebra.monomials(d - w):
-                products.append(m * gen)
-        rank = rank_over_q(coefficient_rows(products, basis)) if products else 0
-        dims.append(len(basis) - rank)
-    return dims
+    """h_d(A/I) = #{mu in delta_g : |mu| <= d} for d = 0..cutoff.
+
+    With u -> -psi each generator of I is the equivariant Schubert class
+    s_mu(x|a) of a violating partition.  The factorial Schur classes
+    s_mu(x|a) with l(mu) <= g form a Q[psi]-basis of A, and a product
+    s_mu s_nu expands only in classes s_rho with rho containing both
+    mu and nu (Molev-Sagan, Trans. AMS 351, 1999; Knutson-Tao, Duke
+    119, 2003).  The violating partitions are exactly those outside the
+    staircase delta_g = (g, g-1, ..., 1), a set closed under growing
+    the diagram, so I is the free Q[psi]-span of the violating classes
+    and A/I is free over Q[psi] on {s_mu : mu in delta_g}.  Its degree-d
+    slice has the basis psi^(d - |mu|) s_mu with |mu| <= d.  The count
+    levels off at the Catalan number C_(g+1) once d >= g(g+1)/2; for
+    g = 0 it is 1 in every degree, the dimension of A_d = Q psi^d.
+    """
+    weights = [mu.weight for mu in partitions_up_to(cutoff, max_length=g) if in_staircase(mu, g)]
+    return [sum(1 for w in weights if w <= d) for d in range(cutoff + 1)]
 
 
 def ev_homomorphism(p: MultiPoly, semigroup: NumericalSemigroup) -> MultiPoly:
@@ -154,10 +149,9 @@ def hilbert_quotient_lower(g: int, cutoff: int) -> list[int]:
         seq = weierstrass_sequence(semigroup)
         shifted = [seq.s(i) + 1 for i in range(1, g + 1)]
         tables.append([Fraction(0)] + [elementary_of_values(shifted, i) for i in range(1, g + 1)])
-    algebra = GradedAlgebraSpec(g, cutoff)
     dims = []
     for d in range(cutoff + 1):
-        basis = algebra.monomials(d)
+        basis = lambda_psi_monomials(g, d)
         matrix = []
         for e_values in tables:
             matrix.append(
@@ -170,13 +164,10 @@ def hilbert_quotient_lower(g: int, cutoff: int) -> list[int]:
 def sandwich_report(g: int, cutoff: int) -> HilbertReport:
     """Pair the lower and upper Hilbert functions; lower <= upper must hold."""
     lower = hilbert_quotient_lower(g, cutoff)
-    if g >= 1:
-        upper = hilbert_quotient_upper(g, cutoff)
-    else:
-        upper = [GradedAlgebraSpec(g, cutoff).dim(d) for d in range(cutoff + 1)]
+    upper = hilbert_quotient_upper(g, cutoff)
     for d in range(cutoff + 1):
         if lower[d] > upper[d]:
-            raise AssertionError(
+            raise DataError(
                 f"sandwich violated at degree {d}: lower {lower[d]} > upper {upper[d]}"
             )
     weights = [mu.weight for mu in violating_partitions(g, cutoff)]

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import wtaut.tautring
 from wtaut.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
@@ -27,6 +28,7 @@ GOLDEN_ARGV = {
     "relations_g4_w8": ["relations", "--genus", "4", "--max-weight", "8"],
     "hilbert_g0_4_d8": ["hilbert", "--genus", "0-4", "--max-degree", "8"],
     "hilbert_g3_d10": ["hilbert", "--genus", "3", "--max-degree", "10"],
+    "hilbert_g5_6_d12": ["hilbert", "--genus", "5-6", "--max-degree", "12"],
     "pullback_g5_p32_smooth": ["pullback", "--genus", "5", "--partition", "3,2", "--mode", "smooth"],
     "schur_eval_factorial_p31_values": [
         "schur-eval", "--kind", "factorial", "--partition", "3,1", "--values", "1/2,2,5,7"
@@ -86,6 +88,17 @@ def test_exit_codes(capsys, argv, code):
     assert got == code
     assert out == ""
     assert err.startswith("wtaut: ")
+
+
+def test_sandwich_violation_is_a_data_error(capsys, monkeypatch):
+    monkeypatch.setattr(
+        wtaut.tautring, "hilbert_quotient_lower", lambda g, cutoff: [10**6] * (cutoff + 1)
+    )
+    code, out, err = _run(capsys, ["hilbert", "--genus", "2", "--max-degree", "4"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("wtaut: data error: ")
+    assert "at degree 0" in err
 
 
 @pytest.mark.parametrize("argv", CSV_ARGV, ids=lambda argv: argv[0])
