@@ -17,7 +17,6 @@ from .exactalg import (
     lam,
     rank_over_q,
     xvar,
-    yvar,
     zvar,
 )
 from .errors import DataError, ResourceError

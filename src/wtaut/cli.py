@@ -9,13 +9,14 @@ key=value config file can pre-set any long option (explicit flags win).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +45,7 @@ MAX_DEGREE_CAP = 16
 # numeric ones about half a second (Python 3.11, one core).
 MAX_SCHUR_VARIABLES = 6
 MAX_SCHUR_VALUES = 12
+FORMATS = ("json", "csv", "latex")
 
 KAPPA_INDEX_NOTE = (
     "odd power sums carry kappa_(2r-1); the published index 2r is off by one in degree"
@@ -71,10 +73,9 @@ class RunConfig:
     kappa0_substitute: bool = False
     output: str | None = None
     max_genus: int = DEFAULT_MAX_GENUS
-    extra: dict = field(default_factory=dict)
 
     def echo(self) -> dict:
-        data = {
+        return {
             "genus": self.genus_low
             if self.genus_low == self.genus_high
             else f"{self.genus_low}-{self.genus_high}",
@@ -85,8 +86,6 @@ class RunConfig:
             "paper_sign": self.paper_sign,
             "kappa0_substitute": self.kappa0_substitute,
         }
-        data.update(self.extra)
-        return data
 
 
 def _utc_now() -> str:
@@ -193,6 +192,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
     if config.mode not in ("CM", "smooth"):
         raise DataError("mode must be CM or smooth")
+    if config.fmt not in FORMATS:
+        raise DataError(f"format must be one of {', '.join(FORMATS)}, not {config.fmt!r}")
     if config.max_degree < 1:
         raise DataError("the degree cutoff must be at least 1")
     if config.max_degree > MAX_DEGREE_CAP:
@@ -386,7 +387,7 @@ def run_hilbert(config: RunConfig):
     payload = []
     warnings = [LOWER_RING_NOTE]
     for g in range(config.genus_low, config.genus_high + 1):
-        report = sandwich_report(g, config.max_degree)
+        report = sandwich_report(g, config.max_degree, config.max_genus)
         payload.append(
             {
                 "genus": g,
@@ -438,20 +439,32 @@ def _emit(envelope: dict, config: RunConfig, tables) -> None:
     elif config.fmt == "csv":
         headers, rows, meta = tables
         text = _csv_lines(headers, rows, meta)
-    elif config.fmt == "latex":
+    else:
         headers, rows, meta = tables
         text = _latex_table(headers, rows, caption=envelope["command"])
-    else:
-        raise DataError(f"unknown format {config.fmt!r}")
     if config.output:
-        target = Path(config.output)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix=".wtaut-")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
+        _write_output(Path(config.output), text)
     else:
         sys.stdout.write(text)
+
+
+def _write_output(target: Path, text: str) -> None:
+    """Replace target whole by text, with the mode the umask gives a new file."""
+    umask = os.umask(0)
+    os.umask(umask)
+    tmp = None
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".wtaut-")
+        with os.fdopen(fd, "w") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, target)
+    except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise ResourceError(f"cannot write {target}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sub):
         sub.add_argument("--genus", help="genus or range A-B")
-        sub.add_argument("--format", dest="format", choices=("json", "csv", "latex"))
+        sub.add_argument("--format", dest="format", choices=FORMATS)
         sub.add_argument("--output", help="write to this path (atomically)")
         sub.add_argument("--mode", choices=("CM", "smooth"))
 

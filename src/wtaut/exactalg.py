@@ -28,7 +28,6 @@ __all__ = [
     "kap",
     "xvar",
     "zvar",
-    "yvar",
     "PSI",
     "U",
     "exact_div",
@@ -123,10 +122,6 @@ def xvar(i: int) -> Variable:
 
 def zvar(i: int) -> Variable:
     return Variable("z", i)
-
-
-def yvar(j: int) -> Variable:
-    return Variable("y", j)
 
 
 PSI = Variable("psi")

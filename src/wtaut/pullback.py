@@ -8,7 +8,9 @@ of (sum_a s_a) * c(interval), where the Segre classes of E*,
     s_a = h_a(x) = -sum_{i=1}^{min(a,g)} lambda_i s_(a-i),   s_0 = 1,
 
 carry the x-dependence and the interval {0..mu_i - i + g - 1} contributes
-plain rational multiples of psi^b.  The determinant is PolyMatrix.det,
+plain rational multiples of psi^b.  Raising every interval value by one
+(psi_matrix(mu, g, shift=1)) gives the Weierstrass class of wcycles
+from the same determinant.  The determinant is PolyMatrix.det,
 a Laplace expansion with memoised minors.  The x_i are Chern roots of
 the dual Hodge bundle, so e_a(x) = (-1)^a lambda_a; value_x is the same
 class written back in the roots, obtained by expanding each

@@ -279,13 +279,15 @@ def _signed_lambda(g: int, a: int) -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
-def _matrix_entry(variant: str, g: int, r: int, k: int) -> MultiPoly:
+def _matrix_entry(variant: str, g: int, r: int, k: int, shift: int) -> MultiPoly:
     """Degree-k part of (sum_a c_a(x)) * c(interval) in lambda and psi.
 
-    For "psi", c_a(x) = h_a(x) and the interval list {0..r-1} enters with
-    elementary coefficients when r >= 1, or {0..-r} with complete
-    coefficients when it is inverted; "psi_prime" uses c_a(x) = e_a(x)
-    and swaps the two coefficient kinds.
+    For "psi", c_a(x) = h_a(x) and the interval list {shift..r-1+shift}
+    enters with elementary coefficients when r >= 1, or {0..-r} with
+    complete coefficients when it is inverted; "psi_prime" uses
+    c_a(x) = e_a(x) and swaps the two coefficient kinds.  The inverted
+    list is never shifted: it occurs only when l(mu) > g, where both
+    conventions give zero.
     """
     if k < 0:
         return MultiPoly.zero()
@@ -296,13 +298,13 @@ def _matrix_entry(variant: str, g: int, r: int, k: int) -> MultiPoly:
     psi = MultiPoly.variable(PSI)
     out = MultiPoly.zero()
     for b in range(0, k + 1):
-        coeff = genuine(range(0, r), b) if r >= 1 else inverted(range(0, -r + 1), b)
+        coeff = genuine(range(shift, r + shift), b) if r >= 1 else inverted(range(0, -r + 1), b)
         if coeff:
             out = out + series(g, k - b).scale(coeff) * psi**b
     return out
 
 
-def psi_matrix(mu: Partition, g: int, variant: str = "psi") -> PolyMatrix:
+def psi_matrix(mu: Partition, g: int, variant: str = "psi", shift: int = 0) -> PolyMatrix:
     """Kempf-Laksov matrix whose determinant is the Schubert-class pullback.
 
     Entries are polynomials in lambda_1..lambda_g and psi.  Variant "psi"
@@ -310,7 +312,10 @@ def psi_matrix(mu: Partition, g: int, variant: str = "psi") -> PolyMatrix:
     interval bound r = mu_i - i + g, with Segre (complete-homogeneous)
     entries.  Variant "psi_prime" is l(mu') x l(mu') with elementary
     entries, built the same way from the conjugate mu' with the bound
-    r = i - mu'_i + g.  Both determinants equal kstar_schubert(mu, g).
+    r = i - mu'_i + g.  Both determinants equal kstar_schubert(mu, g)
+    at shift = 0, that is u^|mu| t_mu(x/u) with u -> -psi.  shift = 1
+    raises every interval value by one, which gives u^|mu| t_mu(x/u - 1),
+    the Weierstrass class (see wcycles).
     """
     if variant == "psi":
         parts, sign = mu, 1
@@ -324,7 +329,9 @@ def psi_matrix(mu: Partition, g: int, variant: str = "psi") -> PolyMatrix:
     return PolyMatrix(
         [
             [
-                _matrix_entry(variant, g, g + sign * (parts.part(i) - i), parts.part(i) + j - i)
+                _matrix_entry(
+                    variant, g, g + sign * (parts.part(i) - i), parts.part(i) + j - i, shift
+                )
                 for j in range(1, size + 1)
             ]
             for i in range(1, size + 1)

@@ -26,6 +26,7 @@ from .exactalg import MultiPoly, PSI, lam, rank_over_q
 from .pullback import kstar_schubert, lambda_psi_monomials
 from .schur import elementary_of_values
 from .semigroups import (
+    DEFAULT_MAX_GENUS,
     NumericalSemigroup,
     Partition,
     enumerate_semigroups,
@@ -141,9 +142,9 @@ def _ev_coefficient(mono, e_values: list[Fraction]) -> Fraction:
     return out
 
 
-def hilbert_quotient_lower(g: int, cutoff: int) -> list[int]:
+def hilbert_quotient_lower(g: int, cutoff: int, max_genus: int = DEFAULT_MAX_GENUS) -> list[int]:
     """Rank of the fixed-point evaluation on each degree slice."""
-    semigroups = enumerate_semigroups(g)
+    semigroups = enumerate_semigroups(g, max_genus)
     tables = []
     for semigroup in semigroups:
         seq = weierstrass_sequence(semigroup)
@@ -161,9 +162,12 @@ def hilbert_quotient_lower(g: int, cutoff: int) -> list[int]:
     return dims
 
 
-def sandwich_report(g: int, cutoff: int) -> HilbertReport:
-    """Pair the lower and upper Hilbert functions; lower <= upper must hold."""
-    lower = hilbert_quotient_lower(g, cutoff)
+def sandwich_report(g: int, cutoff: int, max_genus: int = DEFAULT_MAX_GENUS) -> HilbertReport:
+    """Pair the lower and upper Hilbert functions; lower <= upper must hold.
+
+    max_genus is the genus cap passed on to the semigroup enumeration.
+    """
+    lower = hilbert_quotient_lower(g, cutoff, max_genus)
     upper = hilbert_quotient_upper(g, cutoff)
     for d in range(cutoff + 1):
         if lower[d] > upper[d]:

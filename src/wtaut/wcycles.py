@@ -5,33 +5,36 @@ the partition mu of its index sequence (index-g component convention):
 
     [W_H] = u^|mu| * s*_mu(z_1..z_g),   z_i = (x_i + (i - g - 1) u) / u,
 
-equivalently u^|mu| t_mu(x_1/u - 1, ..., x_g/u - 1) with u -> -psi.  That
-is the plain Schubert pullback kstar_schubert(mu, g).value_lambda, the
-same expression without the -1, with every Chern root twisted by
-x_i -> x_i - u = x_i + psi.  Since lambda_a = (-1)^a e_a(x), the twist is
-the substitution
-
-    lambda_a -> sum_{j<=a} C(g-j, a-j) lambda_j (-psi)^(a-j),   lambda_0 = 1,
-
-applied to the plain class.  The unit argument shift is what makes
+equivalently u^|mu| t_mu(y_1 - 1, ..., y_g - 1) with y = x/u and
+u -> -psi.  Here t_mu(y) = s_mu(y | a) is the factorial Schur polynomial
+with a_m = m - 1, built from the generalized powers
+(y | a)^k = y (y - 1) ... (y - k + 1).  Translating every argument by -1
+turns these into (y - 1)(y - 2) ... (y - k) = (y | a')^k with a'_m = m,
+and the Vandermonde in the denominator does not change under
+translation, so t_mu(y - 1) = s_mu(y | a'_m = m) (Macdonald, "Schur
+functions: theme and variations", 1992, 6th variation).  In the
+Kempf-Laksov determinant of the plain Schubert pullback the sequence a
+enters only through the interval values {0..r-1} of each row; the
+Weierstrass class is the same determinant with every interval value
+raised by one, psi_matrix(mu, g, shift=1).  The unit shift is what makes
 mu = (1) reproduce the classical Weierstrass divisor class
 g(g+1)/2 psi - lambda_1.  The unshifted evaluation u^|mu| t_mu(x/u) is
-kept available for comparison: it is the plain pullback itself (in
-s*_mu(z) with z_i = (x_i + (i - g) u) / u the shifted-Schur stagger
-cancels the offset), and for mu = (1) it is g(g-1)/2 psi - lambda_1.
+kept available for comparison: it is the plain pullback
+kstar_schubert(mu, g).value_lambda (in s*_mu(z) with
+z_i = (x_i + (i - g) u) / u the shifted-Schur stagger cancels the
+offset), and for mu = (1) it is g(g-1)/2 psi - lambda_1.
 Pushing forward along the forgetful map sends lambda-monomial times
 psi^m to the same lambda-monomial times kappa_(m-1), dropping the degree
 by one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import DataError
-from .exactalg import MultiPoly, PSI, kap, lam
-from .pullback import kstar_schubert
+from .exactalg import MultiPoly, PSI, kap
+from .schur import psi_matrix
 from .semigroups import (
     IndexSequence,
     NumericalSemigroup,
@@ -82,19 +85,6 @@ class CycleClass:
         }
 
 
-def _twist_roots(p: MultiPoly, g: int) -> MultiPoly:
-    """x_i -> x_i + psi on a class in lambda and psi."""
-    minus_psi = -MultiPoly.variable(PSI)
-    lams = [MultiPoly.one()] + [MultiPoly.variable(lam(j)) for j in range(1, g + 1)]
-    sigma = {}
-    for a in range(1, g + 1):
-        image = MultiPoly.zero()
-        for j in range(a + 1):
-            image = image + lams[j] * (minus_psi ** (a - j)).scale(comb(g - j, a - j))
-        sigma[lam(a)] = image
-    return p.substitute(sigma)
-
-
 def pushforward_rule(pointed: MultiPoly) -> MultiPoly:
     """lambda-monomial * psi^m  ->  lambda-monomial * kappa_(m-1).
 
@@ -121,25 +111,16 @@ def pushforward_rule(pointed: MultiPoly) -> MultiPoly:
 def weierstrass_class(semigroup: NumericalSemigroup, unshifted: bool = False) -> CycleClass:
     """Cycle class of the locus of points with the given semigroup.
 
-    unshifted=True returns the plain Schubert pullback
-    kstar_schubert(mu, g).value_lambda instead; for mu = (1) that is
-    g(g-1)/2 psi - lambda_1 rather than g(g+1)/2 psi - lambda_1.
+    This is virtual_class of the partition of its index sequence with the
+    semigroup attached; the semigroup's own sequence realizes that
+    partition, so the class is never flagged virtual.  unshifted=True
+    returns the plain Schubert pullback kstar_schubert(mu, g).value_lambda
+    instead; for mu = (1) that is g(g-1)/2 psi - lambda_1 rather than
+    g(g+1)/2 psi - lambda_1.
     """
     g = semigroup.genus
-    if g < 1:
-        raise DataError("cycle classes need genus at least 1")
     mu = hprime_partition(weierstrass_sequence(semigroup), g)
-    pointed = kstar_schubert(mu, g).value_lambda
-    if not unshifted:
-        pointed = _twist_roots(pointed, g)
-    return CycleClass(
-        genus=g,
-        semigroup=semigroup,
-        partition=mu,
-        class_pointed=pointed,
-        class_unpointed=pushforward_rule(pointed),
-        virtual=False,
-    )
+    return replace(virtual_class(mu, g, unshifted), semigroup=semigroup)
 
 
 def virtual_class(mu: Partition, g: int, unshifted: bool = False) -> CycleClass:
@@ -154,17 +135,14 @@ def virtual_class(mu: Partition, g: int, unshifted: bool = False) -> CycleClass:
         raise DataError("partition longer than the genus")
     if g < 1:
         raise DataError("cycle classes need genus at least 1")
-    seq = sequence_from_hprime_partition(mu, g)
-    pointed = kstar_schubert(mu, g).value_lambda
-    if not unshifted:
-        pointed = _twist_roots(pointed, g)
+    pointed = psi_matrix(mu, g, shift=0 if unshifted else 1).det()
     return CycleClass(
         genus=g,
         semigroup=None,
         partition=mu,
         class_pointed=pointed,
         class_unpointed=pushforward_rule(pointed),
-        virtual=not is_realizable(seq, g),
+        virtual=not is_realizable(sequence_from_hprime_partition(mu, g), g),
     )
 
 

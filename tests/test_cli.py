@@ -8,10 +8,13 @@ mathematics must reproduce these bytes exactly.
 import csv
 import io
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
 
+import wtaut.cli
 import wtaut.tautring
 from wtaut.cli import main
 
@@ -92,7 +95,9 @@ def test_exit_codes(capsys, argv, code):
 
 def test_sandwich_violation_is_a_data_error(capsys, monkeypatch):
     monkeypatch.setattr(
-        wtaut.tautring, "hilbert_quotient_lower", lambda g, cutoff: [10**6] * (cutoff + 1)
+        wtaut.tautring,
+        "hilbert_quotient_lower",
+        lambda g, cutoff, max_genus: [10**6] * (cutoff + 1),
     )
     code, out, err = _run(capsys, ["hilbert", "--genus", "2", "--max-degree", "4"])
     assert code == 3
@@ -120,3 +125,86 @@ def test_csv_keeps_multipart_partitions_in_one_cell(capsys):
     header, row = list(csv.reader(io.StringIO("".join(lines[1:]))))
     assert header == ["genus", "partition", "class"]
     assert row[:2] == ["2", "(2,1)"]
+
+
+def test_unwritable_output_is_a_resource_error(capsys):
+    code, out, err = _run(capsys, ["semigroups", "--genus", "1", "--output", "/dev/null/x.json"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("wtaut: resource error: ")
+    assert "/dev/null/x.json" in err
+
+
+def test_failed_output_leaves_no_temporary_file(capsys, tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    code, _, err = _run(capsys, ["semigroups", "--genus", "1", "--output", str(target)])
+    assert code == 4
+    assert str(target) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert not any(target.iterdir())
+
+
+def test_output_file_mode_follows_umask(capsys, tmp_path):
+    target = tmp_path / "out.json"
+    old = os.umask(0o022)
+    try:
+        code, _, _ = _run(capsys, ["semigroups", "--genus", "1", "--output", str(target)])
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+
+def test_output_replaces_the_target_whole(capsys, tmp_path):
+    target = tmp_path / "out.json"
+    target.write_text("stale " * 10_000)
+    keep = tmp_path / "old.json"
+    os.link(target, keep)
+    code, out, _ = _run(capsys, ["semigroups", "--genus", "2", "--output", str(target)])
+    assert code == 0
+    assert out == ""
+    assert json.loads(target.read_text())["payload"][0]["count"] == 2
+    # a rename, not a rewrite in place: the old inode keeps its bytes
+    assert keep.read_text() == "stale " * 10_000
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json", "out.json"]
+
+
+def test_bad_format_in_config_file_is_rejected_before_work(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the computation ran")
+
+    monkeypatch.setattr(wtaut.cli, "weierstrass_class", refuse)
+    config = tmp_path / "run.cfg"
+    config.write_text("format=xml\n")
+    code, out, err = _run(capsys, ["--config", str(config), "class", "--genus", "2", "--gaps", "1,3"])
+    assert code == 3
+    assert out == ""
+    assert "xml" in err
+
+
+def test_config_file_values_and_flag_precedence(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("# defaults\nmax_degree=3\nformat=csv\n")
+    code, out, _ = _run(capsys, ["--config", str(config), "hilbert", "--genus", "2"])
+    assert code == 0
+    assert out.startswith("# genus=2\n# max_degree=3\n")
+    code, out, _ = _run(
+        capsys, ["--config", str(config), "hilbert", "--genus", "2", "--max-degree", "4"]
+    )
+    assert code == 0
+    assert "# max_degree=4\n" in out
+    code, out, _ = _run(
+        capsys, ["--config", str(config), "hilbert", "--genus", "2", "--format", "json"]
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["max_degree"] == 3
+
+
+def test_hilbert_honours_the_genus_cap_override(capsys, monkeypatch):
+    monkeypatch.setenv("WTAUT_MAX_GENUS", "13")
+    code, out, err = _run(capsys, ["hilbert", "--genus", "13", "--max-degree", "1"])
+    assert code == 0, err
+    [block] = json.loads(out)["payload"]
+    assert block["genus"] == 13
+    assert [row["degree"] for row in block["rows"]] == [0, 1]

@@ -237,12 +237,17 @@ def test_psi_matrix_sizes():
 
 def test_psi_matrix_determinants_agree_small():
     from wtaut.pullback import kstar_schubert
+    from wtaut.wcycles import virtual_class
 
     for g in (1, 2, 3):
         for mu in partitions_up_to(4):
             expected = to_lambda_basis(kstar_schubert(mu, g).value_x, g)
             assert psi_matrix(mu, g, "psi").det() == expected
             assert psi_matrix(mu, g, "psi_prime").det() == expected
+            # the unit shift of the interval gives the Weierstrass convention
+            shifted = virtual_class(mu, g).class_pointed if mu.length <= g else 0
+            assert psi_matrix(mu, g, "psi", shift=1).det() == shifted, (mu.parts, g)
+            assert psi_matrix(mu, g, "psi_prime", shift=1).det() == shifted, (mu.parts, g)
 
 
 def test_symmetric_tables():

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -82,12 +83,25 @@ def test_unshifted_divisor_matches_power_sum(g):
 
 def test_unshifted_class_is_schubert_pullback():
     for g in range(1, 6):
+        # oracle for the shifted class: the root twist x_i -> x_i + psi, which
+        # by lambda_a = (-1)^a e_a(x) is the substitution
+        # lambda_a -> sum_{j<=a} C(g-j, a-j) lambda_j (-psi)^(a-j), lambda_0 = 1
+        lams = [MultiPoly.one()] + [L(j) for j in range(1, g + 1)]
+        twist = {
+            lam(a): sum(
+                (lams[j] * ((-PSI_P) ** (a - j)).scale(comb(g - j, a - j)) for j in range(a + 1)),
+                MultiPoly.zero(),
+            )
+            for a in range(1, g + 1)
+        }
         for h in enumerate_semigroups(g):
             unshifted = weierstrass_class(h, unshifted=True)
+            shifted = weierstrass_class(h)
             mu = unshifted.partition
             assert unshifted.class_pointed == kstar_schubert(mu, g).value_lambda, h.gaps
+            assert shifted.class_pointed == unshifted.class_pointed.substitute(twist), h.gaps
             if mu.weight:
-                assert unshifted.class_pointed != weierstrass_class(h).class_pointed, h.gaps
+                assert unshifted.class_pointed != shifted.class_pointed, h.gaps
 
 
 def test_virtual_class_matches_double_schur_oracle():
@@ -102,13 +116,22 @@ def test_virtual_class_matches_double_schur_oracle():
             assert virtual_class(mu, g).class_pointed == to_lambda_basis(oracle, g), (mu.parts, g)
 
 
-def test_five_by_five_class_matches_reference():
-    # gaps {1,3,5,7,9,11} give mu = (5,4,3,2,1) at g = 6: a 5 x 5 determinant
-    ref = json.loads((DATA / "class_g6_gaps_1_3_5_7_9_11.json").read_text())
+def _assert_matches_reference(name):
+    ref = json.loads((DATA / name).read_text())
     cycle = weierstrass_class(NumericalSemigroup.from_gaps(ref["gaps"]))
     assert list(cycle.partition.parts) == ref["partition"]
     assert cycle.class_pointed.canonical_str() == ref["class_pointed"]
     assert cycle.class_unpointed.canonical_str() == ref["class_unpointed"]
+
+
+def test_five_by_five_class_matches_reference():
+    # gaps {1,3,5,7,9,11} give mu = (5,4,3,2,1) at g = 6: a 5 x 5 determinant
+    _assert_matches_reference("class_g6_gaps_1_3_5_7_9_11.json")
+
+
+def test_hyperelliptic_genus_seven_class_matches_reference():
+    # gaps {1,3,...,13} give mu = (6,5,4,3,2,1) at g = 7: a 6 x 6 determinant
+    _assert_matches_reference("class_g7_gaps_1_3_5_7_9_11_13.json")
 
 
 def test_virtual_class_examples():
