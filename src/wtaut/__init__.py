@@ -29,7 +29,6 @@ from .pullback import (
     kstar_schubert,
     mumford_reduce,
     smooth_power_sum,
-    to_lambda_basis,
 )
 from .schur import (
     ParamSequence,

@@ -237,18 +237,17 @@ def run_semigroups(config: RunConfig):
         records = [semigroup_record(h) for h in enumerate_semigroups(g, config.max_genus)]
         payload.append({"genus": g, "count": len(records), "semigroups": records})
     warnings: list[str] = []
-    table_rows = [
-        [str(rec["genus"]), "{" + " ".join(map(str, rec["gaps"])) + "}",
-         " ".join(map(str, rec["sequence_head"])),
-         " ".join(map(str, rec["partition_hprime"]))]
-        for block in payload
-        for rec in block["semigroups"]
-    ]
-    tables = (
-        ["genus", "gaps", "sequence_head", "partition"],
-        table_rows,
-        {"genus": config.echo()["genus"]},
-    )
+
+    def tables():
+        rows = [
+            [str(rec["genus"]), "{" + " ".join(map(str, rec["gaps"])) + "}",
+             " ".join(map(str, rec["sequence_head"])),
+             " ".join(map(str, rec["partition_hprime"]))]
+            for block in payload
+            for rec in block["semigroups"]
+        ]
+        return ["genus", "gaps", "sequence_head", "partition"], rows, {"genus": config.echo()["genus"]}
+
     return payload, warnings, tables
 
 
@@ -256,6 +255,7 @@ def run_class(config: RunConfig, gaps: list[int] | None, partition: list[int] | 
     if (gaps is None) == (partition is None):
         raise DataError("choose exactly one selector: --gaps or --partition")
     payload = []
+    latex_pairs = []
     warnings = ["normalization: up-to-constant"]
     if config.unshifted:
         warnings.append(UNSHIFTED_NOTE)
@@ -275,28 +275,30 @@ def run_class(config: RunConfig, gaps: list[int] | None, partition: list[int] | 
         record["class_unpointed"] = poly_payload(unpointed)
         record["genus"] = g
         payload.append(record)
-    rows = [
-        [
-            str(rec["genus"]),
-            "{" + " ".join(map(str, rec["gaps"] or [])) + "}" if rec["gaps"] else "-",
-            "(" + ",".join(map(str, rec["partition"])) + ")",
-            str(rec["codim"]),
-            MultiPoly.from_json(rec["class_pointed"]["terms"]).latex(),
-            MultiPoly.from_json(rec["class_unpointed"]["terms"]).latex(),
+        latex_pairs.append((cycle.class_pointed, unpointed))
+
+    def tables():
+        rows = [
+            [
+                str(rec["genus"]),
+                "{" + " ".join(map(str, rec["gaps"] or [])) + "}" if rec["gaps"] else "-",
+                "(" + ",".join(map(str, rec["partition"])) + ")",
+                str(rec["codim"]),
+                pointed.latex(),
+                unpointed.latex(),
+            ]
+            for rec, (pointed, unpointed) in zip(payload, latex_pairs)
         ]
-        for rec in payload
-    ]
-    tables = (
-        ["genus", "gaps", "partition", "codim", "pointed class", "unpointed class"],
-        rows,
-        {"normalization": "up-to-constant"},
-    )
+        headers = ["genus", "gaps", "partition", "codim", "pointed class", "unpointed class"]
+        return headers, rows, {"normalization": "up-to-constant"}
+
     return payload, warnings, tables
 
 
 def run_pullback(config: RunConfig, partition: list[int]):
     mu = Partition.of(partition)
     payload = []
+    values = []
     warnings: list[str] = []
     for g in range(config.genus_low, config.genus_high + 1):
         if g < 1:
@@ -315,18 +317,23 @@ def run_pullback(config: RunConfig, partition: list[int]):
                 "value_lambda": poly_payload(value_lambda),
             }
         )
-    rows = [
-        [str(rec["genus"]), "(" + ",".join(map(str, rec["partition"])) + ")",
-         MultiPoly.from_json(rec["value_lambda"]["terms"]).latex()]
-        for rec in payload
-    ]
-    return payload, warnings, (["genus", "partition", "class"], rows, {"mode": config.mode})
+        values.append(value_lambda)
+
+    def tables():
+        rows = [
+            [str(rec["genus"]), "(" + ",".join(map(str, mu.parts)) + ")", value.latex()]
+            for rec, value in zip(payload, values)
+        ]
+        return ["genus", "partition", "class"], rows, {"mode": config.mode}
+
+    return payload, warnings, tables
 
 
 def run_psum(config: RunConfig, power: int):
     if power < 1:
         raise DataError("the power must be at least 1")
     payload = []
+    values = []
     warnings: list[str] = []
     for g in range(config.genus_low, config.genus_high + 1):
         if g < 1:
@@ -343,23 +350,29 @@ def run_psum(config: RunConfig, power: int):
             else:
                 warnings.append(EVEN_SIGN_NOTE)
         payload.append(record)
-    rows = [
-        [str(rec["genus"]), str(power),
-         MultiPoly.from_json(rec["value_lambda"]["terms"]).latex()]
-        for rec in payload
-    ]
-    return payload, list(set(warnings)), (["genus", "power", "class"], rows, {"mode": config.mode})
+        values.append(cls.value_lambda)
+
+    def tables():
+        rows = [
+            [str(rec["genus"]), str(power), value.latex()]
+            for rec, value in zip(payload, values)
+        ]
+        return ["genus", "power", "class"], rows, {"mode": config.mode}
+
+    return payload, list(set(warnings)), tables
 
 
 def run_relations(config: RunConfig):
     from .tautring import relation_generators
 
     payload = []
+    all_gens = []
     warnings: list[str] = []
     for g in range(config.genus_low, config.genus_high + 1):
         if g < 1:
             raise DataError("relations need genus at least 1")
         gens = relation_generators(g, config.max_degree)
+        all_gens.extend(gens)
         payload.append(
             {
                 "genus": g,
@@ -374,13 +387,15 @@ def run_relations(config: RunConfig):
                 ],
             }
         )
-    rows = [
-        ["(" + ",".join(map(str, rec["partition"])) + ")", str(rec["weight"]),
-         MultiPoly.from_json(rec["value"]["terms"]).latex()]
-        for block in payload
-        for rec in block["generators"]
-    ]
-    return payload, warnings, (["partition", "weight", "relation"], rows, {})
+
+    def tables():
+        rows = [
+            ["(" + ",".join(map(str, mu.parts)) + ")", str(mu.weight), poly.latex()]
+            for mu, poly in all_gens
+        ]
+        return ["partition", "weight", "relation"], rows, {}
+
+    return payload, warnings, tables
 
 
 def run_hilbert(config: RunConfig):
@@ -396,13 +411,17 @@ def run_hilbert(config: RunConfig):
                 "generator_counts": list(report.generator_counts),
             }
         )
-    rows = [
-        [str(block["genus"]), str(r["degree"]), str(r["lower"]), str(r["upper"])]
-        for block in payload
-        for r in block["rows"]
-    ]
-    meta = {"max_degree": config.max_degree, "genus": config.echo()["genus"]}
-    return payload, warnings, (["genus", "degree", "lower", "upper"], rows, meta)
+
+    def tables():
+        rows = [
+            [str(block["genus"]), str(r["degree"]), str(r["lower"]), str(r["upper"])]
+            for block in payload
+            for r in block["rows"]
+        ]
+        meta = {"max_degree": config.max_degree, "genus": config.echo()["genus"]}
+        return ["genus", "degree", "lower", "upper"], rows, meta
+
+    return payload, warnings, tables
 
 
 def run_schur_eval(config: RunConfig, kind: str, partition: list[int],
@@ -426,21 +445,30 @@ def run_schur_eval(config: RunConfig, kind: str, partition: list[int],
         "arguments": [str(v) for v in values] if values is not None else f"z1..z{variables}",
         "value": poly_payload(result),
     }
-    rows = [[kind, "(" + ",".join(map(str, mu.parts)) + ")", result.latex()]]
-    return payload, [], (["kind", "partition", "value"], rows, {})
+
+    def tables():
+        rows = [[kind, "(" + ",".join(map(str, mu.parts)) + ")", result.latex()]]
+        return ["kind", "partition", "value"], rows, {}
+
+    return payload, [], tables
 
 
 # -- driver ------------------------------------------------------------------
 
 
 def _emit(envelope: dict, config: RunConfig, tables) -> None:
+    """Write the envelope as JSON, or the rows of tables() as CSV or LaTeX.
+
+    tables is a zero-argument callable returning (headers, rows, meta),
+    so JSON output never builds the rows.
+    """
     if config.fmt == "json":
         text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
     elif config.fmt == "csv":
-        headers, rows, meta = tables
+        headers, rows, meta = tables()
         text = _csv_lines(headers, rows, meta)
     else:
-        headers, rows, meta = tables
+        headers, rows, meta = tables()
         text = _latex_table(headers, rows, caption=envelope["command"])
     if config.output:
         _write_output(Path(config.output), text)

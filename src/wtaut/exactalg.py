@@ -192,9 +192,13 @@ def _coerce_coeff(value) -> Fraction:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial: map from monomial to nonzero Fraction."""
+    """Immutable sparse polynomial: map from monomial to nonzero Fraction.
 
-    __slots__ = ("_terms",)
+    The canonically sorted term list is built on first use and kept, so
+    rendering a polynomial several ways sorts it once.
+    """
+
+    __slots__ = ("_terms", "_sorted")
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         cleaned: dict[Monomial, Fraction] = {}
@@ -204,6 +208,7 @@ class MultiPoly:
                 if coeff:
                     cleaned[mono] = coeff
         object.__setattr__(self, "_terms", cleaned)
+        object.__setattr__(self, "_sorted", None)
 
     # -- constructors ------------------------------------------------
 
@@ -256,8 +261,14 @@ class MultiPoly:
         return hash(frozenset(self._terms.items()))
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical display order (leading term first)."""
-        return [(m, self._terms[m]) for m in sorted(self._terms, key=mono_sort_key)]
+        """Terms in canonical display order (leading term first), as a new list."""
+        return list(self._sorted_terms())
+
+    def _sorted_terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
+        if self._sorted is None:
+            ordered = tuple((m, self._terms[m]) for m in sorted(self._terms, key=mono_sort_key))
+            object.__setattr__(self, "_sorted", ordered)
+        return self._sorted
 
     def items(self):
         """Raw (monomial, coefficient) pairs in arbitrary order."""
@@ -436,7 +447,7 @@ class MultiPoly:
         if not self._terms:
             return "0"
         pieces = []
-        for mono, coeff in self.terms():
+        for mono, coeff in self._sorted_terms():
             body = "*".join(f"{v.name}^{e}" if e > 1 else v.name for v, e in mono)
             mag = abs(coeff)
             if not body:
@@ -463,7 +474,7 @@ class MultiPoly:
             return f"{v.family}_{{{v.index}}}"
 
         pieces = []
-        for mono, coeff in self.terms():
+        for mono, coeff in self._sorted_terms():
             body = "".join(f"{sym(v)}^{{{e}}}" if e > 1 else sym(v) for v, e in mono)
             mag = abs(coeff)
             if mag.denominator == 1:
@@ -484,7 +495,7 @@ class MultiPoly:
 
     def to_json(self) -> list[dict]:
         out = []
-        for mono, coeff in self.terms():
+        for mono, coeff in self._sorted_terms():
             out.append({"coeff": str(coeff), "exps": {v.name: e for v, e in mono}})
         return out
 

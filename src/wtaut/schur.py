@@ -30,7 +30,6 @@ from .exactalg import (
     div_monic_linear,
     exact_div,
     lam,
-    xvar,
     zvar,
 )
 from .semigroups import Partition
@@ -45,8 +44,6 @@ __all__ = [
     "homogeneous_components",
     "psi_matrix",
     "generic_arguments",
-    "elementary_in_x",
-    "complete_in_x",
 ]
 
 Value = Union[MultiPoly, Fraction, int]
@@ -197,37 +194,6 @@ def double_schur(mu: Partition, args: Sequence[Value], a: ParamSequence) -> Mult
 def homogeneous_components(p: MultiPoly, weight=None) -> list[MultiPoly]:
     """Split into weighted-homogeneous parts; component i has degree i."""
     return p.homogeneous_components(weight)
-
-
-# -- symmetric function tables in x_1..x_g ---------------------------------
-
-
-@lru_cache(maxsize=None)
-def elementary_in_x(g: int, a: int) -> MultiPoly:
-    """e_a(x_1..x_g), zero above a = g."""
-    if a < 0 or a > g:
-        return MultiPoly.zero()
-    if a == 0:
-        return MultiPoly.one()
-    if g == 0:
-        return MultiPoly.zero()
-    x_g = MultiPoly.variable(xvar(g))
-    return elementary_in_x(g - 1, a) + x_g * elementary_in_x(g - 1, a - 1)
-
-
-@lru_cache(maxsize=None)
-def complete_in_x(g: int, a: int) -> MultiPoly:
-    """h_a(x_1..x_g)."""
-    if a < 0:
-        return MultiPoly.zero()
-    if a == 0:
-        return MultiPoly.one()
-    if g == 0:
-        return MultiPoly.zero()
-    if g == 1:
-        return MultiPoly.variable(xvar(1)) ** a
-    x_g = MultiPoly.variable(xvar(g))
-    return complete_in_x(g - 1, a) + x_g * complete_in_x(g, a - 1)
 
 
 def elementary_of_values(values: Sequence[int], b: int) -> Fraction:

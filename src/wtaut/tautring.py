@@ -19,12 +19,10 @@ Groebner machinery is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DataError
 from .exactalg import MultiPoly, PSI, lam, rank_over_q
 from .pullback import kstar_schubert, lambda_psi_monomials
-from .schur import elementary_of_values
 from .semigroups import (
     DEFAULT_MAX_GENUS,
     NumericalSemigroup,
@@ -114,28 +112,37 @@ def hilbert_quotient_upper(g: int, cutoff: int) -> list[int]:
     return [sum(1 for w in weights if w <= d) for d in range(cutoff + 1)]
 
 
+def _fixed_point_values(semigroup: NumericalSemigroup) -> list[int]:
+    """e_0..e_g of s_1 + 1, ..., s_g + 1, read off prod_i (1 + (s_i + 1) t).
+
+    One integer pass gives every e_i; lambda_i evaluates to e_i psi^i at
+    the monomial fixed point of the semigroup.
+    """
+    seq = weierstrass_sequence(semigroup)
+    coeffs = [1]
+    for i in range(1, semigroup.genus + 1):
+        s = seq.s(i) + 1
+        coeffs = [a + s * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
 def ev_homomorphism(p: MultiPoly, semigroup: NumericalSemigroup) -> MultiPoly:
     """Evaluation at the monomial fixed point of a semigroup.
 
     The substitution lambda_i -> e_i(s_1 + 1, ..., s_g + 1) psi^i is a
     ring homomorphism onto Q[psi].
     """
-    g = semigroup.genus
     for v in p.variables():
         if v.family not in ("lambda", "psi"):
             raise ValueError("ev expects a polynomial in lambda and psi")
-    seq = weierstrass_sequence(semigroup)
-    shifted = [seq.s(i) + 1 for i in range(1, g + 1)]
     psi = MultiPoly.variable(PSI)
-    sigma = {}
-    for i in range(1, g + 1):
-        sigma[lam(i)] = (psi**i).scale(elementary_of_values(shifted, i))
-    return p.substitute(sigma)
+    e_values = _fixed_point_values(semigroup)
+    return p.substitute({lam(i): (psi**i).scale(e_values[i]) for i in range(1, len(e_values))})
 
 
-def _ev_coefficient(mono, e_values: list[Fraction]) -> Fraction:
+def _ev_coefficient(mono, e_values: list[int]) -> int:
     """Coefficient of psi^deg in the evaluation of a lambda-psi monomial."""
-    out = Fraction(1)
+    out = 1
     for var, e in mono:
         if var.family == "lambda":
             out *= e_values[var.index] ** e
@@ -144,12 +151,7 @@ def _ev_coefficient(mono, e_values: list[Fraction]) -> Fraction:
 
 def hilbert_quotient_lower(g: int, cutoff: int, max_genus: int = DEFAULT_MAX_GENUS) -> list[int]:
     """Rank of the fixed-point evaluation on each degree slice."""
-    semigroups = enumerate_semigroups(g, max_genus)
-    tables = []
-    for semigroup in semigroups:
-        seq = weierstrass_sequence(semigroup)
-        shifted = [seq.s(i) + 1 for i in range(1, g + 1)]
-        tables.append([Fraction(0)] + [elementary_of_values(shifted, i) for i in range(1, g + 1)])
+    tables = [_fixed_point_values(h) for h in enumerate_semigroups(g, max_genus)]
     dims = []
     for d in range(cutoff + 1):
         basis = lambda_psi_monomials(g, d)

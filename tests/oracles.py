@@ -1,0 +1,195 @@
+"""Reference routines the tests compare the production code against.
+
+Each one is an independent, slower route to an object that `wtaut`
+computes another way.  None of them is reached from `src/`.
+
+* `elementary_in_x`, `complete_in_x`: e_a and h_a of x_1..x_g as
+  explicit polynomials, by the one-variable recursions.
+* `_elementary_table`, `_elementary_product_table`: prod_a e_a(x)^(d_a)
+  as a table over every exponent vector, built by repeated products.
+* `value_x_expansion`: a lambda-psi class written in the x-roots by
+  expanding each lambda-monomial through that full table, the route
+  `PullbackClass.value_x` took before it went orbit by orbit.
+* `to_lambda_basis`: the inverse change of basis, by peeling off
+  leading orbits.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+from wtaut.exactalg import MultiPoly, _mono_mul, lam, xvar
+
+
+@lru_cache(maxsize=None)
+def elementary_in_x(g: int, a: int) -> MultiPoly:
+    """e_a(x_1..x_g), zero above a = g."""
+    if a < 0 or a > g:
+        return MultiPoly.zero()
+    if a == 0:
+        return MultiPoly.one()
+    if g == 0:
+        return MultiPoly.zero()
+    x_g = MultiPoly.variable(xvar(g))
+    return elementary_in_x(g - 1, a) + x_g * elementary_in_x(g - 1, a - 1)
+
+
+@lru_cache(maxsize=None)
+def complete_in_x(g: int, a: int) -> MultiPoly:
+    """h_a(x_1..x_g)."""
+    if a < 0:
+        return MultiPoly.zero()
+    if a == 0:
+        return MultiPoly.one()
+    if g == 0:
+        return MultiPoly.zero()
+    if g == 1:
+        return MultiPoly.variable(xvar(1)) ** a
+    x_g = MultiPoly.variable(xvar(g))
+    return complete_in_x(g - 1, a) + x_g * complete_in_x(g, a - 1)
+
+
+@lru_cache(maxsize=None)
+def _elementary_table(g: int, a: int) -> tuple[tuple[int, ...], ...]:
+    """Support of e_a(x_1..x_g) as 0/1 exponent vectors."""
+    from itertools import combinations
+
+    out = []
+    for picks in combinations(range(g), a):
+        vec = [0] * g
+        for i in picks:
+            vec[i] = 1
+        out.append(tuple(vec))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _elementary_product_table(g: int, diffs: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """prod_a e_a(x)^(diffs_a) as an {x exponent vector: int} table."""
+    table: dict[tuple[int, ...], int] = {(0,) * g: 1}
+    for a, mult in enumerate(diffs, start=1):
+        for _ in range(mult):
+            nxt: dict[tuple[int, ...], int] = {}
+            for vec, c in table.items():
+                for evec in _elementary_table(g, a):
+                    key = tuple(v + w for v, w in zip(vec, evec))
+                    nxt[key] = nxt.get(key, 0) + c
+            table = nxt
+    return tuple(table.items())
+
+
+def value_x_expansion(value_lambda: MultiPoly, g: int) -> MultiPoly:
+    """value_lambda under lambda_a -> (-1)^a e_a(x_1..x_g)."""
+    xs = [xvar(i) for i in range(1, g + 1)]
+    xmonos: dict = {}
+    acc: dict = {}
+    for mono, coeff in value_lambda.items():
+        diffs = [0] * g
+        rest = []
+        for var, e in mono:
+            if var.family == "lambda":
+                diffs[var.index - 1] = e
+            else:
+                rest.append((var, e))
+        if sum(a * d for a, d in enumerate(diffs, start=1)) % 2:
+            coeff = -coeff
+        if coeff.denominator == 1:
+            coeff = coeff.numerator  # int arithmetic is much faster
+        rest = tuple(rest)
+        for vec, ecoef in _elementary_product_table(g, tuple(diffs)):
+            xmono = xmonos.get(vec)
+            if xmono is None:
+                xmono = xmonos[vec] = tuple((x, e) for x, e in zip(xs, vec) if e)
+            key = _mono_mul(rest, xmono)
+            val = acc.get(key, 0) + coeff * ecoef
+            if val:
+                acc[key] = val
+            else:
+                acc.pop(key, None)
+    return MultiPoly(acc)
+
+
+def to_lambda_basis(p: MultiPoly, g: int) -> MultiPoly:
+    """Rewrite a polynomial symmetric in x_1..x_g via e_a(x) -> (-1)^a lambda_a.
+
+    Other variables (psi, u, kappa) pass through untouched.  Raises on
+    input that is not symmetric in the x block.  Classical elimination:
+    peel off the lex-leading x orbit with the matching product of
+    elementary symmetric polynomials; every step only creates smaller
+    orbits, so a max-heap over x exponent vectors drives the loop.  No
+    class is computed through it: it inverts PullbackClass.value_x and
+    serves as an independent check of the lambda-native routes.
+    """
+    import heapq
+
+    zero_vec = (0,) * g
+    groups: dict[tuple[int, ...], dict] = {}
+    for mono, c in p.items():
+        exps = [0] * g
+        rest = []
+        for var, e in mono:
+            if var.family == "x":
+                if var.index > g:
+                    raise ValueError(f"x index {var.index} exceeds the genus {g}")
+                exps[var.index - 1] = e
+            else:
+                rest.append((var, e))
+        bucket = groups.setdefault(tuple(exps), {})
+        key = tuple(rest)
+        val = bucket.get(key, 0) + c
+        if val:
+            bucket[key] = val
+        else:
+            bucket.pop(key, None)
+
+    groups = {vec: bucket for vec, bucket in groups.items() if bucket}
+    # symmetry: every exponent vector must carry the same coefficients
+    # as its sorted representative
+    for vec, bucket in groups.items():
+        rep = tuple(sorted(vec, reverse=True))
+        if rep != vec and groups.get(rep) != bucket:
+            raise ValueError("polynomial is not symmetric in x variables")
+
+    heap = [tuple(-e for e in vec) for vec in groups if vec != zero_vec]
+    heapq.heapify(heap)
+    out_terms: dict = {}
+
+    def emit(mono, value) -> None:
+        val = out_terms.get(mono, 0) + value
+        if val:
+            out_terms[mono] = val
+        else:
+            out_terms.pop(mono, None)
+
+    while heap:
+        vec = tuple(-e for e in heapq.heappop(heap))
+        bucket = groups.pop(vec, None)
+        if not bucket:
+            continue
+        if any(vec[i] < vec[i + 1] for i in range(g - 1)):
+            raise ValueError("polynomial is not symmetric in x variables")
+        diffs = tuple(vec[a - 1] - (vec[a] if a < g else 0) for a in range(1, g + 1))
+        # cancel bucket * prod_a e_a^(diffs_a); its leading orbit is vec
+        for evec, ecoef in _elementary_product_table(g, diffs):
+            if evec == vec:
+                continue
+            target = groups.get(evec)
+            if target is None:
+                target = groups[evec] = {}
+                if evec != zero_vec:
+                    heapq.heappush(heap, tuple(-e for e in evec))
+            for rest, rc in bucket.items():
+                val = target.get(rest, 0) - rc * ecoef
+                if val:
+                    target[rest] = val
+                else:
+                    target.pop(rest, None)
+        # prod_a ((-1)^a lambda_a)^(diffs_a) is a single signed monomial
+        sign = -1 if sum(a * d for a, d in enumerate(diffs, start=1)) % 2 else 1
+        lam_mono = tuple((lam(a), d) for a, d in enumerate(diffs, start=1) if d)
+        for rest, rc in bucket.items():
+            emit(_mono_mul(lam_mono, rest), rc * sign)
+
+    for rest, rc in groups.pop(zero_vec, {}).items():
+        emit(rest, rc)
+    return MultiPoly(out_terms)

@@ -33,6 +33,7 @@ GOLDEN_ARGV = {
     "hilbert_g3_d10": ["hilbert", "--genus", "3", "--max-degree", "10"],
     "hilbert_g5_6_d12": ["hilbert", "--genus", "5-6", "--max-degree", "12"],
     "pullback_g5_p32_smooth": ["pullback", "--genus", "5", "--partition", "3,2", "--mode", "smooth"],
+    "pullback_g6_p321_smooth": ["pullback", "--genus", "6", "--partition", "3,2,1", "--mode", "smooth"],
     "schur_eval_factorial_p31_values": [
         "schur-eval", "--kind", "factorial", "--partition", "3,1", "--values", "1/2,2,5,7"
     ],

@@ -250,6 +250,17 @@ def test_canonical_str_is_deterministic():
     assert p.canonical_str() == MultiPoly.from_json(p.to_json()).canonical_str()
 
 
+def test_terms_returns_a_fresh_list_each_call():
+    p = X1 * X2 + PSI_P**2 - L1.scale(5)
+    text = p.canonical_str()
+    first = p.terms()
+    expected = list(first)
+    first.reverse()
+    first.pop()
+    assert p.terms() == expected
+    assert p.canonical_str() == text
+
+
 def test_latex_tokens():
     assert (PSI_P.scale(3) - L1).latex() == "-\\lambda_{1} + 3\\psi"
 

@@ -3,9 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import (
+    _elementary_product_table,
+    complete_in_x,
+    elementary_in_x,
+    to_lambda_basis,
+    value_x_expansion,
+)
 from wtaut.exactalg import MultiPoly, PSI, U, kap, lam, xvar
 from wtaut.pullback import (
     MumfordIdeal,
+    _orbit_table,
     bernoulli,
     chern_interval,
     kstar_power_sum,
@@ -13,9 +21,8 @@ from wtaut.pullback import (
     lambda_psi_monomials,
     mumford_reduce,
     smooth_power_sum,
-    to_lambda_basis,
 )
-from wtaut.schur import ParamSequence, complete_in_x, double_schur, elementary_in_x
+from wtaut.schur import ParamSequence, double_schur
 from wtaut.semigroups import Partition, partitions_up_to
 
 PSI_P = MultiPoly.variable(PSI)
@@ -77,6 +84,39 @@ def test_kstar_matches_double_schur_oracle():
 def test_kstar_requires_positive_genus():
     with pytest.raises(ValueError):
         kstar_schubert(Partition((1,)), 0)
+
+
+# -- x-root view -------------------------------------------------------------------
+
+
+def _assert_value_x_matches_expansion(cls):
+    oracle = value_x_expansion(cls.value_lambda, cls.genus)
+    assert cls.value_x == oracle, (cls.partition, cls.genus)
+    assert cls.value_x.terms() == oracle.terms(), (cls.partition, cls.genus)
+
+
+def test_value_x_matches_full_table_expansion():
+    for g in range(1, 6):
+        for mu in partitions_up_to(8):
+            _assert_value_x_matches_expansion(kstar_schubert(mu, g))
+
+
+def test_value_x_matches_full_table_expansion_at_genus_six():
+    _assert_value_x_matches_expansion(kstar_schubert(Partition((4, 3, 2)), 6))
+
+
+def test_orbit_table_is_the_dominant_part_of_the_full_table():
+    # d_a is the multiplicity of the part a, so sum_a a * d_a = |mu| <= 10
+    for g in range(1, 6):
+        for mu in partitions_up_to(10):
+            if mu.part(1) > g:
+                continue
+            diffs = tuple(mu.parts.count(a) for a in range(1, g + 1))
+            full = _elementary_product_table(g, diffs)
+            dominant = {
+                vec: c for vec, c in full if all(vec[i] >= vec[i + 1] for i in range(g - 1))
+            }
+            assert _orbit_table(g, diffs) == dominant, (g, diffs)
 
 
 # -- power sums -------------------------------------------------------------------

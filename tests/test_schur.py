@@ -4,13 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import complete_in_x, elementary_in_x, to_lambda_basis
 from wtaut.exactalg import MultiPoly, PSI, U, xvar, zvar
-from wtaut.pullback import to_lambda_basis
 from wtaut.schur import (
     ParamSequence,
-    complete_in_x,
     double_schur,
-    elementary_in_x,
     factorial_schur,
     falling_factorial,
     generalized_power,
