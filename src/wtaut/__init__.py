@@ -36,7 +36,6 @@ from .schur import (
     factorial_schur,
     falling_factorial,
     generalized_power,
-    homogeneous_components,
     psi_matrix,
     shifted_schur,
 )

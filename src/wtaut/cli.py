@@ -431,6 +431,8 @@ def run_schur_eval(config: RunConfig, kind: str, partition: list[int],
         raise DataError("choose exactly one of --values or --variables")
     if values is not None and len(values) > MAX_SCHUR_VALUES:
         raise ResourceError(f"{len(values)} values; use at most {MAX_SCHUR_VALUES}")
+    if variables is not None and variables < 0:
+        raise DataError(f"{variables} variables; the count must not be negative")
     if variables is not None and variables > MAX_SCHUR_VARIABLES:
         raise ResourceError(f"{variables} variables; use at most {MAX_SCHUR_VARIABLES}")
     if values is not None:

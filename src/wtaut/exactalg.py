@@ -376,27 +376,18 @@ class MultiPoly:
         degs = {_mono_weight(m) for m in self._terms}
         return len(degs) <= 1
 
-    def homogeneous_components(self, weight=None) -> list["MultiPoly"]:
+    def homogeneous_components(self) -> list["MultiPoly"]:
         """Split into weighted-homogeneous parts, indexed by degree.
 
         Returns a list comps with comps[i] homogeneous of degree i and
-        sum(comps) == self.  A custom weight function Variable -> int may
-        be supplied; the default is the alphabet grading.
+        sum(comps) == self.
         """
         if not self._terms:
             return []
-        if weight is None:
-            degree = _mono_weight
-        else:
-            def degree(mono, _w=weight):
-                return sum(_w(v) * e for v, e in mono)
         buckets: dict[int, dict[Monomial, Fraction]] = {}
         for mono, coeff in self._terms.items():
-            buckets.setdefault(degree(mono), {})[mono] = coeff
-        top = max(buckets)
-        if min(buckets) < 0:
-            raise ValueError("negative weighted degree under supplied grading")
-        return [MultiPoly(buckets.get(d, {})) for d in range(top + 1)]
+            buckets.setdefault(_mono_weight(mono), {})[mono] = coeff
+        return [MultiPoly(buckets.get(d, {})) for d in range(max(buckets) + 1)]
 
     def substitute(self, sigma: Mapping[Variable, "MultiPoly | Scalar"]) -> "MultiPoly":
         """Apply the ring homomorphism sending each variable to its image.

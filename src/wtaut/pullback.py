@@ -31,6 +31,15 @@ whole class are summed per orbit and per psi power, and each orbit is
 written out as its distinct rearrangements once, at the end: for
 mu = (5,4,3,2) at g = 6 that is 201 orbits over 15 psi powers for the
 19,872 terms of value_x.
+
+On the smooth locus a class is reduced modulo Mumford's relations
+c(E) c(E*) = 1.  They involve lambda only, so the degree-d slice of the
+ideal they generate is I_d = sum_k psi^k J_(d-k), where J is the
+lambda-only Mumford ideal: psi is a free block index.  mumford_reduce
+reduces each psi^k block against an echelon basis of the slice of J at
+its lambda-weight, cached per genus and weight.  Q[lambda]/J has the
+Hilbert series prod_{i<=g} (1 + t^i), of total dimension 2^g (it is the
+cohomology of the Lagrangian Grassmannian LG(g)).
 """
 
 from __future__ import annotations
@@ -43,17 +52,17 @@ from itertools import groupby
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .errors import DataError
 from .exactalg import (
+    Monomial,
     MultiPoly,
     PSI,
     U,
     Variable,
     _mono_mul,
+    _mono_weight,
     echelon_basis,
     kap,
     lam,
-    mono_sort_key,
     xvar,
 )
 from .schur import psi_matrix
@@ -68,8 +77,7 @@ __all__ = [
     "smooth_power_sum",
     "bernoulli",
     "chern_interval",
-    "lambda_psi_monomials",
-    "coefficient_rows",
+    "lambda_monomials",
 ]
 
 
@@ -260,108 +268,108 @@ def kstar_power_sum(s: int, g: int, chern_normalized: bool = False) -> PullbackC
 
 @dataclass(frozen=True)
 class MumfordIdeal:
-    """Relations from the vanishing of c(E) c(E*) - 1 in even degrees."""
+    """Relations from the vanishing of c(E) c(E*) - 1 in even degrees.
+
+    The degree-2k part of c(E) c(E*) is sum_{i+j=2k} (-1)^i lambda_i
+    lambda_j with lambda_0 = 1, for k = 1..g; the odd parts cancel under
+    i <-> j.  Every generator lies in Q[lambda].
+    """
 
     genus: int
     generators: tuple[tuple[int, MultiPoly], ...]
 
     @classmethod
     def for_genus(cls, g: int) -> "MumfordIdeal":
-        total = MultiPoly.one()
-        dual = MultiPoly.one()
-        for a in range(1, g + 1):
-            la = MultiPoly.variable(lam(a))
-            total = total + la
-            dual = dual + (la if a % 2 == 0 else -la)
-        product = total * dual - MultiPoly.one()
-        comps = product.homogeneous_components()
+        lams = [MultiPoly.one()] + [MultiPoly.variable(lam(a)) for a in range(1, g + 1)]
         gens = []
         for k in range(1, g + 1):
-            if 2 * k < len(comps) and not comps[2 * k].is_zero():
-                gens.append((2 * k, comps[2 * k]))
-        # odd components cancel identically
-        for d in range(1, len(comps), 2):
-            if not comps[d].is_zero():
-                raise DataError(f"Mumford relation has a nonzero odd component in degree {d}")
+            pairs = range(max(0, 2 * k - g), min(g, 2 * k) + 1)
+            gen = sum(((lams[i] * lams[2 * k - i]).scale((-1) ** i) for i in pairs), MultiPoly.zero())
+            gens.append((2 * k, gen))
         return cls(genus=g, generators=tuple(gens))
 
 
-def lambda_psi_monomials(g: int, degree: int) -> list[MultiPoly]:
-    """Canonically ordered monomial basis of the weighted degree-d slice
-    of Q[lambda_1..lambda_g, psi]."""
+def lambda_monomials(g: int, weight: int) -> list[Monomial]:
+    """Every monomial in lambda_1..lambda_g of the given weight, in
+    canonical order (mono_sort_key).
 
-    out: list[MultiPoly] = []
+    Canonical order walks lambda_1, lambda_2, ... and prefers the larger
+    exponent, so choosing the exponents in that order, each from the
+    largest down, emits the monomials already sorted.
+    """
+    out: list[Monomial] = []
 
-    def rec(index: int, left: int, pairs: list[tuple[Variable, int]]) -> None:
-        if index == 0:
-            mono = list(pairs)
-            if left:
-                mono.append((PSI, left))
-            out.append(MultiPoly.monomial(mono))
+    def rec(index: int, left: int, head: Monomial) -> None:
+        if not left:
+            out.append(head)
             return
-        for e in range(left // index + 1):
-            rec(index - 1, left - e * index, pairs + ([(lam(index), e)] if e else []))
+        if index > g:
+            return
+        for e in range(left // index, -1, -1):
+            rec(index + 1, left - e * index, head + (((lam(index), e),) if e else ()))
 
-    rec(g, degree, [])
-    out.sort(key=lambda m: mono_sort_key(m.terms()[0][0]))
+    rec(1, weight, ())
     return out
 
 
-def coefficient_rows(polys: list[MultiPoly], basis: list[MultiPoly]) -> list[list[Fraction]]:
-    """Coefficients of each polynomial on a monomial basis of its degree slice."""
-    index = {m.terms()[0][0]: i for i, m in enumerate(basis)}
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(basis)
-        for mono, c in p.items():
-            row[index[mono]] = c
-        rows.append(row)
-    return rows
-
-
 @lru_cache(maxsize=None)
-def _mumford_pivots(g: int, degree: int):
-    """Row-echelon basis of the degree slice of the Mumford ideal.
+def _mumford_pivots(g: int, weight: int):
+    """Row-echelon basis of the weight slice J_w of the lambda-only
+    Mumford ideal J.
 
-    Returns (basis monomials, exactalg.echelon_basis of the coefficient
-    rows of m * generator): pivot column -> primitive integer row.
+    Returns (lambda_monomials(g, weight), exactalg.echelon_basis of the
+    rows m * generator): pivot column -> primitive integer row.
     """
-    basis = lambda_psi_monomials(g, degree)
-    products = [
-        m * gen
-        for gen_degree, gen in MumfordIdeal.for_genus(g).generators
-        if gen_degree <= degree
-        for m in lambda_psi_monomials(g, degree - gen_degree)
-    ]
-    return basis, echelon_basis(coefficient_rows(products, basis))
+    basis = lambda_monomials(g, weight)
+    column = {m: i for i, m in enumerate(basis)}
+    rows = []
+    for gen_degree, gen in MumfordIdeal.for_genus(g).generators:
+        if gen_degree > weight:
+            break
+        for m in lambda_monomials(g, weight - gen_degree):
+            row = [0] * len(basis)
+            for mono, c in gen.items():
+                row[column[_mono_mul(m, mono)]] = c
+            rows.append(row)
+    return basis, echelon_basis(rows)
 
 
 def mumford_reduce(p: MultiPoly, g: int) -> MultiPoly:
-    """Normal form modulo the Mumford relations, degree by degree.
+    """Normal form modulo the Mumford relations, block by block.
 
-    Reducing against the echelon rows in increasing pivot order clears
+    The generators involve lambda only, so the ideal's degree-d slice is
+    I_d = sum_k psi^k J_(d-k), one block per psi power, and canonical
+    order sorts each block as it sorts the lambda parts.  Each
+    (lambda-weight, psi power) block of p is reduced against the echelon
+    rows of J at that weight, in increasing pivot order; that clears
     every pivot column, which makes the result unique.  Idempotent, and
     zero exactly on members of the ideal.
     """
     for v in p.variables():
         if v.family not in ("lambda", "psi") or v.index > g:
             raise ValueError("mumford_reduce expects a polynomial in lambda_1..lambda_g and psi")
-    out = MultiPoly.zero()
-    for degree, comp in enumerate(p.homogeneous_components()):
-        if comp.is_zero():
-            continue
-        basis, pivots = _mumford_pivots(g, degree)
-        (vec,) = coefficient_rows([comp], basis)
+    blocks: dict[tuple[int, int], dict] = {}
+    for mono, c in p.items():
+        k = 0
+        if mono and mono[-1][0] == PSI:  # psi sorts after every lambda
+            k = mono[-1][1]
+            mono = mono[:-1]
+        blocks.setdefault((_mono_weight(mono), k), {})[mono] = c
+    out = {}
+    for (weight, k), part in blocks.items():
+        basis, pivots = _mumford_pivots(g, weight)
+        vec = [part.get(m, 0) for m in basis]
         for col in sorted(pivots):
             if vec[col]:
                 prow = pivots[col]
                 factor = vec[col] / prow[col]
                 for j in range(col, len(vec)):
                     vec[j] -= factor * prow[j]
-        for i, c in enumerate(vec):
+        psi = ((PSI, k),) if k else ()
+        for m, c in zip(basis, vec):
             if c:
-                out = out + basis[i].scale(c)
-    return out
+                out[m + psi] = c
+    return MultiPoly(out)
 
 
 # -- power sums on the smooth locus ----------------------------------------

@@ -41,7 +41,6 @@ __all__ = [
     "factorial_schur",
     "shifted_schur",
     "double_schur",
-    "homogeneous_components",
     "psi_matrix",
     "generic_arguments",
 ]
@@ -189,11 +188,6 @@ def double_schur(mu: Partition, args: Sequence[Value], a: ParamSequence) -> Mult
     exponents = [mu.part(j) + n - j for j in range(1, n + 1)]
     rows = [[generalized_power(x, e, a) for e in exponents] for x in xs]
     return _divide_by_vandermonde(PolyMatrix(rows).det(), xs)
-
-
-def homogeneous_components(p: MultiPoly, weight=None) -> list[MultiPoly]:
-    """Split into weighted-homogeneous parts; component i has degree i."""
-    return p.homogeneous_components(weight)
 
 
 def elementary_of_values(values: Sequence[int], b: int) -> Fraction:

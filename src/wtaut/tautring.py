@@ -18,11 +18,12 @@ Groebner machinery is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DataError
 from .exactalg import MultiPoly, PSI, lam, rank_over_q
-from .pullback import kstar_schubert, lambda_psi_monomials
+from .pullback import kstar_schubert, lambda_monomials
 from .semigroups import (
     DEFAULT_MAX_GENUS,
     NumericalSemigroup,
@@ -140,27 +141,22 @@ def ev_homomorphism(p: MultiPoly, semigroup: NumericalSemigroup) -> MultiPoly:
     return p.substitute({lam(i): (psi**i).scale(e_values[i]) for i in range(1, len(e_values))})
 
 
-def _ev_coefficient(mono, e_values: list[int]) -> int:
-    """Coefficient of psi^deg in the evaluation of a lambda-psi monomial."""
-    out = 1
-    for var, e in mono:
-        if var.family == "lambda":
-            out *= e_values[var.index] ** e
-    return out
-
-
 def hilbert_quotient_lower(g: int, cutoff: int, max_genus: int = DEFAULT_MAX_GENUS) -> list[int]:
-    """Rank of the fixed-point evaluation on each degree slice."""
+    """Rank of the fixed-point evaluation on each degree slice.
+
+    A monomial lambda^m psi^(d - |m|) evaluates to prod_a e_a^(m_a)
+    psi^d at every fixed point, so psi changes no coefficient: the
+    degree-d matrix has one column per lambda-monomial of weight <= d,
+    and each semigroup's row grows by the weight-d columns per degree.
+    """
     tables = [_fixed_point_values(h) for h in enumerate_semigroups(g, max_genus)]
+    rows: list[list[int]] = [[] for _ in tables]
     dims = []
     for d in range(cutoff + 1):
-        basis = lambda_psi_monomials(g, d)
-        matrix = []
-        for e_values in tables:
-            matrix.append(
-                [_ev_coefficient(m.terms()[0][0], e_values) for m in basis]
-            )
-        dims.append(rank_over_q(matrix))
+        monos = lambda_monomials(g, d)
+        for row, e_values in zip(rows, tables):
+            row.extend(math.prod(e_values[v.index] ** e for v, e in mono) for mono in monos)
+        dims.append(rank_over_q(rows))
     return dims
 
 

@@ -12,13 +12,28 @@ computes another way.  None of them is reached from `src/`.
   `PullbackClass.value_x` took before it went orbit by orbit.
 * `to_lambda_basis`: the inverse change of basis, by peeling off
   leading orbits.
+* `lambda_psi_monomials`, `coefficient_rows`, `full_slice_pivots`,
+  `full_slice_reduce`: the Mumford normal form by eliminating whole
+  (lambda, psi) degree slices, the route `mumford_reduce` took before
+  it reduced psi-block by psi-block over the lambda-only ideal.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
-from wtaut.exactalg import MultiPoly, _mono_mul, lam, xvar
+from wtaut.exactalg import (
+    PSI,
+    MultiPoly,
+    Variable,
+    _mono_mul,
+    echelon_basis,
+    lam,
+    mono_sort_key,
+    xvar,
+)
+from wtaut.pullback import MumfordIdeal
 
 
 @lru_cache(maxsize=None)
@@ -193,3 +208,81 @@ def to_lambda_basis(p: MultiPoly, g: int) -> MultiPoly:
     for rest, rc in groups.pop(zero_vec, {}).items():
         emit(rest, rc)
     return MultiPoly(out_terms)
+
+
+def lambda_psi_monomials(g: int, degree: int) -> list[MultiPoly]:
+    """Canonically ordered monomial basis of the weighted degree-d slice
+    of Q[lambda_1..lambda_g, psi]."""
+
+    out: list[MultiPoly] = []
+
+    def rec(index: int, left: int, pairs: list[tuple[Variable, int]]) -> None:
+        if index == 0:
+            mono = list(pairs)
+            if left:
+                mono.append((PSI, left))
+            out.append(MultiPoly.monomial(mono))
+            return
+        for e in range(left // index + 1):
+            rec(index - 1, left - e * index, pairs + ([(lam(index), e)] if e else []))
+
+    rec(g, degree, [])
+    out.sort(key=lambda m: mono_sort_key(m.terms()[0][0]))
+    return out
+
+
+def coefficient_rows(polys: list[MultiPoly], basis: list[MultiPoly]) -> list[list[Fraction]]:
+    """Coefficients of each polynomial on a monomial basis of its degree slice."""
+    index = {m.terms()[0][0]: i for i, m in enumerate(basis)}
+    rows = []
+    for p in polys:
+        row = [Fraction(0)] * len(basis)
+        for mono, c in p.items():
+            row[index[mono]] = c
+        rows.append(row)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def full_slice_pivots(g: int, degree: int):
+    """Row-echelon basis of the degree slice of the Mumford ideal.
+
+    Returns (basis monomials, exactalg.echelon_basis of the coefficient
+    rows of m * generator): pivot column -> primitive integer row.
+    """
+    basis = lambda_psi_monomials(g, degree)
+    products = [
+        m * gen
+        for gen_degree, gen in MumfordIdeal.for_genus(g).generators
+        if gen_degree <= degree
+        for m in lambda_psi_monomials(g, degree - gen_degree)
+    ]
+    return basis, echelon_basis(coefficient_rows(products, basis))
+
+
+def full_slice_reduce(p: MultiPoly, g: int) -> MultiPoly:
+    """Normal form modulo the Mumford relations, degree by degree.
+
+    Reducing against the echelon rows in increasing pivot order clears
+    every pivot column, which makes the result unique.  Idempotent, and
+    zero exactly on members of the ideal.
+    """
+    for v in p.variables():
+        if v.family not in ("lambda", "psi") or v.index > g:
+            raise ValueError("mumford_reduce expects a polynomial in lambda_1..lambda_g and psi")
+    out = MultiPoly.zero()
+    for degree, comp in enumerate(p.homogeneous_components()):
+        if comp.is_zero():
+            continue
+        basis, pivots = full_slice_pivots(g, degree)
+        (vec,) = coefficient_rows([comp], basis)
+        for col in sorted(pivots):
+            if vec[col]:
+                prow = pivots[col]
+                factor = vec[col] / prow[col]
+                for j in range(col, len(vec)):
+                    vec[j] -= factor * prow[j]
+        for i, c in enumerate(vec):
+            if c:
+                out = out + basis[i].scale(c)
+    return out

@@ -85,6 +85,7 @@ def test_golden_payload_bytes(capsys, name):
         (["class", "--genus", "13", "--partition", "1"], 4),
         (["schur-eval", "--partition", "1", "--variables", "7"], 4),
         (["schur-eval", "--partition", "1", "--values", ",".join(map(str, range(13)))], 4),
+        (["schur-eval", "--partition", "1", "--variables", "-2"], 3),
     ],
 )
 def test_exit_codes(capsys, argv, code):

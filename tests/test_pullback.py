@@ -7,18 +7,21 @@ from oracles import (
     _elementary_product_table,
     complete_in_x,
     elementary_in_x,
+    full_slice_reduce,
+    lambda_psi_monomials,
     to_lambda_basis,
     value_x_expansion,
 )
-from wtaut.exactalg import MultiPoly, PSI, U, kap, lam, xvar
+from wtaut.exactalg import MultiPoly, PSI, U, kap, lam, mono_sort_key, xvar
 from wtaut.pullback import (
     MumfordIdeal,
+    _mumford_pivots,
     _orbit_table,
     bernoulli,
     chern_interval,
     kstar_power_sum,
     kstar_schubert,
-    lambda_psi_monomials,
+    lambda_monomials,
     mumford_reduce,
     smooth_power_sum,
 )
@@ -225,6 +228,39 @@ def test_mumford_generators():
     assert gen2 == L(2).scale(2) - L(1) ** 2
 
 
+@pytest.mark.parametrize("g", range(1, 7))
+def test_mumford_generators_are_the_even_parts_of_the_chern_product(g):
+    total = MultiPoly.one() + sum((L(a) for a in range(1, g + 1)), MultiPoly.zero())
+    dual = MultiPoly.one() + sum((L(a).scale((-1) ** a) for a in range(1, g + 1)), MultiPoly.zero())
+    comps = (total * dual - 1).homogeneous_components()
+    assert all(c.is_zero() for c in comps[1::2])
+    assert MumfordIdeal.for_genus(g).generators == tuple(
+        (d, comps[d]) for d in range(2, 2 * g + 1, 2)
+    )
+
+
+@pytest.mark.parametrize("g", range(6))
+def test_lambda_quotient_has_the_lagrangian_grassmannian_hilbert_series(g):
+    """dim (Q[lambda]/J)_w is the coefficient of t^w in prod_{i<=g} (1 + t^i)."""
+    series = [1]
+    for i in range(1, g + 1):
+        series = [a + (series[w - i] if w >= i else 0) for w, a in enumerate(series + [0] * i)]
+    top = g * (g + 1) // 2
+    dims = []
+    for w in range(top + 3):
+        basis, pivots = _mumford_pivots(g, w)
+        dims.append(len(basis) - len(pivots))
+    assert dims == series + [0, 0]
+    assert sum(dims) == 2**g
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_mumford_reduce_matches_full_slice_elimination(g):
+    for mu in partitions_up_to(8, max_length=g):
+        value = kstar_schubert(mu, g).value_lambda
+        assert mumford_reduce(value, g) == full_slice_reduce(value, g), mu
+
+
 def test_mumford_reduce_kills_degree_two_generator():
     for g in (2, 3, 4):
         assert mumford_reduce(L(1) ** 2 - L(2).scale(2), g).is_zero()
@@ -364,18 +400,20 @@ def test_chern_interval_coefficients_shadow_psi_entries():
 # -- degree-slice bases ----------------------------------------------------------------
 
 
-def test_lambda_psi_monomials_counts():
+def test_lambda_monomials_counts():
     # independent count: iterate exponent vectors directly
     import itertools as it
 
     for g in (1, 2, 3):
-        for d in range(7):
+        for w in range(7):
             expected = 0
-            ranges = [range(d // i + 1) for i in range(1, g + 1)]
+            ranges = [range(w // i + 1) for i in range(1, g + 1)]
             for exps in it.product(*ranges):
-                if sum(i * e for i, e in enumerate(exps, start=1)) <= d:
+                if sum(i * e for i, e in enumerate(exps, start=1)) == w:
                     expected += 1
-            assert len(lambda_psi_monomials(g, d)) == expected
+            monos = lambda_monomials(g, w)
+            assert len(monos) == expected
+            assert monos == sorted(monos, key=mono_sort_key)
 
 
 def test_generators_reachable_at_genus_two():

@@ -13,7 +13,6 @@ from wtaut.schur import (
     falling_factorial,
     generalized_power,
     generic_arguments,
-    homogeneous_components,
     psi_matrix,
     shifted_schur,
 )
@@ -169,13 +168,13 @@ def test_double_schur_recovers_equivariant_pullback():
 
 
 def test_homogeneous_components_example():
-    comps = homogeneous_components(Z1 + Z2 - 1)
+    comps = (Z1 + Z2 - 1).homogeneous_components()
     assert comps == [MultiPoly.constant(-1), Z1 + Z2]
 
 
 def test_homogeneous_single_component():
     p = Z1 * Z2
-    comps = homogeneous_components(p)
+    comps = p.homogeneous_components()
     assert sum(1 for c in comps if not c.is_zero()) == 1
     assert comps[2] == p
 
@@ -190,15 +189,9 @@ def test_homogeneous_components_resum():
                 mono = mono * MultiPoly.variable(v) ** rng.randint(0, 2)
             p = p + mono
         total = MultiPoly.zero()
-        for comp in homogeneous_components(p):
+        for comp in p.homogeneous_components():
             total = total + comp
         assert total == p
-
-
-def test_homogeneous_components_custom_weight():
-    p = Z1**2 + Z2
-    comps = homogeneous_components(p, weight=lambda v: 2 if v == zvar(1) else 1)
-    assert comps[4] == Z1**2 and comps[1] == Z2
 
 
 # -- matrix forms ----------------------------------------------------------------

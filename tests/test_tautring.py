@@ -4,8 +4,8 @@ from math import comb
 
 import pytest
 
+from oracles import coefficient_rows, lambda_psi_monomials
 from wtaut.exactalg import rank_over_q
-from wtaut.pullback import coefficient_rows, lambda_psi_monomials
 from wtaut.tautring import (
     hilbert_quotient_lower,
     hilbert_quotient_upper,
