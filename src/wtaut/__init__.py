@@ -30,15 +30,7 @@ from .pullback import (
     mumford_reduce,
     smooth_power_sum,
 )
-from .schur import (
-    ParamSequence,
-    double_schur,
-    factorial_schur,
-    falling_factorial,
-    generalized_power,
-    psi_matrix,
-    shifted_schur,
-)
+from .schur import factorial_schur, psi_matrix, shifted_schur
 from .semigroups import (
     IndexSequence,
     NumericalSemigroup,

@@ -40,9 +40,12 @@ from .wcycles import push_to_unpointed, virtual_class, weierstrass_class
 # all semigroups of the genus: at degree 16 it takes about 0.6 s at genus 4,
 # 6 s at genus 8 and 50 s at genus 10 (Python 3.11, one core).
 MAX_DEGREE_CAP = 16
-# schur-eval expands an n x n determinant at a cost growing like 2^n: with
-# a staircase partition, 6 symbolic arguments take about 2 minutes and 12
-# numeric ones about half a second (Python 3.11, one core).
+# schur-eval expands a Kempf-Laksov determinant of at most n rows, at a cost
+# growing like 2^n.  As CLI runs with the staircase (5,4,3,2,1), 6 symbolic
+# arguments take about 1.5 s (factorial) and 4.5 s (shifted: the stagger is
+# substituted afterwards) and print about 4.5 MB; the factorial result in 7
+# arguments already has 383,415 terms.  12 numeric arguments take under
+# 0.4 s for any partition (Python 3.11, one core).
 MAX_SCHUR_VARIABLES = 6
 MAX_SCHUR_VALUES = 12
 FORMATS = ("json", "csv", "latex")

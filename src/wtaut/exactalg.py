@@ -14,6 +14,7 @@ printed polynomials and JSON payloads are byte-stable across runs.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -506,7 +507,11 @@ class MultiPoly:
 
 
 def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact polynomial division; raises ValueError if q does not divide p."""
+    """Exact polynomial division; raises ValueError if q does not divide p.
+
+    The leading term of the remainder comes from a heap that holds every
+    monomial of the remainder, and possibly some cancelled since.
+    """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
@@ -514,11 +519,15 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     lq_mono, lq_coeff = q.leading()
     lq = dict(lq_mono)
     rem = dict(p._terms)
+    heap = [(mono_sort_key(m), m) for m in rem]
+    heapq.heapify(heap)
     quot: dict[Monomial, Fraction] = {}
     qterms = list(q._terms.items())
-    while rem:
-        mono = min(rem, key=mono_sort_key)
-        coeff = rem[mono]
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        coeff = rem.get(mono)
+        if coeff is None:
+            continue
         exps = dict(mono)
         factor = []
         for var, e in lq.items():
@@ -535,71 +544,12 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         for mq, cq in qterms:
             target = _mono_mul(fac_mono, mq)
             acc = rem.get(target, 0) - c * cq
-            if acc:
-                rem[target] = acc
-            else:
+            if not acc:
                 rem.pop(target, None)
-    return MultiPoly(quot)
-
-
-def div_monic_linear(p: MultiPoly, va: Variable, rest: MultiPoly) -> MultiPoly:
-    """Exact division of p by (va - rest), with rest free of va.
-
-    Synthetic division in va; linear in the number of terms, which
-    matters when dividing large determinants by Vandermonde factors.
-    """
-    if va in rest.variables():
-        raise ValueError("rest must not involve the division variable")
-    layers: dict[int, dict[Monomial, Fraction]] = {}
-    for mono, coeff in p._terms.items():
-        k = 0
-        bare = []
-        for var, e in mono:
-            if var == va:
-                k = e
-            else:
-                bare.append((var, e))
-        layers.setdefault(k, {})[tuple(bare)] = coeff
-    if not layers:
-        return MultiPoly.zero()
-    rest_terms = list(rest._terms.items())
-    quot: dict[Monomial, Fraction] = {}
-    carry: dict[Monomial, Fraction] = {}
-    for k in range(max(layers), 0, -1):
-        level = dict(layers.get(k, {}))
-        for mono, coeff in carry.items():
-            acc = level.get(mono, 0) + coeff
-            if acc:
-                level[mono] = acc
-            else:
-                level.pop(mono, None)
-        # level is the coefficient of va^(k-1) in the quotient
-        va_part = ((va, k - 1),) if k > 1 else ()
-        for mono, coeff in level.items():
-            full = _mono_mul(va_part, mono)
-            acc = quot.get(full, 0) + coeff
-            if acc:
-                quot[full] = acc
-            else:
-                quot.pop(full, None)
-        carry = {}
-        for mono, coeff in level.items():
-            for rmono, rcoeff in rest_terms:
-                target = _mono_mul(mono, rmono)
-                acc = carry.get(target, 0) + coeff * rcoeff
-                if acc:
-                    carry[target] = acc
-                else:
-                    del carry[target]
-    residue = dict(layers.get(0, {}))
-    for mono, coeff in carry.items():
-        acc = residue.get(mono, 0) + coeff
-        if acc:
-            residue[mono] = acc
-        else:
-            residue.pop(mono, None)
-    if residue:
-        raise ValueError("not divisible")
+                continue
+            if target not in rem:
+                heapq.heappush(heap, (mono_sort_key(target), target))
+            rem[target] = acc
     return MultiPoly(quot)
 
 

@@ -89,21 +89,21 @@ class PullbackClass:
     partition: Optional[Partition]
     power: Optional[int]
     value_lambda: MultiPoly
-    mode: str = "CM"
-
-    @property
-    def degree(self) -> int | None:
-        return self.value_lambda.weighted_degree()
 
     @cached_property
     def value_x(self) -> MultiPoly:
-        """value_lambda under lambda_a -> (-1)^a e_a(x_1..x_g).
+        """value_lambda under lambda_a -> (-1)^a e_a(x_1..x_g)."""
+        return self.in_roots(tuple(xvar(i) for i in range(1, self.genus + 1)))
 
-        The image is symmetric in x, so it is summed orbit by orbit: for
+    def in_roots(self, xs: tuple[Variable, ...]) -> MultiPoly:
+        """value_lambda under lambda_a -> (-1)^a e_a(xs), for g variables
+        xs in canonical order.
+
+        The image is symmetric in xs, so it is summed orbit by orbit: for
         each non-lambda part of a monomial (the psi power), one map from
         weakly decreasing nu to the coefficient of the monomial symmetric
         function m_nu, taken from `_orbit_table`.  Each orbit is then
-        written out as its distinct rearrangements x^sigma(nu).
+        written out as its distinct rearrangements xs^sigma(nu).
         """
         g = self.genus
         orbits: dict = {}
@@ -122,7 +122,6 @@ class PullbackClass:
             acc = orbits.setdefault(tuple(rest), {})
             for nu, count in _orbit_table(g, tuple(diffs)).items():
                 acc[nu] = acc.get(nu, 0) + coeff * count
-        xs = tuple(xvar(i) for i in range(1, g + 1))
         orbit_monos: dict = {}
         out: dict = {}
         for rest, acc in orbits.items():

@@ -1,16 +1,29 @@
-"""Factorial, shifted, and double Schur polynomials, plus the matrix forms.
+"""Factorial and shifted Schur polynomials, and the Kempf-Laksov matrices.
 
-The double Schur polynomial of a partition mu in n arguments over a
-parameter sequence a is the ratio of determinants
+The factorial Schur polynomial t_mu(z_1..z_n) is the double Schur
+polynomial s_mu(z | a) with a_m = m - 1, classically the ratio
 
-    s_mu(z_1..z_n | a) = det[(z_i | a)^(mu_j + n - j)] / det[(z_i | a)^(n - j)]
+    det[(z_i | a)^(mu_j + n - j)] / prod_{i<j} (z_i - z_j),
 
-where (z | a)^k = (z - a_1) ... (z - a_k) is the generalized power.  The
-denominator equals the Vandermonde product of the arguments, so the
-numerator (PolyMatrix.det) is divided exactly by the factors
-z_i - z_j one at a time; numeric and symbolic arguments take the same
-route.  The factorial Schur polynomial t_mu is the specialization
-a_m = m - 1, where (z | a)^k is the falling factorial z (z-1) ... (z-k+1).
+(z | a)^k = (z - a_1) ... (z - a_k).  wtaut never forms that ratio.
+The Kempf-Laksov determinant of psi_matrix(mu, g), the Schubert-class
+pullback, is u^|mu| t_mu(x/u) at u = -psi in the Chern roots x_1..x_g,
+so at psi = -1 (u = 1) and g = n it is t_mu itself: entry (i, j) is
+
+    sum_b (-1)^b e_b(0, 1, ..., r_i - 1) h_(k - b),
+    k = mu_i + j - i,  r_i = mu_i - i + n,
+
+a Jacobi-Trudi form of t_mu (Macdonald, "Schur functions: theme and
+variations", 1992, 6th variation).  The conjugate variant has e and h
+swapped, and factorial_schur expands whichever has fewer rows.  When
+every argument is a number, the integers h_a(u z) and e_a(u z), with u
+a common denominator of the z_i, stand in for the Segre classes, psi
+is -u, and the determinant u^|mu| t_mu(z) is an integer.  Otherwise it
+is taken in lambda_1..lambda_n and written in the roots z_1..z_n by
+the orbit expansion of PullbackClass.value_x; arguments other than
+z_i itself are then substituted, one variable at a time.
+No difference of arguments is divided by, so repeated arguments need
+no special case.
 Shifted Schur polynomials are the staggered substitution
 s*_mu(z_1..z_n) = t_mu(z_1 + n - 1, ..., z_n), which makes the
 stability identity s*_mu(z, 0) = s*_mu(z) hold by construction.
@@ -18,29 +31,17 @@ stability identity s*_mu(z, 0) = s*_mu(z) hold by construction.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence, Union
 
-from .exactalg import (
-    MultiPoly,
-    PolyMatrix,
-    PSI,
-    U,
-    div_monic_linear,
-    exact_div,
-    lam,
-    zvar,
-)
+from .exactalg import MultiPoly, PolyMatrix, PSI, lam, zvar
 from .semigroups import Partition
 
 __all__ = [
-    "ParamSequence",
-    "falling_factorial",
-    "generalized_power",
     "factorial_schur",
     "shifted_schur",
-    "double_schur",
     "psi_matrix",
     "generic_arguments",
 ]
@@ -48,121 +49,43 @@ __all__ = [
 Value = Union[MultiPoly, Fraction, int]
 
 
-class ParamSequence:
-    """Parameter sequence a_1, a_2, ... fed to generalized powers.
-
-    Either an explicit list of values, or a rule j -> affine expression;
-    the factorial specialization is a_j = j - 1.
-    """
-
-    __slots__ = ("rule", "label")
-
-    def __init__(self, rule: Callable[[int], "MultiPoly | Fraction | int"], label: str = "custom"):
-        self.rule = rule
-        self.label = label
-
-    def __call__(self, j: int) -> MultiPoly:
-        if j < 1:
-            raise IndexError("parameter indices are 1-based")
-        return MultiPoly._wrap(self.rule(j))
-
-    def __repr__(self) -> str:
-        return f"ParamSequence({self.label})"
-
-    @classmethod
-    def zeros(cls) -> "ParamSequence":
-        return cls(rule=lambda j: MultiPoly.zero(), label="zero")
-
-    @classmethod
-    def factorial(cls) -> "ParamSequence":
-        return cls(rule=lambda j: MultiPoly.constant(j - 1), label="factorial")
-
-    @classmethod
-    def explicit(cls, values: Sequence[Value]) -> "ParamSequence":
-        frozen = tuple(MultiPoly._wrap(v) for v in values)
-
-        def rule(j: int, _vals=frozen) -> MultiPoly:
-            if j > len(_vals):
-                raise IndexError(f"parameter sequence has only {len(_vals)} entries")
-            return _vals[j - 1]
-
-        return cls(rule=rule, label="explicit")
-
-    @classmethod
-    def affine_u(cls, slope: int, shift: int) -> "ParamSequence":
-        """a_j = (slope * j + shift) u, the translated equivariant sequence."""
-        u = MultiPoly.variable(U)
-
-        def rule(j: int) -> MultiPoly:
-            return u.scale(slope * j + shift)
-
-        return cls(rule=rule, label=f"({slope}j{shift:+d})u")
-
-
-def falling_factorial(z: Value, i: int) -> MultiPoly:
-    """z (z - 1) ... (z - i + 1); equals 1 when i = 0."""
-    return generalized_power(z, i, ParamSequence.factorial())
-
-
-def generalized_power(z: Value, k: int, a: ParamSequence) -> MultiPoly:
-    """Product of k linear factors (z - a_1) ... (z - a_k).
-
-    The factorial parameters a_m = m - 1 recover the falling factorial.
-    """
-    if k < 0:
-        raise ValueError("generalized power must be non-negative")
-    z = MultiPoly._wrap(z)
-    out = MultiPoly.one()
-    for m in range(1, k + 1):
-        out = out * (z - a(m))
-    return out
-
-
 def generic_arguments(n: int) -> list[MultiPoly]:
     return [MultiPoly.variable(zvar(i)) for i in range(1, n + 1)]
 
 
-def _divide_by_vandermonde(num: MultiPoly, args: Sequence[MultiPoly]) -> MultiPoly:
-    """Divide by prod_{i<j} (z_i - z_j), factor by factor."""
-    out = num
-    n = len(args)
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = args[i] - args[j]
-            if diff.is_zero():
-                raise ValueError("repeated Schur arguments")
-            if not diff.variables():
-                out = out / diff.constant_term()
-                continue
-            extracted = _extract_monic_linear(diff)
-            if extracted is not None:
-                va, rest = extracted
-                out = div_monic_linear(out, va, rest)
-            else:
-                out = exact_div(out, diff)
-    return out
-
-
-def _extract_monic_linear(diff: MultiPoly):
-    """Write diff as va - rest with rest free of va, if possible."""
-    terms = list(diff.items())
-    for mono, coeff in terms:
-        if coeff != 1 or len(mono) != 1 or mono[0][1] != 1:
-            continue
-        va = mono[0][0]
-        clean = all(
-            all(var != va for var, _ in other)
-            for other, _ in terms
-            if other != mono
-        )
-        if clean:
-            return va, MultiPoly.variable(va) - diff
-    return None
-
-
 def factorial_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
-    """t_mu(z_1..z_n): the double Schur polynomial with a_m = m - 1."""
-    return double_schur(mu, args, ParamSequence.factorial())
+    """t_mu(z_1..z_n), the Kempf-Laksov determinant of psi_matrix(mu, n) at psi = -1.
+
+    Of the two variants, the one with fewer rows is expanded.
+    """
+    zs = [MultiPoly._wrap(v) for v in args]
+    n = len(zs)
+    if mu.length > n:
+        raise ValueError("insufficient variables")
+    variant = "psi" if mu.length <= mu.part(1) else "psi_prime"
+    numeric = not any(z.variables() for z in zs)
+    if numeric:  # u^|mu| t_mu(x/u) at the integers x = u z, u a common denominator
+        values = [z.constant_term() for z in zs]
+        u = math.lcm(*(v.denominator for v in values))
+        xs = [int(v * u) for v in values]
+        top = mu.part(1) + mu.length
+        complete = complete_of_values(xs, top).__getitem__
+        elementary = elementary_of_values(xs, top).__getitem__
+    else:
+        u, complete, elementary = 1, partial(_segre_class, n), partial(_signed_lambda, n)
+    det = _matrix(mu, n, variant, lambda r, k: _entry(variant, complete, elementary, r, k, 0, -u)).det()
+    if numeric:
+        return det / u**mu.weight
+    from .pullback import PullbackClass  # pullback builds on this module
+
+    zvars = tuple(zvar(i) for i in range(1, n + 1))
+    out = PullbackClass(genus=n, partition=mu, power=None, value_lambda=det).in_roots(zvars)
+    sigma = {v: z for v, z in zip(zvars, zs) if z != MultiPoly.variable(v)}
+    if any(w in sigma and w != v for v, z in sigma.items() for w in z.variables()):
+        return out.substitute(sigma)  # z_i -> a polynomial in another z_j: jointly
+    for v, z in sigma.items():  # one at a time: far cheaper than jointly
+        out = out.substitute({v: z})
+    return out
 
 
 def shifted_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
@@ -175,41 +98,22 @@ def shifted_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
     return factorial_schur(mu, staggered)
 
 
-def double_schur(mu: Partition, args: Sequence[Value], a: ParamSequence) -> MultiPoly:
-    """det[(x_i | a)^(mu_j + n - j)] divided exactly by the Vandermonde of x.
-
-    The one determinant-ratio route: factorial_schur is a_m = m - 1, and
-    a identically zero gives the classical Schur polynomial.
-    """
-    xs = [MultiPoly._wrap(v) for v in args]
-    n = len(xs)
-    if mu.length > n:
-        raise ValueError("insufficient variables")
-    exponents = [mu.part(j) + n - j for j in range(1, n + 1)]
-    rows = [[generalized_power(x, e, a) for e in exponents] for x in xs]
-    return _divide_by_vandermonde(PolyMatrix(rows).det(), xs)
-
-
-def elementary_of_values(values: Sequence[int], b: int) -> Fraction:
-    if b < 0:
-        return Fraction(0)
-    acc = [Fraction(0)] * (b + 1)
-    acc[0] = Fraction(1)
+def elementary_of_values(values: Sequence[Value], top: int) -> list[Value]:
+    """[e_0, ..., e_top] of the values, in one pass."""
+    acc: list[Value] = [1] + [0] * top
     for t in values:
-        for k in range(min(b, len(acc) - 1), 0, -1):
+        for k in range(top, 0, -1):
             acc[k] += t * acc[k - 1]
-    return acc[b]
+    return acc
 
 
-def complete_of_values(values: Sequence[int], b: int) -> Fraction:
-    if b < 0:
-        return Fraction(0)
-    acc = [Fraction(0)] * (b + 1)
-    acc[0] = Fraction(1)
+def complete_of_values(values: Sequence[Value], top: int) -> list[Value]:
+    """[h_0, ..., h_top] of the values, in one pass."""
+    acc: list[Value] = [1] + [0] * top
     for t in values:
-        for k in range(1, b + 1):
+        for k in range(1, top + 1):
             acc[k] += t * acc[k - 1]
-    return acc[b]
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -238,44 +142,53 @@ def _signed_lambda(g: int, a: int) -> MultiPoly:
     return MultiPoly.variable(lam(a)).scale((-1) ** a)
 
 
-@lru_cache(maxsize=None)
-def _matrix_entry(variant: str, g: int, r: int, k: int, shift: int) -> MultiPoly:
-    """Degree-k part of (sum_a c_a(x)) * c(interval) in lambda and psi.
+def _entry(
+    variant: str,
+    complete: Callable[[int], Value],
+    elementary: Callable[[int], Value],
+    r: int,
+    k: int,
+    shift: int,
+    psi: Value,
+) -> Value:
+    """Degree-k part of (sum_a c_a) * c(interval), psi^b marking degree b.
 
-    For "psi", c_a(x) = h_a(x) and the interval list {shift..r-1+shift}
-    enters with elementary coefficients when r >= 1, or {0..-r} with
-    complete coefficients when it is inverted; "psi_prime" uses
-    c_a(x) = e_a(x) and swaps the two coefficient kinds.  The inverted
-    list is never shifted: it occurs only when l(mu) > g, where both
-    conventions give zero.
+    For "psi", c_a = complete(a) = h_a(x) and the interval list
+    {shift..r-1+shift} enters with elementary coefficients when r >= 1,
+    or {0..-r} with complete coefficients when it is inverted;
+    "psi_prime" uses c_a = elementary(a) = e_a(x) and swaps the two
+    coefficient kinds.  The inverted list is never shifted: it occurs
+    only when l(mu) > g, where both conventions give zero.  psi is the
+    variable psi, or the number -u.
     """
-    if k < 0:
-        return MultiPoly.zero()
     if variant == "psi":
-        series, genuine, inverted = _segre_class, elementary_of_values, complete_of_values
+        series, genuine, inverted = complete, elementary_of_values, complete_of_values
     else:
-        series, genuine, inverted = _signed_lambda, complete_of_values, elementary_of_values
-    psi = MultiPoly.variable(PSI)
-    out = MultiPoly.zero()
-    for b in range(0, k + 1):
-        coeff = genuine(range(shift, r + shift), b) if r >= 1 else inverted(range(0, -r + 1), b)
-        if coeff:
-            out = out + series(g, k - b).scale(coeff) * psi**b
+        series, genuine, inverted = elementary, complete_of_values, elementary_of_values
+    if k < 0:
+        return 0
+    coeffs = genuine(range(shift, r + shift), k) if r >= 1 else inverted(range(0, -r + 1), k)
+    out: Value = 0
+    for b, c in enumerate(coeffs):
+        if c:
+            out = out + series(k - b) * (c * psi**b)
     return out
 
 
-def psi_matrix(mu: Partition, g: int, variant: str = "psi", shift: int = 0) -> PolyMatrix:
-    """Kempf-Laksov matrix whose determinant is the Schubert-class pullback.
+@lru_cache(maxsize=None)
+def _matrix_entry(variant: str, g: int, r: int, k: int, shift: int) -> MultiPoly:
+    """The entry in lambda and psi: h_a(x) and e_a(x) in the lambda basis."""
+    series = (partial(_segre_class, g), partial(_signed_lambda, g))
+    return MultiPoly._wrap(_entry(variant, *series, r, k, shift, MultiPoly.variable(PSI)))
 
-    Entries are polynomials in lambda_1..lambda_g and psi.  Variant "psi"
-    is l(mu) x l(mu): entry (i, j) has degree k = mu_i + j - i and
-    interval bound r = mu_i - i + g, with Segre (complete-homogeneous)
-    entries.  Variant "psi_prime" is l(mu') x l(mu') with elementary
-    entries, built the same way from the conjugate mu' with the bound
-    r = i - mu'_i + g.  Both determinants equal kstar_schubert(mu, g)
-    at shift = 0, that is u^|mu| t_mu(x/u) with u -> -psi.  shift = 1
-    raises every interval value by one, which gives u^|mu| t_mu(x/u - 1),
-    the Weierstrass class (see wcycles).
+
+def _matrix(mu: Partition, g: int, variant: str, entry: Callable[[int, int], Value]) -> PolyMatrix:
+    """The Kempf-Laksov matrix of entry(r, k) for each (i, j) of the variant.
+
+    Variant "psi" is l(mu) x l(mu): entry (i, j) has degree
+    k = mu_i + j - i and interval bound r = mu_i - i + g.  Variant
+    "psi_prime" is l(mu') x l(mu'), built the same way from the
+    conjugate mu' with the bound r = i - mu'_i + g.
     """
     if variant == "psi":
         parts, sign = mu, 1
@@ -284,16 +197,22 @@ def psi_matrix(mu: Partition, g: int, variant: str = "psi", shift: int = 0) -> P
     else:
         raise ValueError("variant must be 'psi' or 'psi_prime'")
     size = parts.length
-    if size == 0:
-        return PolyMatrix([])
     return PolyMatrix(
         [
-            [
-                _matrix_entry(
-                    variant, g, g + sign * (parts.part(i) - i), parts.part(i) + j - i, shift
-                )
-                for j in range(1, size + 1)
-            ]
+            [entry(g + sign * (parts.part(i) - i), parts.part(i) + j - i) for j in range(1, size + 1)]
             for i in range(1, size + 1)
         ]
     )
+
+
+def psi_matrix(mu: Partition, g: int, variant: str = "psi", shift: int = 0) -> PolyMatrix:
+    """Kempf-Laksov matrix whose determinant is the Schubert-class pullback.
+
+    Entries are polynomials in lambda_1..lambda_g and psi, shaped as in
+    _matrix: Segre (complete-homogeneous) entries for variant "psi",
+    elementary entries for "psi_prime".  Both determinants equal
+    kstar_schubert(mu, g) at shift = 0, that is u^|mu| t_mu(x/u) with
+    u -> -psi.  shift = 1 raises every interval value by one, which
+    gives u^|mu| t_mu(x/u - 1), the Weierstrass class (see wcycles).
+    """
+    return _matrix(mu, g, variant, lambda r, k: _matrix_entry(variant, g, r, k, shift))

@@ -90,7 +90,7 @@ def pushforward_rule(pointed: MultiPoly) -> MultiPoly:
 
     psi-free terms are annihilated (kappa with index -1 is zero).
     """
-    out = MultiPoly.zero()
+    out = {}
     for mono, coeff in pointed.items():
         m = 0
         rest = []
@@ -103,9 +103,9 @@ def pushforward_rule(pointed: MultiPoly) -> MultiPoly:
                 raise ValueError("pushforward expects a polynomial in lambda and psi")
         if m == 0:
             continue
-        rest.append((kap(m - 1), 1))
-        out = out + MultiPoly.monomial(rest, coeff)
-    return out
+        rest.append((kap(m - 1), 1))  # kappa sorts after every lambda
+        out[tuple(rest)] = coeff  # one term per (lambda part, m): no two collide
+    return MultiPoly(out)
 
 
 def weierstrass_class(semigroup: NumericalSemigroup, unshifted: bool = False) -> CycleClass:

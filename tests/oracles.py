@@ -16,6 +16,12 @@ computes another way.  None of them is reached from `src/`.
   `full_slice_reduce`: the Mumford normal form by eliminating whole
   (lambda, psi) degree slices, the route `mumford_reduce` took before
   it reduced psi-block by psi-block over the lambda-only ideal.
+* `ParamSequence`, `generalized_power`, `falling_factorial`,
+  `double_schur`: double Schur polynomials as the ratio of determinants
+  det[(z_i | a)^(mu_j + n - j)] / Vandermonde, the route
+  `factorial_schur` took before it became the Kempf-Laksov determinant;
+  `ratio_factorial_schur` and `ratio_shifted_schur` are its factorial
+  and shifted specializations.
 """
 
 from __future__ import annotations
@@ -25,15 +31,19 @@ from functools import lru_cache
 
 from wtaut.exactalg import (
     PSI,
+    U,
     MultiPoly,
+    PolyMatrix,
     Variable,
     _mono_mul,
     echelon_basis,
+    exact_div,
     lam,
     mono_sort_key,
     xvar,
 )
 from wtaut.pullback import MumfordIdeal
+from wtaut.semigroups import Partition
 
 
 @lru_cache(maxsize=None)
@@ -286,3 +296,78 @@ def full_slice_reduce(p: MultiPoly, g: int) -> MultiPoly:
             if c:
                 out = out + basis[i].scale(c)
     return out
+
+
+class ParamSequence:
+    """Parameter sequence a_1, a_2, ... fed to generalized powers: a rule
+    j -> a_j; the factorial specialization is a_j = j - 1."""
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def __call__(self, j: int) -> MultiPoly:
+        if j < 1:
+            raise IndexError("parameter indices are 1-based")
+        return MultiPoly._wrap(self.rule(j))
+
+    @classmethod
+    def zeros(cls) -> "ParamSequence":
+        return cls(lambda j: MultiPoly.zero())
+
+    @classmethod
+    def factorial(cls) -> "ParamSequence":
+        return cls(lambda j: MultiPoly.constant(j - 1))
+
+    @classmethod
+    def affine_u(cls, slope: int, shift: int) -> "ParamSequence":
+        """a_j = (slope * j + shift) u, the translated equivariant sequence."""
+        u = MultiPoly.variable(U)
+        return cls(lambda j: u.scale(slope * j + shift))
+
+
+def generalized_power(z, k: int, a: ParamSequence) -> MultiPoly:
+    """(z - a_1) ... (z - a_k); the empty product is 1."""
+    if k < 0:
+        raise ValueError("generalized power must be non-negative")
+    z = MultiPoly._wrap(z)
+    out = MultiPoly.one()
+    for m in range(1, k + 1):
+        out = out * (z - a(m))
+    return out
+
+
+def falling_factorial(z, i: int) -> MultiPoly:
+    """z (z - 1) ... (z - i + 1); equals 1 when i = 0."""
+    return generalized_power(z, i, ParamSequence.factorial())
+
+
+def double_schur(mu: Partition, args, a: ParamSequence) -> MultiPoly:
+    """det[(x_i | a)^(mu_j + n - j)] divided exactly by prod_{i<j} (x_i - x_j),
+    one factor at a time; a identically zero gives the classical Schur
+    polynomial.  Repeated arguments make a factor zero and are refused."""
+    xs = [MultiPoly._wrap(v) for v in args]
+    n = len(xs)
+    if mu.length > n:
+        raise ValueError("insufficient variables")
+    exponents = [mu.part(j) + n - j for j in range(1, n + 1)]
+    out = PolyMatrix([[generalized_power(x, e, a) for e in exponents] for x in xs]).det()
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = xs[i] - xs[j]
+            if diff.is_zero():
+                raise ValueError("repeated Schur arguments")
+            out = exact_div(out, diff)
+    return out
+
+
+def ratio_factorial_schur(mu: Partition, args) -> MultiPoly:
+    """t_mu(z_1..z_n) as the ratio of determinants with a_m = m - 1."""
+    return double_schur(mu, args, ParamSequence.factorial())
+
+
+def ratio_shifted_schur(mu: Partition, args) -> MultiPoly:
+    """s*_mu(z_1..z_n) = t_mu(z_1 + n - 1, ..., z_n) by the ratio route."""
+    n = len(args)
+    if mu.length > n:
+        return MultiPoly.zero()
+    return ratio_factorial_schur(mu, [MultiPoly._wrap(z) + (n - i) for i, z in enumerate(args, start=1)])

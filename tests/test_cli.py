@@ -95,6 +95,18 @@ def test_exit_codes(capsys, argv, code):
     assert err.startswith("wtaut: ")
 
 
+@pytest.mark.parametrize(
+    "values, value",
+    [("0,1", "1"), ("2,3,4", "9")],
+)
+def test_shifted_schur_eval_at_colliding_staggered_values(capsys, values, value):
+    # the stagger v_i + n - i makes these distinct values equal; s*_(1) is z_1 + ... + z_n
+    argv = ["schur-eval", "--kind", "shifted", "--partition", "1", "--values", values]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["payload"]["value"]["text"] == value
+
+
 def test_sandwich_violation_is_a_data_error(capsys, monkeypatch):
     monkeypatch.setattr(
         wtaut.tautring,

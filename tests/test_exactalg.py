@@ -12,7 +12,6 @@ from wtaut.exactalg import (
     PSI,
     U,
     Variable,
-    div_monic_linear,
     echelon_basis,
     exact_div,
     kap,
@@ -223,12 +222,6 @@ def test_exact_div_round_trip():
 def test_exact_div_rejects_non_divisor():
     with pytest.raises(ValueError, match="not divisible"):
         exact_div(X1 * X2 + 1, X1 + 1)
-
-
-def test_div_linear_difference_matches_general():
-    p = (X1 - X2) * (X1**2 + X2 * PSI_P + 7)
-    fast = div_monic_linear(p, xvar(1), X2)
-    assert fast == exact_div(p, X1 - X2)
 
 
 # -- serialization -----------------------------------------------------------

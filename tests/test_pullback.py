@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    ParamSequence,
     _elementary_product_table,
     complete_in_x,
+    double_schur,
     elementary_in_x,
     full_slice_reduce,
     lambda_psi_monomials,
@@ -25,7 +27,6 @@ from wtaut.pullback import (
     mumford_reduce,
     smooth_power_sum,
 )
-from wtaut.schur import ParamSequence, double_schur
 from wtaut.semigroups import Partition, partitions_up_to
 
 PSI_P = MultiPoly.variable(PSI)
@@ -394,7 +395,7 @@ def test_chern_interval_coefficients_shadow_psi_entries():
         product = chern_interval(-1, r - 2)
         for b in range(0, r + 1):
             coeff = product.coefficient([(U, b)]) if b else product.constant_term()
-            assert coeff == elementary_of_values(range(r), b) * (-1) ** b
+            assert coeff == elementary_of_values(range(r), r)[b] * (-1) ** b
 
 
 # -- degree-slice bases ----------------------------------------------------------------

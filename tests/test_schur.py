@@ -4,18 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import complete_in_x, elementary_in_x, to_lambda_basis
-from wtaut.exactalg import MultiPoly, PSI, U, xvar, zvar
-from wtaut.schur import (
+from oracles import (
     ParamSequence,
+    complete_in_x,
     double_schur,
-    factorial_schur,
+    elementary_in_x,
     falling_factorial,
     generalized_power,
-    generic_arguments,
-    psi_matrix,
-    shifted_schur,
+    ratio_factorial_schur,
+    ratio_shifted_schur,
+    to_lambda_basis,
 )
+from wtaut.exactalg import MultiPoly, PSI, U, xvar, zvar
+from wtaut.schur import factorial_schur, generic_arguments, psi_matrix, shifted_schur
 from wtaut.semigroups import Partition, partitions_up_to
 
 Z1, Z2 = generic_arguments(2)
@@ -37,17 +38,8 @@ def test_generalized_power():
     assert generalized_power(z, 0, ParamSequence.zeros()) == 1
     assert generalized_power(z, 2, ParamSequence.factorial()) == z * (z - 1)
     u = MultiPoly.variable(U)
-    a = ParamSequence(lambda j: u.scale(j), label="ju")
+    a = ParamSequence(lambda j: u.scale(j))
     assert generalized_power(z, 2, a) == (z - u) * (z - u.scale(2))
-
-
-def test_param_sequence_explicit_bounds():
-    a = ParamSequence.explicit([1, 2])
-    assert a(2) == 2
-    with pytest.raises(IndexError):
-        a(3)
-    with pytest.raises(IndexError):
-        a(0)
 
 
 # -- factorial Schur -------------------------------------------------------------
@@ -83,9 +75,54 @@ def test_factorial_schur_symmetric_in_arguments():
             assert factorial_schur(mu, list(perm)) == base
 
 
-def test_factorial_schur_numeric_repeated_arguments_rejected():
-    with pytest.raises(ValueError, match="repeated"):
-        factorial_schur(Partition((1,)), [Fraction(1), Fraction(1)])
+def test_factorial_schur_at_polynomial_arguments():
+    # substitution into t_mu(z_1, z_2) is simultaneous, also when z_1 is sent
+    # to a polynomial in z_2 or the arguments are permuted
+    z1, z2 = generic_arguments(2)
+    x1 = MultiPoly.variable(xvar(1))
+    for mu in partitions_up_to(3, max_length=2):
+        generic = factorial_schur(mu, [z1, z2])
+        assert factorial_schur(mu, [z2, z1]) == generic, mu.parts
+        for args in ([z1 + z2, z2], [z2, z1 * z2 - 1], [x1, z1 + 3]):
+            expected = generic.substitute({zvar(1): args[0], zvar(2): args[1]})
+            assert factorial_schur(mu, args) == expected, (mu.parts, args)
+
+
+def test_factorial_schur_numeric_repeated_arguments():
+    # t_(1)(z1, z2) = z1 + z2 - 1.  For (2, 1) the ratio is
+    # [(z1)_3 (z2)_1 - (z2)_3 (z1)_1] / (z1 - z2) with (z)_k the falling
+    # factorial, that is z1 z2 [(z1 - 1)(z1 - 2) - (z2 - 1)(z2 - 2)] / (z1 - z2)
+    # = z1 z2 (z1 + z2 - 3).  Both are polynomials, defined at equal arguments.
+    z1, z2 = generic_arguments(2)
+    assert factorial_schur(Partition((2, 1)), [z1, z2]) == z1 * z2 * (z1 + z2 - 3)
+    assert factorial_schur(Partition((1,)), [Fraction(1), Fraction(1)]) == 1
+    assert factorial_schur(Partition((2, 1)), [Fraction(3), Fraction(3)]) == 27
+
+
+def test_factorial_schur_matches_ratio_oracle_symbolically():
+    for mu in partitions_up_to(5):
+        for n in range(max(mu.length, 1), 5):
+            args = generic_arguments(n)
+            assert factorial_schur(mu, args) == ratio_factorial_schur(mu, args), (mu.parts, n)
+
+
+def _distinct_rationals(rng, n, stagger):
+    while True:
+        vals = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(n)]
+        if len({v + (n - i) * stagger for i, v in enumerate(vals, start=1)}) == n:
+            return vals
+
+
+def test_factorial_and_shifted_schur_match_ratio_oracle_numerically():
+    rng = random.Random(11)
+    shapes = [mu for mu in partitions_up_to(6) if mu.weight]
+    for n in range(1, 9):
+        for _ in range(3):
+            mu = rng.choice([m for m in shapes if m.length <= n])
+            vals = _distinct_rationals(rng, n, 0)
+            assert factorial_schur(mu, vals) == ratio_factorial_schur(mu, vals), (mu.parts, vals)
+            vals = _distinct_rationals(rng, n, 1)
+            assert shifted_schur(mu, vals) == ratio_shifted_schur(mu, vals), (mu.parts, vals)
 
 
 # -- shifted Schur ----------------------------------------------------------------
@@ -96,6 +133,34 @@ def test_shifted_schur_basics():
     z = generic_arguments(1)[0]
     assert shifted_schur(Partition((1,)), [z]) == z
     assert shifted_schur(Partition((1, 1)), generic_arguments(1)) == 0
+
+
+def test_shifted_schur_matches_ratio_oracle_symbolically():
+    for mu in partitions_up_to(5):
+        for n in range(1, 5):
+            args = generic_arguments(n)
+            assert shifted_schur(mu, args) == ratio_shifted_schur(mu, args), (mu.parts, n)
+
+
+def test_shifted_schur_at_colliding_staggered_arguments():
+    # the stagger v_i + n - i makes distinct values collide: (0, 1) -> (1, 1)
+    # and (2, 3, 4) -> (4, 4, 4); s*_(1)(z) = z_1 + ... + z_n still applies
+    one = Partition((1,))
+    assert shifted_schur(one, [Fraction(0), Fraction(1)]) == 1
+    assert shifted_schur(one, [Fraction(2), Fraction(3), Fraction(4)]) == 9
+
+
+def test_schur_at_repeated_values_matches_symbolic_substitution():
+    # where the ratio oracle divides by zero, substitute into the symbolic result
+    cases = [[0, 1], [1, 1], [2, 3, 4], [5, 5, 5], [-1, 0, 1, 1], [Fraction(1, 2), Fraction(-1, 2), 3, 4]]
+    for vals in cases:
+        n = len(vals)
+        args = [Fraction(v) for v in vals]
+        sigma = {zvar(i): v for i, v in enumerate(args, start=1)}
+        for mu in partitions_up_to(4, max_length=n):
+            for fn in (factorial_schur, shifted_schur):
+                expected = fn(mu, generic_arguments(n)).substitute(sigma)
+                assert fn(mu, args) == expected, (fn.__name__, mu.parts, vals)
 
 
 def test_shifted_schur_stability_identity():

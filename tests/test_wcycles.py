@@ -5,11 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from oracles import to_lambda_basis
+from oracles import ParamSequence, double_schur, to_lambda_basis
 from wtaut.errors import DataError
 from wtaut.exactalg import MultiPoly, PSI, U, kap, lam, xvar
 from wtaut.pullback import kstar_power_sum, kstar_schubert
-from wtaut.schur import ParamSequence, double_schur
 from wtaut.semigroups import (
     IndexSequence,
     NumericalSemigroup,
