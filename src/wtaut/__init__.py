@@ -15,7 +15,6 @@ from .exactalg import (
     exact_div,
     kap,
     lam,
-    rank_over_q,
     xvar,
     zvar,
 )

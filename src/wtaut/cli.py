@@ -36,9 +36,10 @@ from .semigroups import (
 from .tautring import sandwich_report
 from .wcycles import push_to_unpointed, virtual_class, weierstrass_class
 
-# hilbert's cost is the fixed-point lower bound, one rank per degree over
-# all semigroups of the genus: at degree 16 it takes about 0.6 s at genus 4,
-# 6 s at genus 8 and 50 s at genus 10 (Python 3.11, one core).
+# hilbert's cost is the fixed-point lower bound, one echelon of lambda-monomial
+# rows over all semigroups of the genus: as CLI runs at degree 16 it takes
+# about 0.13 s at genus 4, 0.24 s at genus 8, 1.4 s at genus 10 and 13 s at
+# genus 12, the default genus cap (Python 3.11, one core).
 MAX_DEGREE_CAP = 16
 # schur-eval expands a Kempf-Laksov determinant of at most n rows, at a cost
 # growing like 2^n.  As CLI runs with the staircase (5,4,3,2,1), 6 symbolic
@@ -209,8 +210,28 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # -- polynomial rendering ----------------------------------------------------
 
 
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift Python's cap on int-to-str digits while results are rendered.
+
+    The cap guards against costly parsing of untrusted text, so inputs
+    are parsed under it; the program's own exact coefficients may exceed
+    4,300 digits and are rendered in full.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):  # no cap before Python 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def poly_payload(p: MultiPoly) -> dict:
-    return {"text": p.canonical_str(), "terms": p.to_json()}
+    with _exact_digits():
+        return {"text": p.canonical_str(), "terms": p.to_json()}
 
 
 def _latex_table(headers: list[str], rows: list[list[str]], caption: str) -> str:
@@ -467,14 +488,15 @@ def _emit(envelope: dict, config: RunConfig, tables) -> None:
     tables is a zero-argument callable returning (headers, rows, meta),
     so JSON output never builds the rows.
     """
-    if config.fmt == "json":
-        text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-    elif config.fmt == "csv":
-        headers, rows, meta = tables()
-        text = _csv_lines(headers, rows, meta)
-    else:
-        headers, rows, meta = tables()
-        text = _latex_table(headers, rows, caption=envelope["command"])
+    with _exact_digits():
+        if config.fmt == "json":
+            text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+        elif config.fmt == "csv":
+            headers, rows, meta = tables()
+            text = _csv_lines(headers, rows, meta)
+        else:
+            headers, rows, meta = tables()
+            text = _latex_table(headers, rows, caption=envelope["command"])
     if config.output:
         _write_output(Path(config.output), text)
     else:

@@ -3,13 +3,14 @@
 Everything downstream (Schur evaluations, pullback classes, cycle
 classes, Hilbert tables) reduces to arithmetic in the graded ring
 
-    Q[lambda_1..lambda_g, psi, kappa_j, x_i, u, z_i, y_j]
+    Q[lambda_1..lambda_g, psi, kappa_j, x_i, u, z_i]
 
 with weights  lambda_i -> i,  kappa_j -> j,  and 1 for all the weight-one
-families (psi, u, x, z, y).  Coefficients are exact rationals; there is no
+families (psi, u, x, z).  Coefficients are exact rationals; there is no
 floating-point mode.  Monomials are kept in a canonical graded-lex order
-(family precedence lambda < psi < kappa < x < u < z < y, then index) so
+(family precedence lambda < psi < kappa < x < u < z, then index) so
 printed polynomials and JSON payloads are byte-stable across runs.
+Linear algebra over the integers is one kernel, Echelon.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ __all__ = [
     "PSI",
     "U",
     "exact_div",
-    "echelon_basis",
-    "rank_over_q",
+    "Echelon",
 ]
 
-_FAMILIES = ("lambda", "psi", "kappa", "x", "u", "z", "y")
+_FAMILIES = ("lambda", "psi", "kappa", "x", "u", "z")
 _RANK = {fam: r for r, fam in enumerate(_FAMILIES)}
 _UNINDEXED = frozenset(("psi", "u"))
 
@@ -612,44 +612,55 @@ class PolyMatrix:
         return minors.get((1 << n) - 1, MultiPoly.zero())
 
 
-def echelon_basis(matrix: Sequence[Sequence[Scalar]]) -> dict[int, list[int]]:
-    """Row-echelon basis of the row space of a rational matrix.
+class Echelon:
+    """Row-echelon basis of the span of integer rows, grown one row at a time.
 
-    Maps each pivot column to a primitive integer row whose first
-    nonzero entry sits in that column and is positive.  Elimination is
-    fraction-free (Bareiss, Math. Comp. 1968): each incoming row has its
-    denominators cleared, then row <- b*row - a*prow against the pivot
-    row with the same leading column (a, b the two leads over their
-    gcd), until it vanishes or leads at a new pivot column, where it is
-    stored divided by its content.  The set of pivot columns depends
-    only on the row space.
+    rows maps each pivot column to a primitive integer row whose first
+    nonzero entry sits in that column and is positive; len() is the
+    rank.  Elimination is fraction-free (Bareiss, Math. Comp. 1968): an
+    added row becomes b*row - a*prow against the pivot row with the same
+    leading column (a, b the two leads over their gcd), until it
+    vanishes or leads at a new pivot column, where it is stored divided
+    by its content.  The set of pivot columns depends only on the span.
     """
-    width = None
-    pivots: dict[int, list[int]] = {}
-    for entries in matrix:
-        row = [_coerce_coeff(e) for e in entries]
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError("ragged matrix")
-        scale = math.lcm(*(c.denominator for c in row))
-        row = [c.numerator * (scale // c.denominator) for c in row]
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Iterable[Sequence[int]] = ()):
+        self.rows: dict[int, list[int]] = {}
+        for row in rows:
+            self.add(row)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def add(self, row: Sequence[int]) -> None:
+        row = list(row)
         lead = next((j for j, v in enumerate(row) if v), None)
-        while lead in pivots:
-            prow = pivots[lead]
+        while lead in self.rows:
+            prow = self.rows[lead]
             common = math.gcd(row[lead], prow[lead])
             a, b = row[lead] // common, prow[lead] // common
             row[lead:] = [b * v - a * w for v, w in zip(row[lead:], prow[lead:])]
-            lead = next((j for j in range(lead + 1, width) if row[j]), None)
+            lead = next((j for j in range(lead + 1, len(row)) if row[j]), None)
         if lead is None:
-            continue
+            return
         content = math.gcd(*row)
         if row[lead] < 0:
             content = -content
-        pivots[lead] = [v // content for v in row]
-    return pivots
+        self.rows[lead] = [v // content for v in row]
 
+    def reduce(self, vec: Sequence[Scalar]) -> list[Scalar]:
+        """vec minus the multiples of the rows that clear every pivot column.
 
-def rank_over_q(matrix: Sequence[Sequence[Scalar]]) -> int:
-    """Exact rank of a rational matrix: the size of its echelon basis."""
-    return len(echelon_basis(matrix))
+        Clearing in increasing pivot order makes the result depend only
+        on vec and the span: it is zero exactly on members of the span,
+        and reducing it again changes nothing.
+        """
+        vec = list(vec)
+        for col in sorted(self.rows):
+            if vec[col]:
+                prow = self.rows[col]
+                factor = Fraction(vec[col], prow[col])
+                vec[col:] = [v - factor * w if w else v for v, w in zip(vec[col:], prow[col:])]
+        return vec

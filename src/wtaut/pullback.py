@@ -36,8 +36,8 @@ On the smooth locus a class is reduced modulo Mumford's relations
 c(E) c(E*) = 1.  They involve lambda only, so the degree-d slice of the
 ideal they generate is I_d = sum_k psi^k J_(d-k), where J is the
 lambda-only Mumford ideal: psi is a free block index.  mumford_reduce
-reduces each psi^k block against an echelon basis of the slice of J at
-its lambda-weight, cached per genus and weight.  Q[lambda]/J has the
+reduces each psi^k block against the Echelon of the slice of J at its
+lambda-weight, cached per genus and weight.  Q[lambda]/J has the
 Hilbert series prod_{i<=g} (1 + t^i), of total dimension 2^g (it is the
 cohomology of the Lagrangian Grassmannian LG(g)).
 """
@@ -53,6 +53,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .exactalg import (
+    Echelon,
     Monomial,
     MultiPoly,
     PSI,
@@ -60,7 +61,6 @@ from .exactalg import (
     Variable,
     _mono_mul,
     _mono_weight,
-    echelon_basis,
     kap,
     lam,
     xvar,
@@ -316,21 +316,22 @@ def _mumford_pivots(g: int, weight: int):
     """Row-echelon basis of the weight slice J_w of the lambda-only
     Mumford ideal J.
 
-    Returns (lambda_monomials(g, weight), exactalg.echelon_basis of the
-    rows m * generator): pivot column -> primitive integer row.
+    Returns (lambda_monomials(g, weight), the exactalg.Echelon of the
+    integer rows m * generator).
     """
     basis = lambda_monomials(g, weight)
     column = {m: i for i, m in enumerate(basis)}
-    rows = []
+    echelon = Echelon()
     for gen_degree, gen in MumfordIdeal.for_genus(g).generators:
         if gen_degree > weight:
             break
+        terms = [(mono, int(c)) for mono, c in gen.items()]
         for m in lambda_monomials(g, weight - gen_degree):
             row = [0] * len(basis)
-            for mono, c in gen.items():
+            for mono, c in terms:
                 row[column[_mono_mul(m, mono)]] = c
-            rows.append(row)
-    return basis, echelon_basis(rows)
+            echelon.add(row)
+    return basis, echelon
 
 
 def mumford_reduce(p: MultiPoly, g: int) -> MultiPoly:
@@ -339,9 +340,8 @@ def mumford_reduce(p: MultiPoly, g: int) -> MultiPoly:
     The generators involve lambda only, so the ideal's degree-d slice is
     I_d = sum_k psi^k J_(d-k), one block per psi power, and canonical
     order sorts each block as it sorts the lambda parts.  Each
-    (lambda-weight, psi power) block of p is reduced against the echelon
-    rows of J at that weight, in increasing pivot order; that clears
-    every pivot column, which makes the result unique.  Idempotent, and
+    (lambda-weight, psi power) block of p is reduced by the Echelon of J
+    at that weight, which makes the result unique.  Idempotent, and
     zero exactly on members of the ideal.
     """
     for v in p.variables():
@@ -356,14 +356,8 @@ def mumford_reduce(p: MultiPoly, g: int) -> MultiPoly:
         blocks.setdefault((_mono_weight(mono), k), {})[mono] = c
     out = {}
     for (weight, k), part in blocks.items():
-        basis, pivots = _mumford_pivots(g, weight)
-        vec = [part.get(m, 0) for m in basis]
-        for col in sorted(pivots):
-            if vec[col]:
-                prow = pivots[col]
-                factor = vec[col] / prow[col]
-                for j in range(col, len(vec)):
-                    vec[j] -= factor * prow[j]
+        basis, echelon = _mumford_pivots(g, weight)
+        vec = echelon.reduce([part.get(m, 0) for m in basis])
         psi = ((PSI, k),) if k else ()
         for m, c in zip(basis, vec):
             if c:

@@ -156,8 +156,12 @@ class NumericalSemigroup:
         return m
 
     def min_generators(self) -> tuple[int, ...]:
-        """Elements not expressible as a sum of two nonzero elements."""
-        bound = self.frobenius + self.multiplicity
+        """Elements not expressible as a sum of two nonzero elements.
+
+        They lie in [m, F + m]: above that, n = m + (n - m) with n - m > F.
+        The full semigroup (F = -1, m = 1) has the one generator 1.
+        """
+        bound = max(self.frobenius, 0) + self.multiplicity
         gens = []
         for n in range(1, bound + 1):
             if not self.contains(n):
@@ -247,37 +251,15 @@ def enumerate_semigroups(genus: int, max_genus: int = DEFAULT_MAX_GENUS) -> list
         raise ResourceError(
             f"genus {genus} exceeds the configured maximum {max_genus}"
         )
-    results: list[tuple[int, ...]] = []
-
-    def walk(gaps: tuple[int, ...], depth: int) -> None:
-        if depth == genus:
-            results.append(gaps)
-            return
-        frobenius = gaps[-1] if gaps else -1
-        gap_set = set(gaps)
-        multiplicity = 1
-        while multiplicity in gap_set:
-            multiplicity += 1
-
-        def member(n: int) -> bool:
-            return n >= 0 and n not in gap_set
-
-        # children remove a minimal generator strictly above the Frobenius
-        # number; such generators lie in (F, F + m], except that the full
-        # semigroup also has the generator 1 = m > F = -1
-        candidates = set(range(frobenius + 1, frobenius + multiplicity + 1))
-        if multiplicity > frobenius:
-            candidates.add(multiplicity)
-        for n in sorted(candidates):
-            if n <= frobenius or n < 1 or not member(n):
-                continue
-            if any(member(x) and member(n - x) for x in range(1, n)):
-                continue
-            walk(tuple(sorted(gap_set | {n})), depth + 1)
-
-    walk((), 0)
-    results.sort()
-    return [NumericalSemigroup(genus, gaps) for gaps in results]
+    level = [NumericalSemigroup(0, ())]
+    for _ in range(genus):
+        level = [
+            NumericalSemigroup.from_gaps(h.gaps + (n,))
+            for h in level
+            for n in h.min_generators()
+            if n > h.frobenius
+        ]
+    return sorted(level, key=lambda h: h.gaps)
 
 
 def weierstrass_sequence(semigroup: NumericalSemigroup) -> IndexSequence:

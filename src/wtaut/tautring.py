@@ -11,9 +11,11 @@ weights i and 1.  Two ideals sandwich the (unknown) tautological ring R:
   lower bound h_d(A/I_ev) <= h_d(R).
 
 The upper bound has a closed form, a count of partitions inside the
-staircase (see `hilbert_quotient_upper`).  The lower bound is exact
-linear algebra over Q on the monomial basis of each degree slice; no
-Groebner machinery is involved.
+staircase (see `hilbert_quotient_upper`).  The lower bound is the rank
+of the evaluation, exact integer linear algebra: each lambda-monomial
+is a row of its values at the fixed points, and one Echelon grows by
+these rows in degree order (see `hilbert_quotient_lower`); no Groebner
+machinery is involved.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DataError
-from .exactalg import MultiPoly, PSI, lam, rank_over_q
+from .exactalg import Echelon, MultiPoly, PSI, lam
 from .pullback import kstar_schubert, lambda_monomials
 from .semigroups import (
     DEFAULT_MAX_GENUS,
@@ -145,18 +147,24 @@ def hilbert_quotient_lower(g: int, cutoff: int, max_genus: int = DEFAULT_MAX_GEN
     """Rank of the fixed-point evaluation on each degree slice.
 
     A monomial lambda^m psi^(d - |m|) evaluates to prod_a e_a^(m_a)
-    psi^d at every fixed point, so psi changes no coefficient: the
-    degree-d matrix has one column per lambda-monomial of weight <= d,
-    and each semigroup's row grows by the weight-d columns per degree.
+    psi^d at every fixed point, so psi changes no coefficient: h_d is
+    the rank of the evaluation on the lambda-monomials of weight <= d.
+    Row rank equals column rank, so each lambda-monomial is one integer
+    row of its values at the N_g fixed points, the rows are added to one
+    Echelon in degree order, and h_d is its size after degree d.  The
+    rank cannot exceed N_g, so rows stop once it is reached; distinct
+    semigroups give distinct fixed points, so it is reached in high
+    enough degree.
     """
     tables = [_fixed_point_values(h) for h in enumerate_semigroups(g, max_genus)]
-    rows: list[list[int]] = [[] for _ in tables]
+    echelon = Echelon()
     dims = []
     for d in range(cutoff + 1):
-        monos = lambda_monomials(g, d)
-        for row, e_values in zip(rows, tables):
-            row.extend(math.prod(e_values[v.index] ** e for v, e in mono) for mono in monos)
-        dims.append(rank_over_q(rows))
+        for mono in lambda_monomials(g, d):
+            if len(echelon) == len(tables):
+                break
+            echelon.add([math.prod(e_values[v.index] ** e for v, e in mono) for e_values in tables])
+        dims.append(len(echelon))
     return dims
 
 

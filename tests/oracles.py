@@ -12,10 +12,15 @@ computes another way.  None of them is reached from `src/`.
   `PullbackClass.value_x` took before it went orbit by orbit.
 * `to_lambda_basis`: the inverse change of basis, by peeling off
   leading orbits.
-* `lambda_psi_monomials`, `coefficient_rows`, `full_slice_pivots`,
-  `full_slice_reduce`: the Mumford normal form by eliminating whole
-  (lambda, psi) degree slices, the route `mumford_reduce` took before
-  it reduced psi-block by psi-block over the lambda-only ideal.
+* `lambda_psi_monomials`, `coefficient_rows`, `integer_rows`,
+  `full_slice_pivots`, `full_slice_reduce`: the Mumford normal form by
+  eliminating whole (lambda, psi) degree slices, the route
+  `mumford_reduce` took before it reduced psi-block by psi-block over
+  the lambda-only ideal.
+* `lower_bound_by_degree`: the fixed-point lower Hilbert bound ranked
+  from scratch at every degree, one row per semigroup, the route
+  `hilbert_quotient_lower` took before it grew one echelon of
+  lambda-monomial rows.
 * `ParamSequence`, `generalized_power`, `falling_factorial`,
   `double_schur`: double Schur polynomials as the ratio of determinants
   det[(z_i | a)^(mu_j + n - j)] / Vandermonde, the route
@@ -26,24 +31,26 @@ computes another way.  None of them is reached from `src/`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from wtaut.exactalg import (
     PSI,
     U,
+    Echelon,
     MultiPoly,
     PolyMatrix,
     Variable,
     _mono_mul,
-    echelon_basis,
     exact_div,
     lam,
     mono_sort_key,
     xvar,
 )
-from wtaut.pullback import MumfordIdeal
-from wtaut.semigroups import Partition
+from wtaut.pullback import MumfordIdeal, lambda_monomials
+from wtaut.semigroups import Partition, enumerate_semigroups
+from wtaut.tautring import _fixed_point_values
 
 
 @lru_cache(maxsize=None)
@@ -253,12 +260,21 @@ def coefficient_rows(polys: list[MultiPoly], basis: list[MultiPoly]) -> list[lis
     return rows
 
 
+def integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
+    """Each rational row times the lcm of its denominators: same span."""
+    out = []
+    for row in rows:
+        scale = math.lcm(*(Fraction(c).denominator for c in row))
+        out.append([int(c * scale) for c in row])
+    return out
+
+
 @lru_cache(maxsize=None)
 def full_slice_pivots(g: int, degree: int):
     """Row-echelon basis of the degree slice of the Mumford ideal.
 
-    Returns (basis monomials, exactalg.echelon_basis of the coefficient
-    rows of m * generator): pivot column -> primitive integer row.
+    Returns (basis monomials, the Echelon of the coefficient rows of
+    m * generator).
     """
     basis = lambda_psi_monomials(g, degree)
     products = [
@@ -267,15 +283,14 @@ def full_slice_pivots(g: int, degree: int):
         if gen_degree <= degree
         for m in lambda_psi_monomials(g, degree - gen_degree)
     ]
-    return basis, echelon_basis(coefficient_rows(products, basis))
+    return basis, Echelon(integer_rows(coefficient_rows(products, basis)))
 
 
 def full_slice_reduce(p: MultiPoly, g: int) -> MultiPoly:
     """Normal form modulo the Mumford relations, degree by degree.
 
-    Reducing against the echelon rows in increasing pivot order clears
-    every pivot column, which makes the result unique.  Idempotent, and
-    zero exactly on members of the ideal.
+    Echelon.reduce clears every pivot column, which makes the result
+    unique.  Idempotent, and zero exactly on members of the ideal.
     """
     for v in p.variables():
         if v.family not in ("lambda", "psi") or v.index > g:
@@ -284,18 +299,29 @@ def full_slice_reduce(p: MultiPoly, g: int) -> MultiPoly:
     for degree, comp in enumerate(p.homogeneous_components()):
         if comp.is_zero():
             continue
-        basis, pivots = full_slice_pivots(g, degree)
+        basis, echelon = full_slice_pivots(g, degree)
         (vec,) = coefficient_rows([comp], basis)
-        for col in sorted(pivots):
-            if vec[col]:
-                prow = pivots[col]
-                factor = vec[col] / prow[col]
-                for j in range(col, len(vec)):
-                    vec[j] -= factor * prow[j]
-        for i, c in enumerate(vec):
+        for i, c in enumerate(echelon.reduce(vec)):
             if c:
                 out = out + basis[i].scale(c)
     return out
+
+
+def lower_bound_by_degree(g: int, cutoff: int) -> list[int]:
+    """Rank of the fixed-point evaluation on each degree slice, from scratch.
+
+    One row per semigroup, one column per lambda-monomial of weight
+    <= d, holding its value prod_a e_a^(m_a) at the fixed point.
+    """
+    tables = [_fixed_point_values(h) for h in enumerate_semigroups(g)]
+    rows: list[list[int]] = [[] for _ in tables]
+    dims = []
+    for d in range(cutoff + 1):
+        monos = lambda_monomials(g, d)
+        for row, e_values in zip(rows, tables):
+            row.extend(math.prod(e_values[v.index] ** e for v, e in mono) for mono in monos)
+        dims.append(len(Echelon(rows)))
+    return dims
 
 
 class ParamSequence:

@@ -10,6 +10,8 @@ import io
 import json
 import os
 import stat
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,8 @@ import pytest
 import wtaut.cli
 import wtaut.tautring
 from wtaut.cli import main
+from wtaut.schur import factorial_schur
+from wtaut.semigroups import Partition
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
 
@@ -86,6 +90,8 @@ def test_golden_payload_bytes(capsys, name):
         (["schur-eval", "--partition", "1", "--variables", "7"], 4),
         (["schur-eval", "--partition", "1", "--values", ",".join(map(str, range(13)))], 4),
         (["schur-eval", "--partition", "1", "--variables", "-2"], 3),
+        # inputs stay under Python's 4,300-digit cap on int parsing
+        (["schur-eval", "--partition", "1", "--values", "1" * 5000], 3),
     ],
 )
 def test_exit_codes(capsys, argv, code):
@@ -105,6 +111,24 @@ def test_shifted_schur_eval_at_colliding_staggered_values(capsys, values, value)
     code, out, _ = _run(capsys, argv)
     assert code == 0
     assert json.loads(out)["payload"]["value"]["text"] == value
+
+
+def test_results_beyond_the_int_digit_cap_are_rendered_in_full(capsys):
+    values = [Fraction(i, i + 1) for i in range(1, 13)]
+    argv = ["schur-eval", "--kind", "factorial", "--partition", "1000",
+            "--values", ",".join(map(str, values))]
+    limit = sys.get_int_max_str_digits()
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    [term] = json.loads(out)["payload"]["value"]["terms"]
+    sys.set_int_max_str_digits(0)
+    try:
+        coeff = Fraction(term["coeff"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(term["coeff"]) > limit
+    assert coeff == factorial_schur(Partition((1000,)), values).constant_term()
 
 
 def test_sandwich_violation_is_a_data_error(capsys, monkeypatch):

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import integer_rows
 from wtaut.exactalg import (
     MultiPoly,
     PolyMatrix,
     PSI,
     U,
+    Echelon,
     Variable,
-    echelon_basis,
     exact_div,
     kap,
     lam,
-    rank_over_q,
     xvar,
     zvar,
 )
@@ -149,16 +149,16 @@ def test_det_empty_matrix_is_one():
 
 
 def test_rank_zero_matrix():
-    assert rank_over_q([[0] * 5 for _ in range(3)]) == 0
+    assert len(Echelon([[0] * 5 for _ in range(3)])) == 0
 
 
 def test_rank_identity():
-    assert rank_over_q([[1 if i == j else 0 for j in range(4)] for i in range(4)]) == 4
+    assert len(Echelon([[1 if i == j else 0 for j in range(4)] for i in range(4)])) == 4
 
 
 def test_rank_proportional_rows():
-    assert rank_over_q([[1, 2], [2, 4], [3, 6]]) == 1
-    assert rank_over_q([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
+    assert len(Echelon([[1, 2], [2, 4], [3, 6]])) == 1
+    assert len(Echelon(integer_rows([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]))) == 1
 
 
 def _minor_rank(matrix):
@@ -185,30 +185,45 @@ def test_rank_matches_minor_enumeration(seed):
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 5), rng.randint(1, 6)
     matrix = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
-    if seed >= 6:  # rational entries exercise the denominator clearing
+    if seed >= 6:  # rational entries, scaled row by row to integers
         matrix = [[Fraction(e, rng.choice((2, 3, 6))) for e in row] for row in matrix]
     if seed % 2:  # force rank deficiency
         matrix.append([e * Fraction(3, 2) for e in matrix[0]] if seed >= 6 else list(matrix[0]))
-    assert rank_over_q(matrix) == _minor_rank(matrix)
+    assert len(Echelon(integer_rows(matrix))) == _minor_rank(matrix)
 
 
 def test_rank_rejects_floats():
     with pytest.raises(TypeError):
-        rank_over_q([[1, 0.5], [0, 1]])
+        Echelon([[1, 0.5], [0, 1]])
+    with pytest.raises(TypeError):
+        Echelon([[Fraction(1, 2), 1]])
 
 
-def test_rank_rejects_ragged_matrix():
-    with pytest.raises(ValueError):
-        rank_over_q([[1, 2, 3], [4, 5]])
-
-
-def test_echelon_basis_rows_are_primitive_with_positive_leads():
-    basis = echelon_basis([[0, Fraction(-2, 3), Fraction(4, 3)], [0, 1, 0], [0, 0, 0], [1, 1, 1]])
-    assert sorted(basis) == [0, 1, 2]
-    for col, row in basis.items():
+def test_echelon_rows_are_primitive_with_positive_leads():
+    echelon = Echelon(integer_rows([[0, Fraction(-2, 3), Fraction(4, 3)], [0, 1, 0], [0, 0, 0], [1, 1, 1]]))
+    assert sorted(echelon.rows) == [0, 1, 2]
+    for col, row in echelon.rows.items():
         assert all(v == 0 for v in row[:col])
         assert row[col] > 0
         assert math.gcd(*row) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_echelon_reduce_is_idempotent_and_kills_the_span(seed):
+    import random
+
+    rng = random.Random(seed)
+    cols = rng.randint(1, 7)
+    added = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rng.randint(1, 5))]
+    echelon = Echelon(added)
+    for row in added:
+        assert echelon.reduce(row) == [0] * cols
+    vec = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)]
+    once = echelon.reduce(vec)
+    assert echelon.reduce(once) == once
+    assert all(once[col] == 0 for col in echelon.rows)
+    combo = [v + 2 * a - b for v, a, b in zip(vec, added[0], added[-1])]
+    assert echelon.reduce(combo) == once
 
 
 # -- division ----------------------------------------------------------------

@@ -249,8 +249,8 @@ def test_lambda_quotient_has_the_lagrangian_grassmannian_hilbert_series(g):
     top = g * (g + 1) // 2
     dims = []
     for w in range(top + 3):
-        basis, pivots = _mumford_pivots(g, w)
-        dims.append(len(basis) - len(pivots))
+        basis, echelon = _mumford_pivots(g, w)
+        dims.append(len(basis) - len(echelon))
     assert dims == series + [0, 0]
     assert sum(dims) == 2**g
 

@@ -80,6 +80,19 @@ def test_semigroup_helpers():
     assert h.contains(0) and not h.contains(4) and not h.contains(-1)
 
 
+def test_full_semigroup_is_generated_by_one():
+    assert NumericalSemigroup.from_gaps([]).min_generators() == (1,)
+
+
+def test_min_generators_match_brute_force_up_to_genus_6():
+    """Nonzero elements up to 4g + 2 that are no sum of two nonzero elements."""
+    for g in range(7):
+        for h in enumerate_semigroups(g):
+            elements = [n for n in range(1, 4 * g + 3) if n not in h.gaps]
+            sums = {a + b for a in elements for b in elements}
+            assert h.min_generators() == tuple(n for n in elements if n not in sums), h
+
+
 # -- enumeration --------------------------------------------------------------
 
 

@@ -4,8 +4,9 @@ from math import comb
 
 import pytest
 
-from oracles import coefficient_rows, lambda_psi_monomials
-from wtaut.exactalg import rank_over_q
+from oracles import coefficient_rows, integer_rows, lambda_psi_monomials, lower_bound_by_degree
+from wtaut.exactalg import Echelon
+from wtaut.semigroups import enumerate_semigroups
 from wtaut.tautring import (
     hilbert_quotient_lower,
     hilbert_quotient_upper,
@@ -26,7 +27,7 @@ def _upper_by_rank(g: int, cutoff: int) -> list[int]:
             if mu.weight <= d
             for m in lambda_psi_monomials(g, d - mu.weight)
         ]
-        rank = rank_over_q(coefficient_rows(products, basis)) if products else 0
+        rank = len(Echelon(integer_rows(coefficient_rows(products, basis))))
         dims.append(len(basis) - rank)
     return dims
 
@@ -50,3 +51,14 @@ def test_lower_bound_never_exceeds_upper(g):
     upper = hilbert_quotient_upper(g, 10)
     assert len(lower) == len(upper) == 11
     assert all(lo <= up for lo, up in zip(lower, upper))
+
+
+@pytest.mark.parametrize("g", range(8))
+def test_incremental_lower_bound_matches_per_degree_ranks(g):
+    assert hilbert_quotient_lower(g, 14) == lower_bound_by_degree(g, 14)
+
+
+def test_lower_bound_levels_off_at_the_semigroup_count():
+    lower = hilbert_quotient_lower(8, 16)
+    assert lower == [1, 2, 4, 7, 12, 19, 30, 45, 58, 66] + [67] * 7
+    assert len(enumerate_semigroups(8)) == 67
