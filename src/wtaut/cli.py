@@ -12,13 +12,13 @@ import argparse
 import contextlib
 import csv
 import io
-import json
 import os
 import sys
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -43,10 +43,10 @@ from .wcycles import push_to_unpointed, virtual_class, weierstrass_class
 MAX_DEGREE_CAP = 16
 # schur-eval expands a Kempf-Laksov determinant of at most n rows, at a cost
 # growing like 2^n.  As CLI runs with the staircase (5,4,3,2,1), 6 symbolic
-# arguments take about 1.5 s (factorial) and 4.5 s (shifted: the stagger is
-# substituted afterwards) and print about 4.5 MB; the factorial result in 7
-# arguments already has 383,415 terms.  12 numeric arguments take under
-# 0.4 s for any partition (Python 3.11, one core).
+# arguments take about 0.7 s (factorial) and 4 s (shifted: the stagger is
+# substituted afterwards), print 4.3-4.7 MB and peak under 50 MB; the
+# factorial result in 7 arguments already has 383,415 terms.  12 numeric
+# arguments take under 0.4 s for any partition (Python 3.11, one core).
 MAX_SCHUR_VARIABLES = 6
 MAX_SCHUR_VALUES = 12
 FORMATS = ("json", "csv", "latex")
@@ -77,6 +77,7 @@ class RunConfig:
     kappa0_substitute: bool = False
     output: str | None = None
     max_genus: int = DEFAULT_MAX_GENUS
+    source_date: datetime | None = None
 
     def echo(self) -> dict:
         return {
@@ -92,11 +93,21 @@ class RunConfig:
         }
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def _source_date() -> datetime | None:
+    """The time SOURCE_DATE_EPOCH names, if set, so that envelopes are reproducible."""
+    text = os.environ.get("SOURCE_DATE_EPOCH")
+    if not text:
+        return None
+    if not (text.isascii() and text.isdigit()):
+        raise DataError(f"bad SOURCE_DATE_EPOCH {text[:20]!r}: not a count of seconds")
+    try:
+        return datetime.fromtimestamp(int(text), timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise DataError(f"bad SOURCE_DATE_EPOCH {text[:20]!r}: {exc}") from exc
 
 
 def make_envelope(command: str, config: RunConfig, payload, warnings: list[str]) -> dict:
+    stamp = config.source_date or datetime.now(timezone.utc)
     return {
         "tool": "wtaut",
         "version": __version__,
@@ -104,7 +115,7 @@ def make_envelope(command: str, config: RunConfig, payload, warnings: list[str])
         "config": config.echo(),
         "warnings": sorted(warnings),
         "payload": payload,
-        "generated_at": _utc_now(),
+        "generated_at": stamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
     }
 
 
@@ -193,6 +204,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         kappa0_substitute=bool(pick("kappa0_substitute", False)),
         output=pick("output", None),
         max_genus=max_genus,
+        source_date=_source_date(),
     )
     if config.mode not in ("CM", "smooth"):
         raise DataError("mode must be CM or smooth")
@@ -229,9 +241,71 @@ def _exact_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def poly_payload(p: MultiPoly) -> dict:
-    with _exact_digits():
-        return {"text": p.canonical_str(), "terms": p.to_json()}
+def json_text(obj) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, in one pass.
+
+    A MultiPoly is written as the object {"terms": [{"coeff", "exps"},
+    ...], "text": canonical_str()}, both from one walk over its sorted
+    terms.  Besides MultiPoly it knows str, int, bool, None, lists and
+    dicts with str keys; anything else raises TypeError.
+    """
+    chunks: list[str] = []
+    _json_chunks(obj, "\n", chunks)
+    return "".join(chunks)
+
+
+def _json_chunks(obj, nl: str, out: list[str]) -> None:
+    """Append the text of obj to out; nl is the line break and indent of its line."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, MultiPoly):
+        out.append(_poly_json(obj, nl))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_chunks(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _json_chunks(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _poly_json(p: MultiPoly, nl: str) -> str:
+    """The {"terms", "text"} object of p; its records and text come from one walk."""
+    i1, i2, i3, i4 = (nl + "  " * k for k in range(1, 5))
+    records, pieces = [], []
+    for coeff, pairs, piece in p.rendered_terms():
+        exps = ",".join([f"{i4}{encode_basestring_ascii(name)}: {e}" for name, e in pairs])
+        exps = f"{{{exps}{i3}}}" if exps else "{}"
+        records.append(f'{i2}{{{i3}"coeff": {encode_basestring_ascii(coeff)},{i3}"exps": {exps}{i2}}}')
+        pieces.append(piece)
+    terms = f"[{','.join(records)}{i1}]" if records else "[]"
+    text = encode_basestring_ascii(MultiPoly.joined_text(pieces))
+    return f'{{{i1}"terms": {terms},{i1}"text": {text}{nl}}}'
 
 
 def _latex_table(headers: list[str], rows: list[list[str]], caption: str) -> str:
@@ -294,9 +368,8 @@ def run_class(config: RunConfig, gaps: list[int] | None, partition: list[int] | 
         else:
             cycle = virtual_class(Partition.of(partition), g, unshifted=config.unshifted)
         record = cycle.record()
-        record["class_pointed"] = poly_payload(cycle.class_pointed)
         unpointed = push_to_unpointed(cycle, substitute_kappa0=config.kappa0_substitute)
-        record["class_unpointed"] = poly_payload(unpointed)
+        record["class_unpointed"] = unpointed
         record["genus"] = g
         payload.append(record)
         latex_pairs.append((cycle.class_pointed, unpointed))
@@ -337,8 +410,8 @@ def run_pullback(config: RunConfig, partition: list[int]):
                 "partition": list(mu.parts),
                 "weight": mu.weight,
                 "mode": config.mode,
-                "value_x": poly_payload(cls.value_x),
-                "value_lambda": poly_payload(value_lambda),
+                "value_x": cls.value_x,
+                "value_lambda": value_lambda,
             }
         )
         values.append(value_lambda)
@@ -364,11 +437,11 @@ def run_psum(config: RunConfig, power: int):
             raise DataError("power sums need genus at least 1")
         record = {"genus": g, "power": power, "mode": config.mode}
         cls = kstar_power_sum(power, g)
-        record["value_x"] = poly_payload(cls.value_x)
-        record["value_lambda"] = poly_payload(cls.value_lambda)
+        record["value_x"] = cls.value_x
+        record["value_lambda"] = cls.value_lambda
         if config.mode == "smooth":
             value = smooth_power_sum(power, g, paper_sign=config.paper_sign)
-            record["value_kappa_psi"] = poly_payload(value)
+            record["value_kappa_psi"] = value
             if power % 2:
                 warnings.append(KAPPA_INDEX_NOTE)
             else:
@@ -405,7 +478,7 @@ def run_relations(config: RunConfig):
                     {
                         "partition": list(mu.parts),
                         "weight": mu.weight,
-                        "value": poly_payload(poly),
+                        "value": poly,
                     }
                     for mu, poly in gens
                 ],
@@ -469,7 +542,7 @@ def run_schur_eval(config: RunConfig, kind: str, partition: list[int],
         "kind": kind,
         "partition": list(mu.parts),
         "arguments": [str(v) for v in values] if values is not None else f"z1..z{variables}",
-        "value": poly_payload(result),
+        "value": result,
     }
 
     def tables():
@@ -490,7 +563,7 @@ def _emit(envelope: dict, config: RunConfig, tables) -> None:
     """
     with _exact_digits():
         if config.fmt == "json":
-            text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+            text = json_text(envelope) + "\n"
         elif config.fmt == "csv":
             headers, rows, meta = tables()
             text = _csv_lines(headers, rows, meta)

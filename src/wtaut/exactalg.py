@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Variable",
@@ -74,6 +74,9 @@ class Variable:
             self, "_weight", self.index if self.family in ("lambda", "kappa") else 1
         )
         object.__setattr__(self, "_hash", hash((self.family, self.index)))
+        object.__setattr__(
+            self, "_name", self.family if self.family in _UNINDEXED else f"{self.family}{self.index}"
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -87,9 +90,7 @@ class Variable:
 
     @property
     def name(self) -> str:
-        if self.family in _UNINDEXED:
-            return self.family
-        return f"{self.family}{self.index}"
+        return self._name
 
     @classmethod
     def parse(cls, name: str) -> "Variable":
@@ -267,7 +268,7 @@ class MultiPoly:
 
     def _sorted_terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
         if self._sorted is None:
-            ordered = tuple((m, self._terms[m]) for m in sorted(self._terms, key=mono_sort_key))
+            ordered = tuple(sorted(self._terms.items(), key=lambda term: mono_sort_key(term[0])))
             object.__setattr__(self, "_sorted", ordered)
         return self._sorted
 
@@ -435,24 +436,34 @@ class MultiPoly:
 
     # -- serialization -------------------------------------------------
 
-    def canonical_str(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
+    def rendered_terms(self) -> Iterator[tuple[str, list[tuple[str, int]], str]]:
+        """Each term, leading first, in the three forms the output needs.
+
+        They are the coefficient's text, the (name, exponent) pairs in
+        string order of the names (lambda10 before lambda2), and the
+        term's piece of canonical_str with its sign in front, as in
+        " + 3*psi" or " - lambda1".
+        """
         for mono, coeff in self._sorted_terms():
-            body = "*".join(f"{v.name}^{e}" if e > 1 else v.name for v, e in mono)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not pieces:
-                pieces.append(text if coeff > 0 else f"-{text}")
-            else:
-                pieces.append(f" + {text}" if coeff > 0 else f" - {text}")
-        return "".join(pieces)
+            coeff_text = str(coeff)
+            pairs = [(v._name, e) for v, e in mono]
+            body = "*".join([f"{name}^{e}" if e > 1 else name for name, e in pairs])
+            sign, mag = (" - ", coeff_text[1:]) if coeff_text[0] == "-" else (" + ", coeff_text)
+            if body:
+                mag = body if mag == "1" else f"{mag}*{body}"
+            pairs.sort()
+            yield coeff_text, pairs, sign + mag
+
+    @staticmethod
+    def joined_text(pieces: Iterable[str]) -> str:
+        """canonical_str from the pieces rendered_terms yields, in order."""
+        text = "".join(pieces)
+        if not text:
+            return "0"
+        return text[3:] if text[1] == "+" else "-" + text[3:]
+
+    def canonical_str(self) -> str:
+        return MultiPoly.joined_text(piece for _, _, piece in self.rendered_terms())
 
     def latex(self) -> str:
         if not self._terms:
@@ -484,23 +495,6 @@ class MultiPoly:
             else:
                 pieces.append(f" + {text}" if coeff > 0 else f" - {text}")
         return "".join(pieces)
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for mono, coeff in self._sorted_terms():
-            out.append({"coeff": str(coeff), "exps": {v.name: e for v, e in mono}})
-        return out
-
-    @classmethod
-    def from_json(cls, data: Iterable[Mapping]) -> "MultiPoly":
-        acc: dict[Monomial, Fraction] = {}
-        for entry in data:
-            coeff = Fraction(entry["coeff"])
-            pairs = [(Variable.parse(name), int(e)) for name, e in entry["exps"].items()]
-            mono = tuple(sorted(pairs, key=lambda p: p[0].sort_key()))
-            if coeff:
-                acc[mono] = acc.get(mono, Fraction(0)) + coeff
-        return cls(acc)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.canonical_str()})"

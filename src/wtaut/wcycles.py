@@ -73,13 +73,13 @@ class CycleClass:
         return self.partition.weight
 
     def record(self) -> dict:
-        """JSON-ready record."""
+        """Record for the JSON writer, which expands the two classes."""
         return {
             "gaps": list(self.semigroup.gaps) if self.semigroup else None,
             "partition": list(self.partition.parts),
             "codim": self.codimension,
-            "class_pointed": self.class_pointed.to_json(),
-            "class_unpointed": self.class_unpointed.to_json(),
+            "class_pointed": self.class_pointed,
+            "class_unpointed": self.class_unpointed,
             "virtual": self.virtual,
             "normalization": self.normalization,
         }

@@ -27,6 +27,11 @@ computes another way.  None of them is reached from `src/`.
   `factorial_schur` took before it became the Kempf-Laksov determinant;
   `ratio_factorial_schur` and `ratio_shifted_schur` are its factorial
   and shifted specializations.
+* `canonical_str`, `to_json`, `poly_payload`: a polynomial's text, its
+  term records and the {"text", "terms"} object built as separate dicts
+  and lists for `json.dumps`, the route the CLI took before it wrote
+  each polynomial in one pass over its terms; `from_json` reads the
+  term records back.
 """
 
 from __future__ import annotations
@@ -397,3 +402,42 @@ def ratio_shifted_schur(mu: Partition, args) -> MultiPoly:
     if mu.length > n:
         return MultiPoly.zero()
     return ratio_factorial_schur(mu, [MultiPoly._wrap(z) + (n - i) for i, z in enumerate(args, start=1)])
+
+
+def canonical_str(p: MultiPoly) -> str:
+    if not p:
+        return "0"
+    pieces = []
+    for mono, coeff in p.terms():
+        body = "*".join(f"{v.name}^{e}" if e > 1 else v.name for v, e in mono)
+        mag = abs(coeff)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if not pieces:
+            pieces.append(text if coeff > 0 else f"-{text}")
+        else:
+            pieces.append(f" + {text}" if coeff > 0 else f" - {text}")
+    return "".join(pieces)
+
+
+def to_json(p: MultiPoly) -> list[dict]:
+    return [{"coeff": str(coeff), "exps": {v.name: e for v, e in mono}} for mono, coeff in p.terms()]
+
+
+def poly_payload(p: MultiPoly) -> dict:
+    return {"text": canonical_str(p), "terms": to_json(p)}
+
+
+def from_json(data) -> MultiPoly:
+    acc: dict = {}
+    for entry in data:
+        coeff = Fraction(entry["coeff"])
+        pairs = [(Variable.parse(name), int(e)) for name, e in entry["exps"].items()]
+        mono = tuple(sorted(pairs, key=lambda p: p[0].sort_key()))
+        if coeff:
+            acc[mono] = acc.get(mono, Fraction(0)) + coeff
+    return MultiPoly(acc)

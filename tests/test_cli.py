@@ -1,8 +1,11 @@
 """The command-line contract: golden JSON payloads, exit codes and CSV shape.
 
 Each golden file under tests/data/cli holds one JSON envelope, minus its
-`generated_at` stamp, as `wtaut` printed it.  A refactor of the
-mathematics must reproduce these bytes exactly.
+`generated_at` line, as `json.dumps(envelope, indent=2, sort_keys=True)`
+writes it.  The CLI's own JSON writer must print exactly these bytes,
+and a refactor of the mathematics must reproduce them.  A property test
+holds the writer to `json.dumps` of the polynomial records in
+`oracles.py` at any nesting depth.
 """
 
 import csv
@@ -15,10 +18,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import wtaut.cli
 import wtaut.tautring
-from wtaut.cli import main
+from wtaut.cli import json_text, main
+from wtaut.exactalg import PSI, U, MultiPoly, kap, lam, xvar, zvar
 from wtaut.schur import factorial_schur
 from wtaut.semigroups import Partition
 
@@ -29,6 +36,8 @@ GOLDEN_ARGV = {
     "class_gaps_g5_unshifted": ["class", "--genus", "5", "--gaps", "1,2,3,5,7", "--unshifted"],
     "class_partition_g2_5": ["class", "--genus", "2-5", "--partition", "2,1"],
     "class_gaps_g3_kappa0": ["class", "--genus", "3", "--gaps", "1,2,4", "--kappa0-substitute"],
+    # lambda2*lambda10 pins the string order of the exps keys
+    "class_partition_g10_p10_2": ["class", "--genus", "10", "--partition", "10,2"],
     "pullback_g1_5_p31": ["pullback", "--genus", "1-5", "--partition", "3,1"],
     "pullback_g4_p221_smooth": ["pullback", "--genus", "4", "--partition", "2,2,1", "--mode", "smooth"],
     "psum_g1_4_power3_smooth": ["psum", "--genus", "1-4", "--power", "3", "--mode", "smooth"],
@@ -63,6 +72,7 @@ CSV_ARGV = [
 @pytest.fixture(autouse=True)
 def _default_genus_cap(monkeypatch):
     monkeypatch.delenv("WTAUT_MAX_GENUS", raising=False)
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
 
 
 def _run(capsys, argv):
@@ -75,10 +85,77 @@ def _run(capsys, argv):
 def test_golden_payload_bytes(capsys, name):
     code, out, _ = _run(capsys, GOLDEN_ARGV[name])
     assert code == 0
-    envelope = json.loads(out)
-    assert envelope.pop("generated_at")
-    text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-    assert text == (GOLDEN / f"{name}.json").read_text()
+    lines = out.splitlines(keepends=True)
+    [stamp] = [i for i, line in enumerate(lines) if line.startswith('  "generated_at": ')]
+    del lines[stamp]
+    assert "".join(lines) == (GOLDEN / f"{name}.json").read_text()
+
+
+# Variables whose string order differs from the canonical one: lambda10
+# before lambda2, kappa before lambda, u before x.
+_VARIABLES = [lam(1), lam(2), lam(10), PSI, kap(0), kap(3), xvar(1), xvar(11), U, zvar(2)]
+_COEFFS = st.fractions(max_denominator=50) | st.integers(-(10**30), 10**30)
+
+
+@st.composite
+def _polys(draw):
+    terms = draw(st.lists(st.tuples(
+        st.lists(st.tuples(st.sampled_from(_VARIABLES), st.integers(0, 3)), max_size=4),
+        _COEFFS,
+    ), max_size=6))
+    out = MultiPoly.zero()
+    for pairs, coeff in terms:
+        out += MultiPoly.monomial(dict(pairs).items(), coeff)
+    return out
+
+
+_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6) | _polys(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _oracle_tree(obj):
+    if isinstance(obj, MultiPoly):
+        return oracles.poly_payload(obj)
+    if isinstance(obj, dict):
+        return {key: _oracle_tree(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_oracle_tree(item) for item in obj]
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_json_writer_matches_json_dumps_of_the_oracle_records(tree):
+    assert json_text(tree) == json.dumps(_oracle_tree(tree), indent=2, sort_keys=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys(), st.integers(0, 4))
+def test_json_writer_matches_json_dumps_at_every_depth(poly, depth):
+    tree, expected = poly, oracles.poly_payload(poly)
+    for level in range(depth):
+        if level % 2:
+            tree, expected = [0, tree], [0, expected]
+        else:
+            tree, expected = {"a": tree, "z": {}}, {"a": expected, "z": {}}
+    assert json_text(tree) == json.dumps(expected, indent=2, sort_keys=True)
+
+
+def test_json_writer_covers_zero_constants_and_kappa0():
+    cases = [MultiPoly.zero(), MultiPoly.constant(Fraction(-3, 4)), MultiPoly.one(),
+             MultiPoly.variable(kap(0)) - MultiPoly.variable(lam(10)) * MultiPoly.variable(lam(2))]
+    for poly in cases:
+        assert json_text(poly) == json.dumps(oracles.poly_payload(poly), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [Fraction(1, 2), 0.5, (1, 2), {1, 2}, {1: "int key"}, [b"bytes"]])
+def test_json_writer_refuses_unknown_types(obj):
+    with pytest.raises(TypeError):
+        json_text({"payload": obj})
 
 
 @pytest.mark.parametrize(
@@ -246,3 +323,26 @@ def test_hilbert_honours_the_genus_cap_override(capsys, monkeypatch):
     [block] = json.loads(out)["payload"]
     assert block["genus"] == 13
     assert [row["degree"] for row in block["rows"]] == [0, 1]
+
+
+def test_source_date_epoch_makes_the_bytes_reproducible(capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    argv = ["class", "--genus", "3", "--gaps", "1,2,4"]
+    first = _run(capsys, argv)
+    second = _run(capsys, argv)
+    assert first[0] == 0
+    assert first == second
+    assert '\n  "generated_at": "2023-11-14T22:13:20Z",\n' in first[1]
+
+
+@pytest.mark.parametrize("value", ["soon", "-1", "1.5", " 7", "9" * 30, "1" * 5000])
+def test_bad_source_date_epoch_is_rejected_before_work(capsys, monkeypatch, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the computation ran")
+
+    monkeypatch.setattr(wtaut.cli, "weierstrass_class", refuse)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+    code, out, err = _run(capsys, ["class", "--genus", "2", "--gaps", "1,3"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("wtaut: data error: bad SOURCE_DATE_EPOCH")

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import ParamSequence, double_schur, to_lambda_basis
+from oracles import ParamSequence, double_schur, from_json, to_lambda_basis
+from wtaut.cli import json_text
 from wtaut.errors import DataError
 from wtaut.exactalg import MultiPoly, PSI, U, kap, lam, xvar
 from wtaut.pullback import kstar_power_sum, kstar_schubert
@@ -243,8 +244,9 @@ def test_localization_vanishing_against_domination(g):
 
 def test_record_round_trips_polynomials():
     cycle = weierstrass_class(NumericalSemigroup.from_gaps([1, 3, 5]))
-    rec = cycle.record()
-    assert MultiPoly.from_json(rec["class_pointed"]) == cycle.class_pointed
+    rec = json.loads(json_text(cycle.record()))
+    assert from_json(rec["class_pointed"]["terms"]) == cycle.class_pointed
+    assert from_json(rec["class_unpointed"]["terms"]) == cycle.class_unpointed
     assert rec["codim"] == cycle.partition.weight
     assert rec["gaps"] == [1, 3, 5]
     assert rec["normalization"] == "up-to-constant"
