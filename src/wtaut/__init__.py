@@ -12,7 +12,6 @@ from .exactalg import (
     PSI,
     U,
     Variable,
-    exact_div,
     kap,
     lam,
     xvar,
@@ -20,16 +19,14 @@ from .exactalg import (
 )
 from .errors import DataError, ResourceError
 from .pullback import (
-    MumfordIdeal,
-    PullbackClass,
     bernoulli,
-    chern_interval,
     kstar_power_sum,
     kstar_schubert,
+    mumford_generators,
     mumford_reduce,
     smooth_power_sum,
 )
-from .schur import factorial_schur, psi_matrix, shifted_schur
+from .schur import factorial_schur, in_roots, psi_matrix, shifted_schur
 from .semigroups import (
     IndexSequence,
     NumericalSemigroup,
@@ -44,7 +41,6 @@ from .semigroups import (
 )
 from .tautring import (
     HilbertReport,
-    ev_homomorphism,
     hilbert_quotient_lower,
     hilbert_quotient_upper,
     relation_generators,

@@ -23,9 +23,9 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DataError, ResourceError, UsageError
-from .exactalg import MultiPoly
+from .exactalg import MultiPoly, xvar
 from .pullback import kstar_power_sum, kstar_schubert, mumford_reduce, smooth_power_sum
-from .schur import factorial_schur, generic_arguments, shifted_schur
+from .schur import factorial_schur, generic_arguments, in_roots, shifted_schur
 from .semigroups import (
     DEFAULT_MAX_GENUS,
     NumericalSemigroup,
@@ -139,8 +139,12 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _load_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise DataError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -329,6 +333,11 @@ def _csv_lines(headers: list[str], rows: list[list[str]], meta: dict) -> str:
 # -- subcommand payloads -----------------------------------------------------
 
 
+def _x_roots(g: int) -> tuple:
+    """x_1..x_g, the Chern roots of the dual Hodge bundle."""
+    return tuple(xvar(i) for i in range(1, g + 1))
+
+
 def run_semigroups(config: RunConfig):
     payload = []
     for g in range(config.genus_low, config.genus_high + 1):
@@ -353,7 +362,6 @@ def run_class(config: RunConfig, gaps: list[int] | None, partition: list[int] | 
     if (gaps is None) == (partition is None):
         raise DataError("choose exactly one selector: --gaps or --partition")
     payload = []
-    latex_pairs = []
     warnings = ["normalization: up-to-constant"]
     if config.unshifted:
         warnings.append(UNSHIFTED_NOTE)
@@ -368,11 +376,11 @@ def run_class(config: RunConfig, gaps: list[int] | None, partition: list[int] | 
         else:
             cycle = virtual_class(Partition.of(partition), g, unshifted=config.unshifted)
         record = cycle.record()
-        unpointed = push_to_unpointed(cycle, substitute_kappa0=config.kappa0_substitute)
-        record["class_unpointed"] = unpointed
+        record["class_unpointed"] = push_to_unpointed(
+            cycle, substitute_kappa0=config.kappa0_substitute
+        )
         record["genus"] = g
         payload.append(record)
-        latex_pairs.append((cycle.class_pointed, unpointed))
 
     def tables():
         rows = [
@@ -381,10 +389,10 @@ def run_class(config: RunConfig, gaps: list[int] | None, partition: list[int] | 
                 "{" + " ".join(map(str, rec["gaps"] or [])) + "}" if rec["gaps"] else "-",
                 "(" + ",".join(map(str, rec["partition"])) + ")",
                 str(rec["codim"]),
-                pointed.latex(),
-                unpointed.latex(),
+                rec["class_pointed"].latex(),
+                rec["class_unpointed"].latex(),
             ]
-            for rec, (pointed, unpointed) in zip(payload, latex_pairs)
+            for rec in payload
         ]
         headers = ["genus", "gaps", "partition", "codim", "pointed class", "unpointed class"]
         return headers, rows, {"normalization": "up-to-constant"}
@@ -395,32 +403,25 @@ def run_class(config: RunConfig, gaps: list[int] | None, partition: list[int] | 
 def run_pullback(config: RunConfig, partition: list[int]):
     mu = Partition.of(partition)
     payload = []
-    values = []
     warnings: list[str] = []
     for g in range(config.genus_low, config.genus_high + 1):
         if g < 1:
             raise DataError("pullback needs genus at least 1")
-        cls = kstar_schubert(mu, g)
-        value_lambda = cls.value_lambda
-        if config.mode == "smooth":
-            value_lambda = mumford_reduce(value_lambda, g)
+        value = kstar_schubert(mu, g)
         payload.append(
             {
                 "genus": g,
                 "partition": list(mu.parts),
                 "weight": mu.weight,
                 "mode": config.mode,
-                "value_x": cls.value_x,
-                "value_lambda": value_lambda,
+                "value_x": in_roots(value, _x_roots(g)),  # of the class before any reduction
+                "value_lambda": mumford_reduce(value, g) if config.mode == "smooth" else value,
             }
         )
-        values.append(value_lambda)
 
     def tables():
-        rows = [
-            [str(rec["genus"]), "(" + ",".join(map(str, mu.parts)) + ")", value.latex()]
-            for rec, value in zip(payload, values)
-        ]
+        parts = "(" + ",".join(map(str, mu.parts)) + ")"
+        rows = [[str(rec["genus"]), parts, rec["value_lambda"].latex()] for rec in payload]
         return ["genus", "partition", "class"], rows, {"mode": config.mode}
 
     return payload, warnings, tables
@@ -430,30 +431,28 @@ def run_psum(config: RunConfig, power: int):
     if power < 1:
         raise DataError("the power must be at least 1")
     payload = []
-    values = []
     warnings: list[str] = []
     for g in range(config.genus_low, config.genus_high + 1):
         if g < 1:
             raise DataError("power sums need genus at least 1")
-        record = {"genus": g, "power": power, "mode": config.mode}
-        cls = kstar_power_sum(power, g)
-        record["value_x"] = cls.value_x
-        record["value_lambda"] = cls.value_lambda
+        value = kstar_power_sum(power, g)
+        record = {
+            "genus": g,
+            "power": power,
+            "mode": config.mode,
+            "value_x": in_roots(value, _x_roots(g)),
+            "value_lambda": value,
+        }
         if config.mode == "smooth":
-            value = smooth_power_sum(power, g, paper_sign=config.paper_sign)
-            record["value_kappa_psi"] = value
+            record["value_kappa_psi"] = smooth_power_sum(power, g, paper_sign=config.paper_sign)
             if power % 2:
                 warnings.append(KAPPA_INDEX_NOTE)
             else:
                 warnings.append(EVEN_SIGN_NOTE)
         payload.append(record)
-        values.append(cls.value_lambda)
 
     def tables():
-        rows = [
-            [str(rec["genus"]), str(power), value.latex()]
-            for rec, value in zip(payload, values)
-        ]
+        rows = [[str(rec["genus"]), str(power), rec["value_lambda"].latex()] for rec in payload]
         return ["genus", "power", "class"], rows, {"mode": config.mode}
 
     return payload, list(set(warnings)), tables
@@ -463,13 +462,10 @@ def run_relations(config: RunConfig):
     from .tautring import relation_generators
 
     payload = []
-    all_gens = []
     warnings: list[str] = []
     for g in range(config.genus_low, config.genus_high + 1):
         if g < 1:
             raise DataError("relations need genus at least 1")
-        gens = relation_generators(g, config.max_degree)
-        all_gens.extend(gens)
         payload.append(
             {
                 "genus": g,
@@ -480,15 +476,20 @@ def run_relations(config: RunConfig):
                         "weight": mu.weight,
                         "value": poly,
                     }
-                    for mu, poly in gens
+                    for mu, poly in relation_generators(g, config.max_degree)
                 ],
             }
         )
 
     def tables():
         rows = [
-            ["(" + ",".join(map(str, mu.parts)) + ")", str(mu.weight), poly.latex()]
-            for mu, poly in all_gens
+            [
+                "(" + ",".join(map(str, gen["partition"])) + ")",
+                str(gen["weight"]),
+                gen["value"].latex(),
+            ]
+            for block in payload
+            for gen in block["generators"]
         ]
         return ["partition", "weight", "relation"], rows, {}
 

@@ -15,9 +15,7 @@ Linear algebra over the integers is one kernel, Echelon.
 
 from __future__ import annotations
 
-import heapq
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -32,15 +30,12 @@ __all__ = [
     "zvar",
     "PSI",
     "U",
-    "exact_div",
     "Echelon",
 ]
 
 _FAMILIES = ("lambda", "psi", "kappa", "x", "u", "z")
 _RANK = {fam: r for r, fam in enumerate(_FAMILIES)}
 _UNINDEXED = frozenset(("psi", "u"))
-
-_NAME_RE = re.compile(r"^([a-z]+?)(\d*)$")
 
 Scalar = Union[int, Fraction]
 
@@ -91,20 +86,6 @@ class Variable:
     @property
     def name(self) -> str:
         return self._name
-
-    @classmethod
-    def parse(cls, name: str) -> "Variable":
-        m = _NAME_RE.match(name)
-        if m is None or m.group(1) not in _RANK:
-            raise ValueError(f"cannot parse variable name {name!r}")
-        family, digits = m.group(1), m.group(2)
-        if family in _UNINDEXED:
-            if digits:
-                raise ValueError(f"cannot parse variable name {name!r}")
-            return cls(family)
-        if not digits:
-            raise ValueError(f"variable {name!r} needs an index")
-        return cls(family, int(digits))
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"
@@ -358,38 +339,13 @@ class MultiPoly:
             return MultiPoly.zero()
         return MultiPoly({m: co * c for m, co in self._terms.items()})
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coerce_coeff(other)
-            if not c:
-                raise ZeroDivisionError("division by zero")
-            return self.scale(Fraction(1) / c)
-        return exact_div(self, other)
+    def __truediv__(self, other: Scalar):
+        c = _coerce_coeff(other)
+        if not c:
+            raise ZeroDivisionError("division by zero")
+        return self.scale(Fraction(1) / c)
 
     # -- structure ----------------------------------------------------
-
-    def weighted_degree(self) -> int | None:
-        """Top weighted degree, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(_mono_weight(m) for m in self._terms)
-
-    def is_homogeneous(self) -> bool:
-        degs = {_mono_weight(m) for m in self._terms}
-        return len(degs) <= 1
-
-    def homogeneous_components(self) -> list["MultiPoly"]:
-        """Split into weighted-homogeneous parts, indexed by degree.
-
-        Returns a list comps with comps[i] homogeneous of degree i and
-        sum(comps) == self.
-        """
-        if not self._terms:
-            return []
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
-        for mono, coeff in self._terms.items():
-            buckets.setdefault(_mono_weight(mono), {})[mono] = coeff
-        return [MultiPoly(buckets.get(d, {})) for d in range(max(buckets) + 1)]
 
     def substitute(self, sigma: Mapping[Variable, "MultiPoly | Scalar"]) -> "MultiPoly":
         """Apply the ring homomorphism sending each variable to its image.
@@ -427,12 +383,6 @@ class MultiPoly:
                 else:
                     acc.pop(target, None)
         return MultiPoly(acc)
-
-    def leading(self) -> tuple[Monomial, Fraction]:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        mono = min(self._terms, key=mono_sort_key)
-        return mono, self._terms[mono]
 
     # -- serialization -------------------------------------------------
 
@@ -500,53 +450,6 @@ class MultiPoly:
         return f"MultiPoly({self.canonical_str()})"
 
 
-def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact polynomial division; raises ValueError if q does not divide p.
-
-    The leading term of the remainder comes from a heap that holds every
-    monomial of the remainder, and possibly some cancelled since.
-    """
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return MultiPoly.zero()
-    lq_mono, lq_coeff = q.leading()
-    lq = dict(lq_mono)
-    rem = dict(p._terms)
-    heap = [(mono_sort_key(m), m) for m in rem]
-    heapq.heapify(heap)
-    quot: dict[Monomial, Fraction] = {}
-    qterms = list(q._terms.items())
-    while heap:
-        mono = heapq.heappop(heap)[1]
-        coeff = rem.get(mono)
-        if coeff is None:
-            continue
-        exps = dict(mono)
-        factor = []
-        for var, e in lq.items():
-            have = exps.get(var, 0)
-            if have < e:
-                raise ValueError("not divisible")
-            factor.append((var, have - e))
-        for var, e in exps.items():
-            if var not in lq:
-                factor.append((var, e))
-        fac_mono = tuple(sorted(((v, e) for v, e in factor if e), key=lambda x: x[0].sort_key()))
-        c = coeff / lq_coeff
-        quot[fac_mono] = quot.get(fac_mono, Fraction(0)) + c
-        for mq, cq in qterms:
-            target = _mono_mul(fac_mono, mq)
-            acc = rem.get(target, 0) - c * cq
-            if not acc:
-                rem.pop(target, None)
-                continue
-            if target not in rem:
-                heapq.heappush(heap, (mono_sort_key(target), target))
-            rem[target] = acc
-    return MultiPoly(quot)
-
-
 class PolyMatrix:
     """Rectangular matrix of MultiPoly entries, immutable after construction."""
 
@@ -562,11 +465,6 @@ class PolyMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "_entries", tuple(rows))
-
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        one, zero = MultiPoly.one(), MultiPoly.zero()
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     def __getitem__(self, key: tuple[int, int]) -> MultiPoly:
         i, j = key

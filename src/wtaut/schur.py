@@ -1,4 +1,5 @@
-"""Factorial and shifted Schur polynomials, and the Kempf-Laksov matrices.
+"""Factorial and shifted Schur polynomials, the Kempf-Laksov matrices, and
+the lambda basis of symmetric functions.
 
 The factorial Schur polynomial t_mu(z_1..z_n) is the double Schur
 polynomial s_mu(z | a) with a_m = m - 1, classically the ratio
@@ -20,13 +21,32 @@ every argument is a number, the integers h_a(u z) and e_a(u z), with u
 a common denominator of the z_i, stand in for the Segre classes, psi
 is -u, and the determinant u^|mu| t_mu(z) is an integer.  Otherwise it
 is taken in lambda_1..lambda_n and written in the roots z_1..z_n by
-the orbit expansion of PullbackClass.value_x; arguments other than
-z_i itself are then substituted, one variable at a time.
+in_roots; arguments other than z_i itself are then substituted, one
+variable at a time.
 No difference of arguments is divided by, so repeated arguments need
 no special case.
 Shifted Schur polynomials are the staggered substitution
 s*_mu(z_1..z_n) = t_mu(z_1 + n - 1, ..., z_n), which makes the
 stability identity s*_mu(z, 0) = s*_mu(z) hold by construction.
+
+The lambda basis: the x_i are Chern roots of the dual Hodge bundle, so
+e_a(x) = (-1)^a lambda_a (_signed_lambda) and h_a(x) is the Segre class
+of E* (_segre_class).  in_roots maps a class back to the roots.  A
+lambda-monomial prod_a lambda_a^(d_a) goes to plus or minus
+prod_a e_a^(d_a), a symmetric polynomial, so it is expanded orbit by
+orbit: its coefficient on the monomial symmetric function m_nu is the
+number of 0-1 matrices with row sums the factor indices a and column
+sums nu.  The orbit table of a product is built from the table with one
+factor e_a fewer by the pull rule
+
+    [x^nu](f e_a) = sum over a-subsets S with nu - 1_S >= 0 of
+                    [x^sort(nu - 1_S)] f        (f symmetric),
+
+so only weakly decreasing nu are ever stored.  The coefficients of the
+whole class are summed per orbit and per psi power, and each orbit is
+written out as its distinct rearrangements once, at the end: for the
+pullback of mu = (5,4,3,2) at g = 6 that is 201 orbits over 15 psi
+powers for 19,872 terms in the roots.
 """
 
 from __future__ import annotations
@@ -34,9 +54,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import groupby
 from typing import Callable, Sequence, Union
 
-from .exactalg import MultiPoly, PolyMatrix, PSI, lam, zvar
+from .exactalg import MultiPoly, PolyMatrix, PSI, Variable, _mono_mul, lam, zvar
 from .semigroups import Partition
 
 __all__ = [
@@ -44,6 +65,7 @@ __all__ = [
     "shifted_schur",
     "psi_matrix",
     "generic_arguments",
+    "in_roots",
 ]
 
 Value = Union[MultiPoly, Fraction, int]
@@ -76,10 +98,8 @@ def factorial_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
     det = _matrix(mu, n, variant, lambda r, k: _entry(variant, complete, elementary, r, k, 0, -u)).det()
     if numeric:
         return det / u**mu.weight
-    from .pullback import PullbackClass  # pullback builds on this module
-
     zvars = tuple(zvar(i) for i in range(1, n + 1))
-    out = PullbackClass(genus=n, partition=mu, power=None, value_lambda=det).in_roots(zvars)
+    out = in_roots(det, zvars)
     sigma = {v: z for v, z in zip(zvars, zs) if z != MultiPoly.variable(v)}
     if any(w in sigma and w != v for v, z in sigma.items() for w in z.variables()):
         return out.substitute(sigma)  # z_i -> a polynomial in another z_j: jointly
@@ -117,20 +137,28 @@ def complete_of_values(values: Sequence[Value], top: int) -> list[Value]:
 
 
 @lru_cache(maxsize=None)
+def _segre_classes(g: int) -> list[MultiPoly]:
+    """s_0, s_1, ... at genus g, as far as _segre_class has grown the list."""
+    return [MultiPoly.one()]
+
+
 def _segre_class(g: int, a: int) -> MultiPoly:
     """h_a(x_1..x_g) in the lambda basis, the Segre class of E*.
 
     Since e_i(x) = (-1)^i lambda_i, the identity sum_i (-1)^i e_i h_(a-i) = 0
-    reads s_a = -sum_{i=1}^{min(a,g)} lambda_i s_(a-i), with s_0 = 1.
+    reads s_a = -sum_{i=1}^{min(a,g)} lambda_i s_(a-i), with s_0 = 1.  The
+    classes are built bottom-up, so no call recurses once per degree.
     """
     if a < 0:
         return MultiPoly.zero()
-    if a == 0:
-        return MultiPoly.one()
-    out = MultiPoly.zero()
-    for i in range(1, min(a, g) + 1):
-        out = out - MultiPoly.variable(lam(i)) * _segre_class(g, a - i)
-    return out
+    known = _segre_classes(g)
+    while len(known) <= a:
+        b = len(known)
+        out = MultiPoly.zero()
+        for i in range(1, min(b, g) + 1):
+            out = out - MultiPoly.variable(lam(i)) * known[b - i]
+        known.append(out)
+    return known[a]
 
 
 def _signed_lambda(g: int, a: int) -> MultiPoly:
@@ -154,20 +182,17 @@ def _entry(
     """Degree-k part of (sum_a c_a) * c(interval), psi^b marking degree b.
 
     For "psi", c_a = complete(a) = h_a(x) and the interval list
-    {shift..r-1+shift} enters with elementary coefficients when r >= 1,
-    or {0..-r} with complete coefficients when it is inverted;
-    "psi_prime" uses c_a = elementary(a) = e_a(x) and swaps the two
-    coefficient kinds.  The inverted list is never shifted: it occurs
-    only when l(mu) > g, where both conventions give zero.  psi is the
-    variable psi, or the number -u.
+    {shift..r-1+shift} enters with elementary coefficients; "psi_prime"
+    uses c_a = elementary(a) = e_a(x) and complete coefficients.  r >= 1
+    whenever l(mu) <= g.  psi is the variable psi, or the number -u.
     """
     if variant == "psi":
-        series, genuine, inverted = complete, elementary_of_values, complete_of_values
+        series, interval = complete, elementary_of_values
     else:
-        series, genuine, inverted = elementary, complete_of_values, elementary_of_values
+        series, interval = elementary, complete_of_values
     if k < 0:
         return 0
-    coeffs = genuine(range(shift, r + shift), k) if r >= 1 else inverted(range(0, -r + 1), k)
+    coeffs = interval(range(shift, r + shift), k)
     out: Value = 0
     for b, c in enumerate(coeffs):
         if c:
@@ -214,5 +239,142 @@ def psi_matrix(mu: Partition, g: int, variant: str = "psi", shift: int = 0) -> P
     kstar_schubert(mu, g) at shift = 0, that is u^|mu| t_mu(x/u) with
     u -> -psi.  shift = 1 raises every interval value by one, which
     gives u^|mu| t_mu(x/u - 1), the Weierstrass class (see wcycles).
+    Refused for l(mu) > g, where the class is zero.
     """
+    if mu.length > g:
+        raise ValueError("partition longer than the genus")
     return _matrix(mu, g, variant, lambda r, k: _matrix_entry(variant, g, r, k, shift))
+
+
+# -- the roots view ----------------------------------------------------------
+
+
+def in_roots(p: MultiPoly, xs: tuple[Variable, ...]) -> MultiPoly:
+    """p under lambda_a -> (-1)^a e_a(xs), for g = len(xs) variables xs in
+    canonical order; p is a polynomial in lambda_1..lambda_g and psi.
+
+    The image is symmetric in xs, so it is summed orbit by orbit: for
+    each non-lambda part of a monomial (the psi power), one map from
+    weakly decreasing nu to the coefficient of the monomial symmetric
+    function m_nu, taken from `_orbit_table`.  Each orbit is then
+    written out as its distinct rearrangements xs^sigma(nu).
+    """
+    g = len(xs)
+    tables: dict = {}
+    orbits: dict = {}
+    for mono, coeff in p.items():
+        diffs = [0] * g
+        rest = []
+        for var, e in mono:
+            if var.family == "lambda":
+                diffs[var.index - 1] = e
+            else:
+                rest.append((var, e))
+        if sum(a * d for a, d in enumerate(diffs, start=1)) % 2:
+            coeff = -coeff
+        if coeff.denominator == 1:
+            coeff = coeff.numerator  # int arithmetic is much faster
+        acc = orbits.setdefault(tuple(rest), {})
+        for nu, count in _orbit_table(tuple(diffs), tables).items():
+            acc[nu] = acc.get(nu, 0) + coeff * count
+    orbit_monos: dict = {}
+    out: dict = {}
+    for rest, acc in orbits.items():
+        for nu, coeff in acc.items():
+            if coeff:
+                for xmono in _orbit_monomials(xs, nu, orbit_monos):
+                    out[_mono_mul(rest, xmono)] = coeff
+    return MultiPoly(out)
+
+
+def _moves(vec: tuple[int, ...], a: int, step: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each sort(vec + step * 1_S) over a-subsets S of the places, with the
+    number of subsets S that give it.
+
+    vec is weakly decreasing and step is +1 or -1; for -1 only subsets
+    inside the support count.  Choosing j places of a run of n equal
+    entries gives comb(n, j) subsets, and the result stays sorted when the
+    chosen places of a run are its first (step +1) or last (step -1).
+    """
+    runs = [(v, len(list(group))) for v, group in groupby(vec)]
+    out = []
+
+    def rec(r: int, left: int, head: tuple[int, ...], ways: int) -> None:
+        if r == len(runs):
+            if not left:
+                out.append((head, ways))
+            return
+        v, n = runs[r]
+        top = min(n, left) if step > 0 or v else 0
+        for j in range(top + 1):
+            if step > 0:
+                piece = (v + 1,) * j + (v,) * (n - j)
+            else:
+                piece = (v,) * (n - j) + (v - 1,) * j
+            rec(r + 1, left - j, head + piece, ways * math.comb(n, j))
+
+    rec(0, a, (), 1)
+    return out
+
+
+def _orbit_table(diffs: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], int]:
+    """prod_a e_a(x_1..x_g)^(diffs_a) on the monomial symmetric functions,
+    g = len(diffs).
+
+    Maps each weakly decreasing g-tuple nu to the coefficient of m_nu: the
+    number of 0-1 matrices whose row sums are the factor indices (a taken
+    diffs_a times) and whose column sums are nu (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.6).  Built from the table with one
+    factor e_a fewer, a the largest index with diffs_a > 0, by the pull
+    rule
+
+        [x^nu](f e_a) = sum over a-subsets S with nu - 1_S >= 0 of
+                        [x^sort(nu - 1_S)] f,
+
+    which holds for symmetric f.  Every nu with a nonzero coefficient is
+    sort(mu + 1_S) for some mu of the smaller table.  memo maps exponent
+    vectors to their tables: the chain of smaller tables is walked down
+    to the first one in memo, then built back up with every step stored,
+    so no call recurses once per factor.
+    """
+    chain = []
+    while diffs not in memo:
+        a = max((i for i, d in enumerate(diffs, start=1) if d), default=0)
+        if not a:
+            memo[diffs] = {diffs: 1}  # the empty product: m_0 = 1
+            break
+        chain.append((diffs, a))
+        diffs = diffs[: a - 1] + (diffs[a - 1] - 1,) + diffs[a:]
+    table = memo[diffs]
+    for diffs, a in reversed(chain):
+        candidates = {nu for mu in table for nu, _ in _moves(mu, a, 1)}
+        table = memo[diffs] = {
+            nu: sum(table.get(mu, 0) * ways for mu, ways in _moves(nu, a, -1))
+            for nu in candidates
+        }
+    return table
+
+
+def _orbit_monomials(xs: tuple[Variable, ...], nu: tuple[int, ...], memo: dict) -> list:
+    """Every distinct monomial x^sigma(nu) in the last len(nu) variables of xs.
+
+    nu is weakly decreasing.  The orbit of a tail of nu lives in the
+    last places only, so memo, keyed by that tail, shares it between the
+    orbits of every nu a caller passes with the same xs.
+    """
+    if not nu or not nu[0]:
+        return [()]
+    found = memo.get(nu)
+    if found is None:
+        place = xs[len(xs) - len(nu)]
+        found = []
+        for head in dict.fromkeys(nu):
+            i = nu.index(head)
+            tails = _orbit_monomials(xs, nu[:i] + nu[i + 1 :], memo)
+            if head:
+                pair = ((place, head),)
+                found.extend([pair + tail for tail in tails])
+            else:
+                found.extend(tails)
+        memo[nu] = found
+    return found

@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DataError
-from .exactalg import Echelon, MultiPoly, PSI, lam
+from .exactalg import Echelon, MultiPoly
 from .pullback import kstar_schubert, lambda_monomials
+from .schur import elementary_of_values
 from .semigroups import (
     DEFAULT_MAX_GENUS,
     NumericalSemigroup,
@@ -41,7 +42,6 @@ __all__ = [
     "hilbert_quotient_upper",
     "hilbert_quotient_lower",
     "in_staircase",
-    "ev_homomorphism",
     "sandwich_report",
     "violating_partitions",
 ]
@@ -90,9 +90,7 @@ def relation_generators(g: int, max_weight: int) -> list[tuple[Partition, MultiP
         raise DataError("relations need genus at least 1")
     if max_weight < 1:
         raise DataError("the weight cutoff must be at least 1")
-    return [
-        (mu, kstar_schubert(mu, g).value_lambda) for mu in violating_partitions(g, max_weight)
-    ]
+    return [(mu, kstar_schubert(mu, g)) for mu in violating_partitions(g, max_weight)]
 
 
 def hilbert_quotient_upper(g: int, cutoff: int) -> list[int]:
@@ -116,31 +114,14 @@ def hilbert_quotient_upper(g: int, cutoff: int) -> list[int]:
 
 
 def _fixed_point_values(semigroup: NumericalSemigroup) -> list[int]:
-    """e_0..e_g of s_1 + 1, ..., s_g + 1, read off prod_i (1 + (s_i + 1) t).
+    """e_0..e_g of s_1 + 1, ..., s_g + 1.
 
-    One integer pass gives every e_i; lambda_i evaluates to e_i psi^i at
-    the monomial fixed point of the semigroup.
+    lambda_i evaluates to e_i psi^i at the monomial fixed point of the
+    semigroup.
     """
     seq = weierstrass_sequence(semigroup)
-    coeffs = [1]
-    for i in range(1, semigroup.genus + 1):
-        s = seq.s(i) + 1
-        coeffs = [a + s * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
-
-
-def ev_homomorphism(p: MultiPoly, semigroup: NumericalSemigroup) -> MultiPoly:
-    """Evaluation at the monomial fixed point of a semigroup.
-
-    The substitution lambda_i -> e_i(s_1 + 1, ..., s_g + 1) psi^i is a
-    ring homomorphism onto Q[psi].
-    """
-    for v in p.variables():
-        if v.family not in ("lambda", "psi"):
-            raise ValueError("ev expects a polynomial in lambda and psi")
-    psi = MultiPoly.variable(PSI)
-    e_values = _fixed_point_values(semigroup)
-    return p.substitute({lam(i): (psi**i).scale(e_values[i]) for i in range(1, len(e_values))})
+    g = semigroup.genus
+    return elementary_of_values([seq.s(i) + 1 for i in range(1, g + 1)], g)
 
 
 def hilbert_quotient_lower(g: int, cutoff: int, max_genus: int = DEFAULT_MAX_GENUS) -> list[int]:

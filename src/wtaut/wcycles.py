@@ -20,7 +20,7 @@ raised by one, psi_matrix(mu, g, shift=1).  The unit shift is what makes
 mu = (1) reproduce the classical Weierstrass divisor class
 g(g+1)/2 psi - lambda_1.  The unshifted evaluation u^|mu| t_mu(x/u) is
 kept available for comparison: it is the plain pullback
-kstar_schubert(mu, g).value_lambda (in s*_mu(z) with
+kstar_schubert(mu, g) (in s*_mu(z) with
 z_i = (x_i + (i - g) u) / u the shifted-Schur stagger cancels the
 offset), and for mu = (1) it is g(g-1)/2 psi - lambda_1.
 Pushing forward along the forgetful map sends lambda-monomial times
@@ -114,9 +114,9 @@ def weierstrass_class(semigroup: NumericalSemigroup, unshifted: bool = False) ->
     This is virtual_class of the partition of its index sequence with the
     semigroup attached; the semigroup's own sequence realizes that
     partition, so the class is never flagged virtual.  unshifted=True
-    returns the plain Schubert pullback kstar_schubert(mu, g).value_lambda
-    instead; for mu = (1) that is g(g-1)/2 psi - lambda_1 rather than
-    g(g+1)/2 psi - lambda_1.
+    returns the plain Schubert pullback kstar_schubert(mu, g) instead; for
+    mu = (1) that is g(g-1)/2 psi - lambda_1 rather than g(g+1)/2 psi -
+    lambda_1.
     """
     g = semigroup.genus
     mu = hprime_partition(weierstrass_sequence(semigroup), g)
@@ -128,8 +128,7 @@ def virtual_class(mu: Partition, g: int, unshifted: bool = False) -> CycleClass:
 
     Flagged virtual when no semigroup sequence dominates the sequence
     attached to mu.  unshifted=True returns the plain Schubert pullback
-    kstar_schubert(mu, g).value_lambda, which for mu = (1) is
-    g(g-1)/2 psi - lambda_1.
+    kstar_schubert(mu, g), which for mu = (1) is g(g-1)/2 psi - lambda_1.
     """
     if mu.length > g:
         raise DataError("partition longer than the genus")

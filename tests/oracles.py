@@ -1,7 +1,8 @@
 """Reference routines the tests compare the production code against.
 
 Each one is an independent, slower route to an object that `wtaut`
-computes another way.  None of them is reached from `src/`.
+computes another way, or a helper only tests need.  None of them is
+reached from `src/`.
 
 * `elementary_in_x`, `complete_in_x`: e_a and h_a of x_1..x_g as
   explicit polynomials, by the one-variable recursions.
@@ -9,7 +10,7 @@ computes another way.  None of them is reached from `src/`.
   as a table over every exponent vector, built by repeated products.
 * `value_x_expansion`: a lambda-psi class written in the x-roots by
   expanding each lambda-monomial through that full table, the route
-  `PullbackClass.value_x` took before it went orbit by orbit.
+  `schur.in_roots` took before it went orbit by orbit.
 * `to_lambda_basis`: the inverse change of basis, by peeling off
   leading orbits.
 * `lambda_psi_monomials`, `coefficient_rows`, `integer_rows`,
@@ -31,12 +32,20 @@ computes another way.  None of them is reached from `src/`.
   term records and the {"text", "terms"} object built as separate dicts
   and lists for `json.dumps`, the route the CLI took before it wrote
   each polynomial in one pass over its terms; `from_json` reads the
-  term records back.
+  term records back, naming variables through `parse_variable`.
+* `exact_div`: exact polynomial division, the ratio route's division by
+  each factor of the Vandermonde.
+* `weighted_degrees`, `homogeneous_components`: the weighted degrees of
+  a polynomial's terms, and its split into homogeneous parts.
+* `ev_homomorphism`: a lambda-psi class evaluated at the monomial fixed
+  point of a semigroup, by substitution.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,13 +57,13 @@ from wtaut.exactalg import (
     PolyMatrix,
     Variable,
     _mono_mul,
-    exact_div,
+    _mono_weight,
     lam,
     mono_sort_key,
     xvar,
 )
-from wtaut.pullback import MumfordIdeal, lambda_monomials
-from wtaut.semigroups import Partition, enumerate_semigroups
+from wtaut.pullback import lambda_monomials, mumford_generators
+from wtaut.semigroups import NumericalSemigroup, Partition, enumerate_semigroups
 from wtaut.tautring import _fixed_point_values
 
 
@@ -154,7 +163,7 @@ def to_lambda_basis(p: MultiPoly, g: int) -> MultiPoly:
     peel off the lex-leading x orbit with the matching product of
     elementary symmetric polynomials; every step only creates smaller
     orbits, so a max-heap over x exponent vectors drives the loop.  No
-    class is computed through it: it inverts PullbackClass.value_x and
+    class is computed through it: it inverts schur.in_roots and
     serves as an independent check of the lambda-native routes.
     """
     import heapq
@@ -284,7 +293,7 @@ def full_slice_pivots(g: int, degree: int):
     basis = lambda_psi_monomials(g, degree)
     products = [
         m * gen
-        for gen_degree, gen in MumfordIdeal.for_genus(g).generators
+        for gen_degree, gen in mumford_generators(g)
         if gen_degree <= degree
         for m in lambda_psi_monomials(g, degree - gen_degree)
     ]
@@ -301,7 +310,7 @@ def full_slice_reduce(p: MultiPoly, g: int) -> MultiPoly:
         if v.family not in ("lambda", "psi") or v.index > g:
             raise ValueError("mumford_reduce expects a polynomial in lambda_1..lambda_g and psi")
     out = MultiPoly.zero()
-    for degree, comp in enumerate(p.homogeneous_components()):
+    for degree, comp in enumerate(homogeneous_components(p)):
         if comp.is_zero():
             continue
         basis, echelon = full_slice_pivots(g, degree)
@@ -436,8 +445,104 @@ def from_json(data) -> MultiPoly:
     acc: dict = {}
     for entry in data:
         coeff = Fraction(entry["coeff"])
-        pairs = [(Variable.parse(name), int(e)) for name, e in entry["exps"].items()]
+        pairs = [(parse_variable(name), int(e)) for name, e in entry["exps"].items()]
         mono = tuple(sorted(pairs, key=lambda p: p[0].sort_key()))
         if coeff:
             acc[mono] = acc.get(mono, Fraction(0)) + coeff
     return MultiPoly(acc)
+
+
+_NAME_RE = re.compile(r"^([a-z]+?)(\d*)$")
+
+
+def parse_variable(name: str) -> Variable:
+    """The variable whose name is name, as in lambda12, psi or x3."""
+    m = _NAME_RE.match(name)
+    if m is None:
+        raise ValueError(f"cannot parse variable name {name!r}")
+    family, digits = m.group(1), m.group(2)
+    if family in ("psi", "u"):
+        if digits:
+            raise ValueError(f"cannot parse variable name {name!r}")
+        return Variable(family)
+    if not digits:
+        raise ValueError(f"variable {name!r} needs an index")
+    return Variable(family, int(digits))
+
+
+def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Exact polynomial division; raises ValueError if q does not divide p.
+
+    The leading term of the remainder comes from a heap that holds every
+    monomial of the remainder, and possibly some cancelled since.
+    """
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return MultiPoly.zero()
+    lq_mono, lq_coeff = q.terms()[0]
+    lq = dict(lq_mono)
+    rem = dict(p.items())
+    heap = [(mono_sort_key(m), m) for m in rem]
+    heapq.heapify(heap)
+    quot: dict = {}
+    qterms = list(q.items())
+    while heap:
+        mono = heapq.heappop(heap)[1]
+        coeff = rem.get(mono)
+        if coeff is None:
+            continue
+        exps = dict(mono)
+        factor = []
+        for var, e in lq.items():
+            have = exps.get(var, 0)
+            if have < e:
+                raise ValueError("not divisible")
+            factor.append((var, have - e))
+        for var, e in exps.items():
+            if var not in lq:
+                factor.append((var, e))
+        fac_mono = tuple(sorted(((v, e) for v, e in factor if e), key=lambda x: x[0].sort_key()))
+        c = coeff / lq_coeff
+        quot[fac_mono] = quot.get(fac_mono, Fraction(0)) + c
+        for mq, cq in qterms:
+            target = _mono_mul(fac_mono, mq)
+            acc = rem.get(target, 0) - c * cq
+            if not acc:
+                rem.pop(target, None)
+                continue
+            if target not in rem:
+                heapq.heappush(heap, (mono_sort_key(target), target))
+            rem[target] = acc
+    return MultiPoly(quot)
+
+
+def weighted_degrees(p: MultiPoly) -> set[int]:
+    """The weighted degrees of the terms of p: one for a nonzero homogeneous p."""
+    return {_mono_weight(mono) for mono, _ in p.items()}
+
+
+def homogeneous_components(p: MultiPoly) -> list[MultiPoly]:
+    """Split into weighted-homogeneous parts, indexed by degree.
+
+    Returns a list comps with comps[i] homogeneous of degree i and
+    sum(comps) == p.
+    """
+    buckets: dict[int, dict] = {}
+    for mono, coeff in p.items():
+        buckets.setdefault(_mono_weight(mono), {})[mono] = coeff
+    return [MultiPoly(buckets.get(d, {})) for d in range(max(buckets, default=-1) + 1)]
+
+
+def ev_homomorphism(p: MultiPoly, semigroup: NumericalSemigroup) -> MultiPoly:
+    """Evaluation at the monomial fixed point of a semigroup.
+
+    The substitution lambda_i -> e_i(s_1 + 1, ..., s_g + 1) psi^i is a
+    ring homomorphism onto Q[psi].
+    """
+    for v in p.variables():
+        if v.family not in ("lambda", "psi"):
+            raise ValueError("ev expects a polynomial in lambda and psi")
+    psi = MultiPoly.variable(PSI)
+    e_values = _fixed_point_values(semigroup)
+    return p.substitute({lam(i): (psi**i).scale(e_values[i]) for i in range(1, len(e_values))})

@@ -208,6 +208,15 @@ def test_results_beyond_the_int_digit_cap_are_rendered_in_full(capsys):
     assert coeff == factorial_schur(Partition((1000,)), values).constant_term()
 
 
+def test_power_sums_of_high_degree_build_without_deep_recursion(capsys):
+    # p_600 at genus 1 is lambda1^600: one step per degree, each built on the last
+    code, out, err = _run(capsys, ["psum", "--genus", "1", "--power", "600"])
+    assert code == 0, err
+    [record] = json.loads(out)["payload"]
+    assert record["value_lambda"]["text"] == "lambda1^600"
+    assert record["value_x"]["text"] == "x1^600"
+
+
 def test_sandwich_violation_is_a_data_error(capsys, monkeypatch):
     monkeypatch.setattr(
         wtaut.tautring,
@@ -296,6 +305,18 @@ def test_bad_format_in_config_file_is_rejected_before_work(capsys, tmp_path, mon
     assert code == 3
     assert out == ""
     assert "xml" in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_file_is_a_data_error(capsys, tmp_path, kind):
+    config = tmp_path / "run.cfg"
+    if kind == "directory":
+        config.mkdir()
+    code, out, err = _run(capsys, ["--config", str(config), "semigroups", "--genus", "1"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("wtaut: data error: cannot read config file ")
+    assert str(config) in err
 
 
 def test_config_file_values_and_flag_precedence(capsys, tmp_path):

@@ -11,12 +11,20 @@ from oracles import (
     elementary_in_x,
     falling_factorial,
     generalized_power,
+    homogeneous_components,
     ratio_factorial_schur,
     ratio_shifted_schur,
     to_lambda_basis,
 )
 from wtaut.exactalg import MultiPoly, PSI, U, xvar, zvar
-from wtaut.schur import factorial_schur, generic_arguments, psi_matrix, shifted_schur
+from wtaut.schur import (
+    elementary_of_values,
+    factorial_schur,
+    generic_arguments,
+    in_roots,
+    psi_matrix,
+    shifted_schur,
+)
 from wtaut.semigroups import Partition, partitions_up_to
 
 Z1, Z2 = generic_arguments(2)
@@ -224,22 +232,22 @@ def test_double_schur_recovers_equivariant_pullback():
     psi = MultiPoly.variable(PSI)
     for g in (1, 2, 3):
         for mu in partitions_up_to(3, max_length=g):
-            xs = [MultiPoly.variable(xvar(i)) for i in range(1, g + 1)]
-            value = double_schur(mu, xs, a).substitute({U: -psi})
-            assert value == kstar_schubert(mu, g).value_x
+            roots = tuple(xvar(i) for i in range(1, g + 1))
+            value = double_schur(mu, [MultiPoly.variable(x) for x in roots], a).substitute({U: -psi})
+            assert value == in_roots(kstar_schubert(mu, g), roots)
 
 
 # -- homogeneous decomposition ------------------------------------------------------
 
 
 def test_homogeneous_components_example():
-    comps = (Z1 + Z2 - 1).homogeneous_components()
+    comps = homogeneous_components(Z1 + Z2 - 1)
     assert comps == [MultiPoly.constant(-1), Z1 + Z2]
 
 
 def test_homogeneous_single_component():
     p = Z1 * Z2
-    comps = p.homogeneous_components()
+    comps = homogeneous_components(p)
     assert sum(1 for c in comps if not c.is_zero()) == 1
     assert comps[2] == p
 
@@ -254,7 +262,7 @@ def test_homogeneous_components_resum():
                 mono = mono * MultiPoly.variable(v) ** rng.randint(0, 2)
             p = p + mono
         total = MultiPoly.zero()
-        for comp in p.homogeneous_components():
+        for comp in homogeneous_components(p):
             total = total + comp
         assert total == p
 
@@ -297,13 +305,34 @@ def test_psi_matrix_determinants_agree_small():
 
     for g in (1, 2, 3):
         for mu in partitions_up_to(4):
-            expected = to_lambda_basis(kstar_schubert(mu, g).value_x, g)
+            if mu.length > g:  # the class is zero, and no matrix is built
+                assert kstar_schubert(mu, g).is_zero()
+                for variant in ("psi", "psi_prime"):
+                    for shift in (0, 1):
+                        with pytest.raises(ValueError, match="longer than the genus"):
+                            psi_matrix(mu, g, variant, shift=shift)
+                continue
+            xs = tuple(xvar(i) for i in range(1, g + 1))
+            expected = to_lambda_basis(in_roots(kstar_schubert(mu, g), xs), g)
             assert psi_matrix(mu, g, "psi").det() == expected
             assert psi_matrix(mu, g, "psi_prime").det() == expected
             # the unit shift of the interval gives the Weierstrass convention
-            shifted = virtual_class(mu, g).class_pointed if mu.length <= g else 0
+            shifted = virtual_class(mu, g).class_pointed
             assert psi_matrix(mu, g, "psi", shift=1).det() == shifted, (mu.parts, g)
             assert psi_matrix(mu, g, "psi_prime", shift=1).det() == shifted, (mu.parts, g)
+
+
+def test_elementary_of_values_are_the_interval_product_coefficients():
+    # prod_{m=0}^{r-1} (1 - m u), the Chern polynomial of the interval
+    # {0..r-1}, carries e_b(0..r-1) at (-u)^b
+    u = MultiPoly.variable(U)
+    for r in (1, 2, 3, 4):
+        product = MultiPoly.one()
+        for m in range(r):
+            product = product * (1 - u.scale(m))
+        for b in range(0, r + 1):
+            coeff = product.coefficient([(U, b)]) if b else product.constant_term()
+            assert coeff == elementary_of_values(range(r), r)[b] * (-1) ** b
 
 
 def test_symmetric_tables():
