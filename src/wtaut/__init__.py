@@ -8,10 +8,10 @@ bounds for tautological rings, all in exact rational arithmetic.
 
 from .exactalg import (
     MultiPoly,
-    PolyMatrix,
     PSI,
     U,
     Variable,
+    det,
     kap,
     lam,
     xvar,

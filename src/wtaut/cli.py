@@ -38,15 +38,17 @@ from .wcycles import push_to_unpointed, virtual_class, weierstrass_class
 
 # hilbert's cost is the fixed-point lower bound, one echelon of lambda-monomial
 # rows over all semigroups of the genus: as CLI runs at degree 16 it takes
-# about 0.13 s at genus 4, 0.24 s at genus 8, 1.4 s at genus 10 and 13 s at
-# genus 12, the default genus cap (Python 3.11, one core).
+# about 0.2 s at genus 4 and 8, 1.2 s at genus 10 and 11 s at genus 12, the
+# default genus cap (Python 3.11, one core).
 MAX_DEGREE_CAP = 16
 # schur-eval expands a Kempf-Laksov determinant of at most n rows, at a cost
 # growing like 2^n.  As CLI runs with the staircase (5,4,3,2,1), 6 symbolic
-# arguments take about 0.7 s (factorial) and 4 s (shifted: the stagger is
-# substituted afterwards), print 4.3-4.7 MB and peak under 50 MB; the
+# arguments take about 0.65 s (factorial) and 1.7 s (shifted: the stagger is
+# substituted afterwards), print 4.3-4.7 MB and peak under 45 MB; the
 # factorial result in 7 arguments already has 383,415 terms.  12 numeric
-# arguments take under 0.4 s for any partition (Python 3.11, one core).
+# arguments take 0.2 s for the staircase; the determinant is integer
+# arithmetic, so its time grows with the digits of the entries: 1.7 s for
+# twelve parts of 100 (Python 3.11, one core).
 MAX_SCHUR_VARIABLES = 6
 MAX_SCHUR_VALUES = 12
 FORMATS = ("json", "csv", "latex")

@@ -6,24 +6,26 @@ classes, Hilbert tables) reduces to arithmetic in the graded ring
     Q[lambda_1..lambda_g, psi, kappa_j, x_i, u, z_i]
 
 with weights  lambda_i -> i,  kappa_j -> j,  and 1 for all the weight-one
-families (psi, u, x, z).  Coefficients are exact rationals; there is no
-floating-point mode.  Monomials are kept in a canonical graded-lex order
-(family precedence lambda < psi < kappa < x < u < z, then index) so
-printed polynomials and JSON payloads are byte-stable across runs.
-Linear algebra over the integers is one kernel, Echelon.
+families (psi, u, x, z).  Coefficients are exact: ints, and Fractions
+only where a division makes them; there is no floating-point mode.
+Variables are plain tuples and monomials tuples of (variable, exponent)
+pairs, kept in a canonical graded-lex order (family precedence
+lambda < psi < kappa < x < u < z, then index) so printed polynomials
+and JSON payloads are byte-stable across runs.  Determinants are one
+function, det; linear algebra over the integers is one kernel, Echelon.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Variable",
     "MultiPoly",
-    "PolyMatrix",
+    "det",
     "lam",
     "kap",
     "xvar",
@@ -40,52 +42,41 @@ _UNINDEXED = frozenset(("psi", "u"))
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(namedtuple("Variable", "rank index weight name")):
     """One symbol from the fixed alphabet, e.g. lambda_3, psi, or x_2.
 
-    The weight (graded degree) is determined by family and index:
-    lambda_i and kappa_j carry their index, every other family has
-    weight one.  psi and u are distinct symbols; they are only related
-    through the explicit substitution u -> -psi performed by callers.
+    A variable is the plain tuple (rank, index, weight, name), where rank
+    is the place of its family in lambda < psi < kappa < x < u < z.  So
+    tuple order is canonical order, and tuple equality and hashing are
+    those of the symbol.  The weight (graded degree) is the index for
+    lambda_i and kappa_j and one for every other family.  psi and u are
+    distinct symbols; they are only related through the explicit
+    substitution u -> -psi performed by callers.
     """
 
-    family: str
-    index: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in _RANK:
-            raise ValueError(f"unknown variable family {self.family!r}")
-        if self.family in _UNINDEXED:
-            if self.index != 0:
-                raise ValueError(f"{self.family} takes no index")
-        elif self.family == "kappa":
-            if self.index < 0:
+    def __new__(cls, family: str, index: int = 0) -> "Variable":
+        if family not in _RANK:
+            raise ValueError(f"unknown variable family {family!r}")
+        if family in _UNINDEXED:
+            if index != 0:
+                raise ValueError(f"{family} takes no index")
+        elif family == "kappa":
+            if index < 0:
                 raise ValueError("kappa index must be >= 0")
-        elif self.index < 1:
-            raise ValueError(f"{self.family} index must be >= 1")
-        object.__setattr__(self, "_key", (_RANK[self.family], self.index))
-        object.__setattr__(
-            self, "_weight", self.index if self.family in ("lambda", "kappa") else 1
-        )
-        object.__setattr__(self, "_hash", hash((self.family, self.index)))
-        object.__setattr__(
-            self, "_name", self.family if self.family in _UNINDEXED else f"{self.family}{self.index}"
-        )
+        elif index < 1:
+            raise ValueError(f"{family} index must be >= 1")
+        weight = index if family in ("lambda", "kappa") else 1
+        name = family if family in _UNINDEXED else f"{family}{index}"
+        return super().__new__(cls, _RANK[family], index, weight, name)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self) -> tuple[str, int]:
+        return self.family, self.index
 
     @property
-    def weight(self) -> int:
-        return self._weight
-
-    def sort_key(self) -> tuple[int, int]:
-        return self._key
-
-    @property
-    def name(self) -> str:
-        return self._name
+    def family(self) -> str:
+        return _FAMILIES[self.rank]
 
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"
@@ -112,7 +103,7 @@ U = Variable("u")
 
 
 # A monomial is a tuple of (Variable, exponent) pairs with positive
-# exponents, sorted by Variable.sort_key.  The empty tuple is 1.
+# exponents, sorted by variable (canonical order).  The empty tuple is 1.
 Monomial = tuple[tuple[Variable, int], ...]
 
 
@@ -129,12 +120,11 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     ia = ib = 0
     while ia < len(a) and ib < len(b):
         (va, ea), (vb, eb) = a[ia], b[ib]
-        ka, kb = va.sort_key(), vb.sort_key()
-        if ka == kb:
+        if va == vb:
             out.append((va, ea + eb))
             ia += 1
             ib += 1
-        elif ka < kb:
+        elif va < vb:
             out.append(a[ia])
             ia += 1
         else:
@@ -145,10 +135,11 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-# Sentinel larger than any real (rank, index) pair; it makes a monomial
-# that is a strict prefix of another (possible only through weight-zero
-# kappa_0) compare as the larger one, matching sparse-lex semantics.
-_END = (1 << 30, 0, 0)
+# Sentinel pair after every (variable, -exponent) pair, its "variable"
+# ranking past every family; it makes a monomial that is a strict prefix
+# of another (possible only through weight-zero kappa_0) compare as the
+# larger one, matching sparse-lex semantics.
+_END = ((1 << 30,), 0)
 
 
 def mono_sort_key(mono: Monomial):
@@ -158,40 +149,31 @@ def mono_sort_key(mono: Monomial):
     negated and exponents enter negated, so tuple comparison walks the
     variables in canonical order and prefers larger exponents.
     """
-    return (
-        -_mono_weight(mono),
-        tuple((v._key[0], v._key[1], -e) for v, e in mono) + (_END,),
-    )
+    return -_mono_weight(mono), tuple([(v, -e) for v, e in mono]) + (_END,)
 
 
-def _coerce_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _coerce_coeff(value) -> Scalar:
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         raise TypeError("floating-point coefficients are not allowed")
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
 class MultiPoly:
-    """Immutable sparse polynomial: map from monomial to nonzero Fraction.
+    """Immutable sparse polynomial: map from monomial to nonzero coefficient.
 
-    The canonically sorted term list is built on first use and kept, so
+    Coefficients are kept as given, int or Fraction, so integer
+    arithmetic stays on ints until a division makes a Fraction.  The
+    canonically sorted term list is built on first use and kept, so
     rendering a polynomial several ways sorts it once.
     """
 
     __slots__ = ("_terms", "_sorted")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        cleaned: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = _coerce_coeff(coeff)
-                if coeff:
-                    cleaned[mono] = coeff
-        object.__setattr__(self, "_terms", cleaned)
-        object.__setattr__(self, "_sorted", None)
+    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+        self._terms = {mono: coeff for mono, coeff in terms.items() if coeff} if terms else {}
+        self._sorted = None
 
     # -- constructors ------------------------------------------------
 
@@ -201,7 +183,7 @@ class MultiPoly:
 
     @classmethod
     def one(cls) -> "MultiPoly":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def constant(cls, value: Scalar) -> "MultiPoly":
@@ -209,15 +191,21 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, var: Variable) -> "MultiPoly":
-        return cls({((var, 1),): Fraction(1)})
+        return cls({((var, 1),): 1})
 
-    @classmethod
-    def monomial(cls, pairs: Iterable[tuple[Variable, int]], coeff: Scalar = 1) -> "MultiPoly":
-        mono = tuple(sorted(((v, e) for v, e in pairs if e), key=lambda p: p[0].sort_key()))
-        for v, e in mono:
-            if e < 0:
-                raise ValueError("negative exponent in monomial")
-        return cls({mono: _coerce_coeff(coeff)})
+    @staticmethod
+    def sum(values: Iterable["MultiPoly | Scalar"]) -> "MultiPoly":
+        """The sum of the values, accumulated in one dict.
+
+        Adding them one by one copies the growing partial sum at every
+        step; for k values of comparable size that costs about k/2 times
+        as much.
+        """
+        acc: dict[Monomial, Scalar] = {}
+        for value in values:
+            for mono, coeff in MultiPoly._wrap(value)._terms.items():
+                acc[mono] = acc.get(mono, 0) + coeff
+        return MultiPoly(acc)
 
     @staticmethod
     def _wrap(value: "MultiPoly | Scalar") -> "MultiPoly":
@@ -226,9 +214,6 @@ class MultiPoly:
         return MultiPoly.constant(value)
 
     # -- basic protocol ----------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -240,32 +225,18 @@ class MultiPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical display order (leading term first), as a new list."""
-        return list(self._sorted_terms())
-
-    def _sorted_terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
+    def _sorted_terms(self) -> tuple[tuple[Monomial, Scalar], ...]:
+        """Terms in canonical display order, leading term first."""
         if self._sorted is None:
-            ordered = tuple(sorted(self._terms.items(), key=lambda term: mono_sort_key(term[0])))
-            object.__setattr__(self, "_sorted", ordered)
+            self._sorted = tuple(sorted(self._terms.items(), key=lambda term: mono_sort_key(term[0])))
         return self._sorted
 
     def items(self):
         """Raw (monomial, coefficient) pairs in arbitrary order."""
         return self._terms.items()
 
-    def term_count(self) -> int:
-        return len(self._terms)
-
-    def coefficient(self, pairs: Iterable[tuple[Variable, int]]) -> Fraction:
-        mono = tuple(sorted(((v, e) for v, e in pairs if e), key=lambda p: p[0].sort_key()))
-        return self._terms.get(mono, Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self._terms.get((), 0)
 
     def variables(self) -> set[Variable]:
         out: set[Variable] = set()
@@ -304,7 +275,7 @@ class MultiPoly:
         # iterate over the smaller factor
         if len(self._terms) > len(other._terms):
             self, other = other, self
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
                 mono = _mono_mul(ma, mb)
@@ -354,7 +325,7 @@ class MultiPoly:
         """
         images = {v: MultiPoly._wrap(p) for v, p in sigma.items()}
         power_cache: dict[tuple[Variable, int], MultiPoly] = {}
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Scalar] = {}
         for mono, coeff in self._terms.items():
             image: MultiPoly | None = None
             plain: list[tuple[Variable, int]] = []
@@ -396,7 +367,7 @@ class MultiPoly:
         """
         for mono, coeff in self._sorted_terms():
             coeff_text = str(coeff)
-            pairs = [(v._name, e) for v, e in mono]
+            pairs = [(v.name, e) for v, e in mono]
             body = "*".join([f"{name}^{e}" if e > 1 else name for name, e in pairs])
             sign, mag = (" - ", coeff_text[1:]) if coeff_text[0] == "-" else (" + ", coeff_text)
             if body:
@@ -450,58 +421,41 @@ class MultiPoly:
         return f"MultiPoly({self.canonical_str()})"
 
 
-class PolyMatrix:
-    """Rectangular matrix of MultiPoly entries, immutable after construction."""
+def det(rows: Sequence[Sequence[MultiPoly | Scalar]]) -> MultiPoly:
+    """Exact determinant of a square matrix by Laplace expansion with
+    memoised minors.
 
-    __slots__ = ("rows", "cols", "_entries")
-
-    def __init__(self, entries: Sequence[Sequence[MultiPoly | Scalar]]):
-        rows = [tuple(MultiPoly._wrap(e) for e in row) for row in entries]
-        width = len(rows[0]) if rows else 0
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-        if rows and width == 0:
-            raise ValueError("matrix needs at least one column")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "_entries", tuple(rows))
-
-    def __getitem__(self, key: tuple[int, int]) -> MultiPoly:
-        i, j = key
-        return self._entries[i][j]
-
-    def det(self) -> MultiPoly:
-        """Exact determinant by Laplace expansion with memoised minors.
-
-        Row i is expanded against the minors of rows i+1..n-1, each keyed
-        by its set of columns, so every distinct minor is computed once;
-        zero entries and zero minors are skipped.  The minors are built
-        from the bottom row up because the bottom rows of a Kempf-Laksov
-        matrix hold its lowest-degree entries: the largest products are
-        first-row entries times (n-1)-minors, exactly those of cofactor
-        expansion along the first row.  Built from the top down instead,
-        the expansion multiplies large partial expansions of the upper
-        rows, which is 2 to 6 times slower on these matrices.  All
-        C(n, k) minors of k rows may be kept, so the cost grows like 2^n.
-        """
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        minors: dict[int, MultiPoly] = {0: MultiPoly.one()}
-        for row in reversed(self._entries):
-            larger: dict[int, MultiPoly] = {}
-            for cols, minor in minors.items():
-                for j, entry in enumerate(row):
-                    bit = 1 << j
-                    if cols & bit or not entry:
-                        continue
-                    piece = entry * minor
-                    if (cols & (bit - 1)).bit_count() & 1:
-                        piece = -piece
-                    key = cols | bit
-                    larger[key] = larger[key] + piece if key in larger else piece
-            minors = {cols: minor for cols, minor in larger.items() if minor}
-        return minors.get((1 << n) - 1, MultiPoly.zero())
+    The entries are MultiPoly or plain numbers; a matrix of numbers is
+    expanded in their own arithmetic.  Row i is expanded against the
+    minors of rows i+1..n-1, each keyed by its set of columns, so every
+    distinct minor is computed once; zero entries and zero minors are
+    skipped.  The minors are built from the bottom row up because the
+    bottom rows of a Kempf-Laksov matrix hold its lowest-degree entries:
+    the largest products are first-row entries times (n-1)-minors,
+    exactly those of cofactor expansion along the first row.  Built from
+    the top down instead, the expansion multiplies large partial
+    expansions of the upper rows, which is 2 to 6 times slower on these
+    matrices.  All C(n, k) minors of k rows may be kept, so the cost
+    grows like 2^n.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    minors: dict[int, MultiPoly | Scalar] = {0: 1}
+    for row in reversed(rows):
+        larger: dict[int, MultiPoly | Scalar] = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                bit = 1 << j
+                if cols & bit or not entry:
+                    continue
+                piece = entry * minor
+                if (cols & (bit - 1)).bit_count() & 1:
+                    piece = -piece
+                key = cols | bit
+                larger[key] = larger[key] + piece if key in larger else piece
+        minors = {cols: minor for cols, minor in larger.items() if minor}
+    return MultiPoly._wrap(minors.get((1 << n) - 1, 0))
 
 
 class Echelon:

@@ -10,8 +10,8 @@ of (sum_a s_a) * c(interval), where the Segre classes of E*,
 carry the x-dependence and the interval {0..mu_i - i + g - 1} contributes
 plain rational multiples of psi^b.  Raising every interval value by one
 (psi_matrix(mu, g, shift=1)) gives the Weierstrass class of wcycles
-from the same determinant.  The determinant is PolyMatrix.det,
-a Laplace expansion with memoised minors.
+from the same determinant.  The determinant is exactalg.det, a Laplace
+expansion with memoised minors over the rows psi_matrix returns.
 
 kstar_schubert and kstar_power_sum return the class as a polynomial in
 lambda and psi; schur.in_roots writes it in the Chern roots x_1..x_g of
@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import Echelon, Monomial, MultiPoly, PSI, _mono_mul, _mono_weight, kap, lam
+from .exactalg import Echelon, Monomial, MultiPoly, PSI, _mono_mul, _mono_weight, det, kap, lam
 from .schur import psi_matrix
 from .semigroups import Partition
 
@@ -59,7 +59,7 @@ def kstar_schubert(mu: Partition, g: int) -> MultiPoly:
         raise ValueError("genus must be at least 1")
     if mu.length > g:
         return MultiPoly.zero()
-    return psi_matrix(mu, g).det()
+    return det(psi_matrix(mu, g))
 
 
 def _power_sum_lambda(g: int, s: int) -> MultiPoly:
@@ -71,31 +71,25 @@ def _power_sum_lambda(g: int, s: int) -> MultiPoly:
     """
     sums = [MultiPoly.zero()]  # p_0 is never read: i < t keeps t - i >= 1
     for t in range(1, s + 1):
-        out = MultiPoly.zero()
-        for i in range(1, min(t - 1, g) + 1):
-            out = out - MultiPoly.variable(lam(i)) * sums[t - i]
+        lower = range(1, min(t - 1, g) + 1)
+        out = MultiPoly.sum(MultiPoly.variable(lam(i)) * sums[t - i] for i in lower)
         if t <= g:
-            out = out - MultiPoly.variable(lam(t)).scale(t)
-        sums.append(out)
+            out = out + MultiPoly.variable(lam(t)).scale(t)
+        sums.append(-out)
     return sums[s]
 
 
-def kstar_power_sum(s: int, g: int, chern_normalized: bool = False) -> MultiPoly:
+def kstar_power_sum(s: int, g: int) -> MultiPoly:
     """Pullback of the power-sum class: sum_i x_i^s minus the psi tail.
 
     Terms beyond i = g cancel identically under the pinning, leaving
 
         sum_{i<=g} x_i^s - sum_{i<=g} (i - g)^s psi^s.
-
-    chern_normalized divides by s! (Chern-character convention).
     """
     if g < 1 or s < 1:
         raise ValueError("genus and power must be at least 1")
     tail = sum((i - g) ** s for i in range(1, g + 1))
-    value = _power_sum_lambda(g, s) - (MultiPoly.variable(PSI) ** s).scale(tail)
-    if chern_normalized:
-        value = value.scale(Fraction(1, math.factorial(s)))
-    return value
+    return _power_sum_lambda(g, s) - (MultiPoly.variable(PSI) ** s).scale(tail)
 
 
 # -- Mumford quotient -------------------------------------------------------
@@ -113,7 +107,7 @@ def mumford_generators(g: int) -> tuple[tuple[int, MultiPoly], ...]:
     gens = []
     for k in range(1, g + 1):
         pairs = range(max(0, 2 * k - g), min(g, 2 * k) + 1)
-        gen = sum(((lams[i] * lams[2 * k - i]).scale((-1) ** i) for i in pairs), MultiPoly.zero())
+        gen = MultiPoly.sum((lams[i] * lams[2 * k - i]).scale((-1) ** i) for i in pairs)
         gens.append((2 * k, gen))
     return tuple(gens)
 
@@ -155,10 +149,9 @@ def _mumford_pivots(g: int, weight: int):
     for gen_degree, gen in mumford_generators(g):
         if gen_degree > weight:
             break
-        terms = [(mono, int(c)) for mono, c in gen.items()]
         for m in lambda_monomials(g, weight - gen_degree):
             row = [0] * len(basis)
-            for mono, c in terms:
+            for mono, c in gen.items():
                 row[column[_mono_mul(m, mono)]] = c
             echelon.add(row)
     return basis, echelon
@@ -200,15 +193,26 @@ def mumford_reduce(p: MultiPoly, g: int) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n (B_1 = -1/2 convention) via the binomial recurrence."""
+    """Bernoulli number B_n (B_1 = -1/2 convention) via the binomial recurrence
+
+        sum_{j<=m} C(m+1, j) B_j = 0   (m >= 1).
+
+    B_j = 0 for odd j >= 3, so only B_0, B_1 and the even numbers enter
+    the sums; the even ones are built bottom-up.
+    """
     if n < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(n):
-        acc += math.comb(n + 1, j) * bernoulli(j)
-    return -acc / (n + 1)
+    if n == 1:
+        return Fraction(-1, 2)
+    if n % 2:
+        return Fraction(0)
+    evens = [Fraction(1)]  # B_0, B_2, B_4, ...
+    for m in range(2, n + 1, 2):
+        acc = Fraction(1 - m, 2)  # the j = 0 and j = 1 terms, 1 + (m + 1) B_1
+        for i in range(1, m // 2):
+            acc += math.comb(m + 1, 2 * i) * evens[i]
+        evens.append(-acc / (m + 1))
+    return evens[n // 2]
 
 
 def smooth_power_sum(s: int, g: int, paper_sign: bool = False) -> MultiPoly:

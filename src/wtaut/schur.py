@@ -57,7 +57,7 @@ from functools import lru_cache, partial
 from itertools import groupby
 from typing import Callable, Sequence, Union
 
-from .exactalg import MultiPoly, PolyMatrix, PSI, Variable, _mono_mul, lam, zvar
+from .exactalg import MultiPoly, PSI, Variable, _mono_mul, det, lam, zvar
 from .semigroups import Partition
 
 __all__ = [
@@ -93,13 +93,16 @@ def factorial_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
         top = mu.part(1) + mu.length
         complete = complete_of_values(xs, top).__getitem__
         elementary = elementary_of_values(xs, top).__getitem__
+        total = sum
     else:
         u, complete, elementary = 1, partial(_segre_class, n), partial(_signed_lambda, n)
-    det = _matrix(mu, n, variant, lambda r, k: _entry(variant, complete, elementary, r, k, 0, -u)).det()
+        total = MultiPoly.sum
+    terms = partial(_entry_terms, variant, complete, elementary)
+    value = det(_matrix(mu, n, variant, lambda r, k: total(terms(r, k, 0, -u))))
     if numeric:
-        return det / u**mu.weight
+        return value / u**mu.weight
     zvars = tuple(zvar(i) for i in range(1, n + 1))
-    out = in_roots(det, zvars)
+    out = in_roots(value, zvars)
     sigma = {v: z for v, z in zip(zvars, zs) if z != MultiPoly.variable(v)}
     if any(w in sigma and w != v for v, z in sigma.items() for w in z.variables()):
         return out.substitute(sigma)  # z_i -> a polynomial in another z_j: jointly
@@ -154,10 +157,8 @@ def _segre_class(g: int, a: int) -> MultiPoly:
     known = _segre_classes(g)
     while len(known) <= a:
         b = len(known)
-        out = MultiPoly.zero()
-        for i in range(1, min(b, g) + 1):
-            out = out - MultiPoly.variable(lam(i)) * known[b - i]
-        known.append(out)
+        lower = range(1, min(b, g) + 1)
+        known.append(-MultiPoly.sum(MultiPoly.variable(lam(i)) * known[b - i] for i in lower))
     return known[a]
 
 
@@ -170,7 +171,7 @@ def _signed_lambda(g: int, a: int) -> MultiPoly:
     return MultiPoly.variable(lam(a)).scale((-1) ** a)
 
 
-def _entry(
+def _entry_terms(
     variant: str,
     complete: Callable[[int], Value],
     elementary: Callable[[int], Value],
@@ -178,8 +179,10 @@ def _entry(
     k: int,
     shift: int,
     psi: Value,
-) -> Value:
-    """Degree-k part of (sum_a c_a) * c(interval), psi^b marking degree b.
+) -> list[Value]:
+    """The nonzero terms c_(k-b) * coefficient * psi^b of the degree-k part
+    of (sum_a c_a) * c(interval), psi^b marking degree b; the entry is
+    their sum, taken by the caller in one accumulation.
 
     For "psi", c_a = complete(a) = h_a(x) and the interval list
     {shift..r-1+shift} enters with elementary coefficients; "psi_prime"
@@ -191,23 +194,19 @@ def _entry(
     else:
         series, interval = elementary, complete_of_values
     if k < 0:
-        return 0
+        return []
     coeffs = interval(range(shift, r + shift), k)
-    out: Value = 0
-    for b, c in enumerate(coeffs):
-        if c:
-            out = out + series(k - b) * (c * psi**b)
-    return out
+    return [series(k - b) * (c * psi**b) for b, c in enumerate(coeffs) if c]
 
 
 @lru_cache(maxsize=None)
 def _matrix_entry(variant: str, g: int, r: int, k: int, shift: int) -> MultiPoly:
     """The entry in lambda and psi: h_a(x) and e_a(x) in the lambda basis."""
     series = (partial(_segre_class, g), partial(_signed_lambda, g))
-    return MultiPoly._wrap(_entry(variant, *series, r, k, shift, MultiPoly.variable(PSI)))
+    return MultiPoly.sum(_entry_terms(variant, *series, r, k, shift, MultiPoly.variable(PSI)))
 
 
-def _matrix(mu: Partition, g: int, variant: str, entry: Callable[[int, int], Value]) -> PolyMatrix:
+def _matrix(mu: Partition, g: int, variant: str, entry: Callable[[int, int], Value]) -> list[list[Value]]:
     """The Kempf-Laksov matrix of entry(r, k) for each (i, j) of the variant.
 
     Variant "psi" is l(mu) x l(mu): entry (i, j) has degree
@@ -222,16 +221,15 @@ def _matrix(mu: Partition, g: int, variant: str, entry: Callable[[int, int], Val
     else:
         raise ValueError("variant must be 'psi' or 'psi_prime'")
     size = parts.length
-    return PolyMatrix(
-        [
-            [entry(g + sign * (parts.part(i) - i), parts.part(i) + j - i) for j in range(1, size + 1)]
-            for i in range(1, size + 1)
-        ]
-    )
+    return [
+        [entry(g + sign * (parts.part(i) - i), parts.part(i) + j - i) for j in range(1, size + 1)]
+        for i in range(1, size + 1)
+    ]
 
 
-def psi_matrix(mu: Partition, g: int, variant: str = "psi", shift: int = 0) -> PolyMatrix:
-    """Kempf-Laksov matrix whose determinant is the Schubert-class pullback.
+def psi_matrix(mu: Partition, g: int, variant: str = "psi", shift: int = 0) -> list[list[MultiPoly]]:
+    """Rows of the Kempf-Laksov matrix whose determinant is the
+    Schubert-class pullback.
 
     Entries are polynomials in lambda_1..lambda_g and psi, shaped as in
     _matrix: Segre (complete-homogeneous) entries for variant "psi",
@@ -272,8 +270,6 @@ def in_roots(p: MultiPoly, xs: tuple[Variable, ...]) -> MultiPoly:
                 rest.append((var, e))
         if sum(a * d for a, d in enumerate(diffs, start=1)) % 2:
             coeff = -coeff
-        if coeff.denominator == 1:
-            coeff = coeff.numerator  # int arithmetic is much faster
         acc = orbits.setdefault(tuple(rest), {})
         for nu, count in _orbit_table(tuple(diffs), tables).items():
             acc[nu] = acc.get(nu, 0) + coeff * count

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import DataError
-from .exactalg import MultiPoly, PSI, kap
+from .exactalg import MultiPoly, PSI, det, kap
 from .schur import psi_matrix
 from .semigroups import (
     IndexSequence,
@@ -134,7 +134,7 @@ def virtual_class(mu: Partition, g: int, unshifted: bool = False) -> CycleClass:
         raise DataError("partition longer than the genus")
     if g < 1:
         raise DataError("cycle classes need genus at least 1")
-    pointed = psi_matrix(mu, g, shift=0 if unshifted else 1).det()
+    pointed = det(psi_matrix(mu, g, shift=0 if unshifted else 1))
     return CycleClass(
         genus=g,
         semigroup=None,

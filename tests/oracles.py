@@ -35,6 +35,9 @@ reached from `src/`.
   term records back, naming variables through `parse_variable`.
 * `exact_div`: exact polynomial division, the ratio route's division by
   each factor of the Vandermonde.
+* `monomial`, `terms`, `coefficient`: a one-term polynomial from
+  (variable, exponent) pairs, the terms in display order as a new list,
+  and the coefficient of the monomial of some pairs.
 * `weighted_degrees`, `homogeneous_components`: the weighted degrees of
   a polynomial's terms, and its split into homogeneous parts.
 * `ev_homomorphism`: a lambda-psi class evaluated at the monomial fixed
@@ -54,10 +57,10 @@ from wtaut.exactalg import (
     U,
     Echelon,
     MultiPoly,
-    PolyMatrix,
     Variable,
     _mono_mul,
     _mono_weight,
+    det,
     lam,
     mono_sort_key,
     xvar,
@@ -139,8 +142,6 @@ def value_x_expansion(value_lambda: MultiPoly, g: int) -> MultiPoly:
                 rest.append((var, e))
         if sum(a * d for a, d in enumerate(diffs, start=1)) % 2:
             coeff = -coeff
-        if coeff.denominator == 1:
-            coeff = coeff.numerator  # int arithmetic is much faster
         rest = tuple(rest)
         for vec, ecoef in _elementary_product_table(g, tuple(diffs)):
             xmono = xmonos.get(vec)
@@ -252,19 +253,19 @@ def lambda_psi_monomials(g: int, degree: int) -> list[MultiPoly]:
             mono = list(pairs)
             if left:
                 mono.append((PSI, left))
-            out.append(MultiPoly.monomial(mono))
+            out.append(monomial(mono))
             return
         for e in range(left // index + 1):
             rec(index - 1, left - e * index, pairs + ([(lam(index), e)] if e else []))
 
     rec(g, degree, [])
-    out.sort(key=lambda m: mono_sort_key(m.terms()[0][0]))
+    out.sort(key=lambda m: mono_sort_key(terms(m)[0][0]))
     return out
 
 
 def coefficient_rows(polys: list[MultiPoly], basis: list[MultiPoly]) -> list[list[Fraction]]:
     """Coefficients of each polynomial on a monomial basis of its degree slice."""
-    index = {m.terms()[0][0]: i for i, m in enumerate(basis)}
+    index = {terms(m)[0][0]: i for i, m in enumerate(basis)}
     rows = []
     for p in polys:
         row = [Fraction(0)] * len(basis)
@@ -311,7 +312,7 @@ def full_slice_reduce(p: MultiPoly, g: int) -> MultiPoly:
             raise ValueError("mumford_reduce expects a polynomial in lambda_1..lambda_g and psi")
     out = MultiPoly.zero()
     for degree, comp in enumerate(homogeneous_components(p)):
-        if comp.is_zero():
+        if not comp:
             continue
         basis, echelon = full_slice_pivots(g, degree)
         (vec,) = coefficient_rows([comp], basis)
@@ -390,11 +391,11 @@ def double_schur(mu: Partition, args, a: ParamSequence) -> MultiPoly:
     if mu.length > n:
         raise ValueError("insufficient variables")
     exponents = [mu.part(j) + n - j for j in range(1, n + 1)]
-    out = PolyMatrix([[generalized_power(x, e, a) for e in exponents] for x in xs]).det()
+    out = det([[generalized_power(x, e, a) for e in exponents] for x in xs])
     for i in range(n):
         for j in range(i + 1, n):
             diff = xs[i] - xs[j]
-            if diff.is_zero():
+            if not diff:
                 raise ValueError("repeated Schur arguments")
             out = exact_div(out, diff)
     return out
@@ -417,7 +418,7 @@ def canonical_str(p: MultiPoly) -> str:
     if not p:
         return "0"
     pieces = []
-    for mono, coeff in p.terms():
+    for mono, coeff in terms(p):
         body = "*".join(f"{v.name}^{e}" if e > 1 else v.name for v, e in mono)
         mag = abs(coeff)
         if not body:
@@ -434,7 +435,7 @@ def canonical_str(p: MultiPoly) -> str:
 
 
 def to_json(p: MultiPoly) -> list[dict]:
-    return [{"coeff": str(coeff), "exps": {v.name: e for v, e in mono}} for mono, coeff in p.terms()]
+    return [{"coeff": str(coeff), "exps": {v.name: e for v, e in mono}} for mono, coeff in terms(p)]
 
 
 def poly_payload(p: MultiPoly) -> dict:
@@ -446,7 +447,7 @@ def from_json(data) -> MultiPoly:
     for entry in data:
         coeff = Fraction(entry["coeff"])
         pairs = [(parse_variable(name), int(e)) for name, e in entry["exps"].items()]
-        mono = tuple(sorted(pairs, key=lambda p: p[0].sort_key()))
+        mono = tuple(sorted(pairs))
         if coeff:
             acc[mono] = acc.get(mono, Fraction(0)) + coeff
     return MultiPoly(acc)
@@ -470,17 +471,37 @@ def parse_variable(name: str) -> Variable:
     return Variable(family, int(digits))
 
 
+def _sorted_monomial(pairs) -> tuple:
+    """The monomial of (variable, exponent) pairs, zero exponents dropped."""
+    return tuple(sorted((v, e) for v, e in pairs if e))
+
+
+def monomial(pairs, coeff=1) -> MultiPoly:
+    """coeff times the product of v^e over the (variable, exponent) pairs."""
+    return MultiPoly({_sorted_monomial(pairs): coeff})
+
+
+def terms(p: MultiPoly) -> list:
+    """Terms in canonical display order (leading term first), as a new list."""
+    return list(p._sorted_terms())
+
+
+def coefficient(p: MultiPoly, pairs):
+    """The coefficient in p of the monomial of the (variable, exponent) pairs."""
+    return dict(p.items()).get(_sorted_monomial(pairs), 0)
+
+
 def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Exact polynomial division; raises ValueError if q does not divide p.
 
     The leading term of the remainder comes from a heap that holds every
     monomial of the remainder, and possibly some cancelled since.
     """
-    if q.is_zero():
+    if not q:
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
+    if not p:
         return MultiPoly.zero()
-    lq_mono, lq_coeff = q.terms()[0]
+    lq_mono, lq_coeff = terms(q)[0]
     lq = dict(lq_mono)
     rem = dict(p.items())
     heap = [(mono_sort_key(m), m) for m in rem]
@@ -502,7 +523,7 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         for var, e in exps.items():
             if var not in lq:
                 factor.append((var, e))
-        fac_mono = tuple(sorted(((v, e) for v, e in factor if e), key=lambda x: x[0].sort_key()))
+        fac_mono = tuple(sorted((v, e) for v, e in factor if e))
         c = coeff / lq_coeff
         quot[fac_mono] = quot.get(fac_mono, Fraction(0)) + c
         for mq, cq in qterms:

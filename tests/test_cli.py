@@ -105,7 +105,7 @@ def _polys(draw):
     ), max_size=6))
     out = MultiPoly.zero()
     for pairs, coeff in terms:
-        out += MultiPoly.monomial(dict(pairs).items(), coeff)
+        out += oracles.monomial(dict(pairs).items(), coeff)
     return out
 
 

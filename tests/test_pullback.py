@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +11,7 @@ from oracles import (
     full_slice_reduce,
     homogeneous_components,
     lambda_psi_monomials,
+    terms,
     to_lambda_basis,
     value_x_expansion,
     weighted_degrees,
@@ -63,14 +63,14 @@ def test_kstar_zero_when_partition_longer_than_genus():
     for g in (1, 2):
         for mu in partitions_up_to(5):
             if mu.length > g:
-                assert kstar_schubert(mu, g).is_zero()
+                assert not kstar_schubert(mu, g)
 
 
 def test_kstar_homogeneous_of_weight():
     for g in (1, 2, 3):
         for mu in partitions_up_to(4):
             value = value_x(kstar_schubert(mu, g), g)
-            if value.is_zero():
+            if not value:
                 continue
             assert weighted_degrees(value) == {mu.weight}
 
@@ -84,7 +84,7 @@ def test_kstar_matches_double_schur_oracle():
         for mu in partitions_up_to(6):
             value = kstar_schubert(mu, g)
             if mu.length > g:
-                assert value.is_zero(), (mu.parts, g)
+                assert not value, (mu.parts, g)
                 continue
             oracle = double_schur(mu, xs, a).substitute({U: -PSI_P})
             assert value == to_lambda_basis(oracle, g), (mu.parts, g)
@@ -102,7 +102,7 @@ def _assert_value_x_matches_expansion(mu, g):
     value = kstar_schubert(mu, g)
     oracle = value_x_expansion(value, g)
     assert value_x(value, g) == oracle, (mu, g)
-    assert value_x(value, g).terms() == oracle.terms(), (mu, g)
+    assert terms(value_x(value, g)) == terms(oracle), (mu, g)
 
 
 def test_value_x_matches_full_table_expansion():
@@ -154,7 +154,7 @@ def test_power_sum_pinned_terms_cancel():
         for s in (1, 2, 3):
             for i in (g + 1, g + 2):
                 pinned = (u.scale(g - i)) ** s - (u**s).scale((-1) ** s * (i - g) ** s)
-                assert pinned.is_zero()
+                assert not pinned
 
 
 def test_power_sum_newton_identities():
@@ -184,12 +184,6 @@ def test_power_sum_matches_x_root_oracle():
             tail = sum((i - g) ** s for i in range(1, g + 1))
             oracle = to_lambda_basis(x_part - (PSI_P**s).scale(tail), g)
             assert kstar_power_sum(s, g) == oracle, (s, g)
-
-
-def test_power_sum_chern_normalization_flag():
-    plain = kstar_power_sum(3, 2)
-    normalized = kstar_power_sum(3, 2, chern_normalized=True)
-    assert normalized.scale(math.factorial(3)) == plain
 
 
 # -- lambda basis -----------------------------------------------------------------
@@ -240,7 +234,7 @@ def test_mumford_generators_are_the_even_parts_of_the_chern_product(g):
     total = MultiPoly.one() + sum((L(a) for a in range(1, g + 1)), MultiPoly.zero())
     dual = MultiPoly.one() + sum((L(a).scale((-1) ** a) for a in range(1, g + 1)), MultiPoly.zero())
     comps = homogeneous_components(total * dual - 1)
-    assert all(c.is_zero() for c in comps[1::2])
+    assert not any(comps[1::2])
     assert mumford_generators(g) == tuple(
         (d, comps[d]) for d in range(2, 2 * g + 1, 2)
     )
@@ -270,7 +264,7 @@ def test_mumford_reduce_matches_full_slice_elimination(g):
 
 def test_mumford_reduce_kills_degree_two_generator():
     for g in (2, 3, 4):
-        assert mumford_reduce(L(1) ** 2 - L(2).scale(2), g).is_zero()
+        assert not mumford_reduce(L(1) ** 2 - L(2).scale(2), g)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -278,7 +272,7 @@ def test_mumford_forces_dual_chern_classes(g):
     for a in range(1, g + 1):
         h_image = to_lambda_basis(complete_in_x(g, a), g)
         target = L(a).scale((-1) ** a)
-        assert mumford_reduce(h_image - target, g).is_zero()
+        assert not mumford_reduce(h_image - target, g)
 
 
 def test_mumford_reduce_is_idempotent_and_psi_transparent():
@@ -295,7 +289,7 @@ def test_mumford_even_power_sums_vanish():
             total = MultiPoly.zero()
             for i in range(1, g + 1):
                 total = total + X(i) ** (2 * r)
-            assert mumford_reduce(to_lambda_basis(total, g), g).is_zero()
+            assert not mumford_reduce(to_lambda_basis(total, g), g)
 
 
 def test_mumford_rejects_foreign_variables():
@@ -328,7 +322,7 @@ def test_mumford_normal_form_is_unique(g):
             ),
             MultiPoly.zero(),
         )
-        assert mumford_reduce(q, g).is_zero()
+        assert not mumford_reduce(q, g)
         assert mumford_reduce(p + q, g) == mumford_reduce(p, g)
 
 
@@ -359,7 +353,7 @@ def test_bernoulli_against_akiyama_tanigawa():
                 a[j - 1] = j * (a[j - 1] - a[j])
         return a[0] if n != 1 else -a[0]
 
-    for n in range(0, 13):
+    for n in range(0, 61):
         assert bernoulli(n) == oracle(n)
 
 
@@ -372,7 +366,7 @@ def test_smooth_power_sum_odd_case():
 
 
 def test_smooth_power_sum_even_cases():
-    assert smooth_power_sum(2, 1).is_zero()
+    assert not smooth_power_sum(2, 1)
     assert smooth_power_sum(2, 3) == -(PSI_P**2).scale(5)
     assert smooth_power_sum(2, 3, paper_sign=True) == (PSI_P**2).scale(5)
 

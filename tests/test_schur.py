@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     ParamSequence,
+    coefficient,
     complete_in_x,
     double_schur,
     elementary_in_x,
@@ -16,7 +17,7 @@ from oracles import (
     ratio_shifted_schur,
     to_lambda_basis,
 )
-from wtaut.exactalg import MultiPoly, PSI, U, xvar, zvar
+from wtaut.exactalg import MultiPoly, PSI, U, det, xvar, zvar
 from wtaut.schur import (
     elementary_of_values,
     factorial_schur,
@@ -248,7 +249,7 @@ def test_homogeneous_components_example():
 def test_homogeneous_single_component():
     p = Z1 * Z2
     comps = homogeneous_components(p)
-    assert sum(1 for c in comps if not c.is_zero()) == 1
+    assert sum(1 for c in comps if c) == 1
     assert comps[2] == p
 
 
@@ -273,19 +274,20 @@ def test_homogeneous_components_resum():
 def test_psi_matrix_single_box_genus_two():
     m = psi_matrix(Partition((1,)), 2, "psi")
     x1, x2 = MultiPoly.variable(xvar(1)), MultiPoly.variable(xvar(2))
-    assert m.rows == m.cols == 1
-    assert m[0, 0] == to_lambda_basis(x1 + x2 + MultiPoly.variable(PSI), 2)
+    assert len(m) == len(m[0]) == 1
+    assert m[0][0] == to_lambda_basis(x1 + x2 + MultiPoly.variable(PSI), 2)
 
 
 def test_psi_matrix_row_two_genus_one():
     m = psi_matrix(Partition((2,)), 1, "psi")
     x1 = MultiPoly.variable(xvar(1))
-    assert m[0, 0] == to_lambda_basis(x1**2 + x1 * MultiPoly.variable(PSI), 1)
+    assert m[0][0] == to_lambda_basis(x1**2 + x1 * MultiPoly.variable(PSI), 1)
 
 
 def test_psi_matrix_empty_partition():
-    assert psi_matrix(EMPTY, 3, "psi").det() == 1
-    assert psi_matrix(EMPTY, 3, "psi_prime").det() == 1
+    assert psi_matrix(EMPTY, 3, "psi") == psi_matrix(EMPTY, 3, "psi_prime") == []
+    assert det(psi_matrix(EMPTY, 3, "psi")) == 1
+    assert det(psi_matrix(EMPTY, 3, "psi_prime")) == 1
 
 
 def test_psi_matrix_bad_variant():
@@ -295,8 +297,10 @@ def test_psi_matrix_bad_variant():
 
 def test_psi_matrix_sizes():
     mu = Partition((3, 1))
-    assert psi_matrix(mu, 2, "psi").rows == 2
-    assert psi_matrix(mu, 2, "psi_prime").rows == 3
+    for variant, size in (("psi", 2), ("psi_prime", 3)):
+        rows = psi_matrix(mu, 2, variant)
+        assert len(rows) == size
+        assert all(len(row) == size for row in rows)
 
 
 def test_psi_matrix_determinants_agree_small():
@@ -306,7 +310,7 @@ def test_psi_matrix_determinants_agree_small():
     for g in (1, 2, 3):
         for mu in partitions_up_to(4):
             if mu.length > g:  # the class is zero, and no matrix is built
-                assert kstar_schubert(mu, g).is_zero()
+                assert not kstar_schubert(mu, g)
                 for variant in ("psi", "psi_prime"):
                     for shift in (0, 1):
                         with pytest.raises(ValueError, match="longer than the genus"):
@@ -314,12 +318,12 @@ def test_psi_matrix_determinants_agree_small():
                 continue
             xs = tuple(xvar(i) for i in range(1, g + 1))
             expected = to_lambda_basis(in_roots(kstar_schubert(mu, g), xs), g)
-            assert psi_matrix(mu, g, "psi").det() == expected
-            assert psi_matrix(mu, g, "psi_prime").det() == expected
+            assert det(psi_matrix(mu, g, "psi")) == expected
+            assert det(psi_matrix(mu, g, "psi_prime")) == expected
             # the unit shift of the interval gives the Weierstrass convention
             shifted = virtual_class(mu, g).class_pointed
-            assert psi_matrix(mu, g, "psi", shift=1).det() == shifted, (mu.parts, g)
-            assert psi_matrix(mu, g, "psi_prime", shift=1).det() == shifted, (mu.parts, g)
+            assert det(psi_matrix(mu, g, "psi", shift=1)) == shifted, (mu.parts, g)
+            assert det(psi_matrix(mu, g, "psi_prime", shift=1)) == shifted, (mu.parts, g)
 
 
 def test_elementary_of_values_are_the_interval_product_coefficients():
@@ -331,7 +335,7 @@ def test_elementary_of_values_are_the_interval_product_coefficients():
         for m in range(r):
             product = product * (1 - u.scale(m))
         for b in range(0, r + 1):
-            coeff = product.coefficient([(U, b)]) if b else product.constant_term()
+            coeff = coefficient(product, [(U, b)])
             assert coeff == elementary_of_values(range(r), r)[b] * (-1) ** b
 
 
