@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .errors import DataError, ResourceError, UsageError
@@ -65,8 +64,7 @@ LOWER_RING_NOTE = (
 )
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Effective options for one run."""
 
     genus_low: int
@@ -79,7 +77,7 @@ class RunConfig:
     kappa0_substitute: bool = False
     output: str | None = None
     max_genus: int = DEFAULT_MAX_GENUS
-    source_date: datetime | None = None
+    source_date: time.struct_time | None = None
 
     def echo(self) -> dict:
         return {
@@ -95,21 +93,26 @@ class RunConfig:
         }
 
 
-def _source_date() -> datetime | None:
-    """The time SOURCE_DATE_EPOCH names, if set, so that envelopes are reproducible."""
+def _source_date() -> time.struct_time | None:
+    """The UTC time SOURCE_DATE_EPOCH names, if set, so that envelopes are reproducible.
+
+    Years past 9999 are refused: the stamp writes the year in four digits.
+    """
     text = os.environ.get("SOURCE_DATE_EPOCH")
     if not text:
         return None
     if not (text.isascii() and text.isdigit()):
         raise DataError(f"bad SOURCE_DATE_EPOCH {text[:20]!r}: not a count of seconds")
     try:
-        return datetime.fromtimestamp(int(text), timezone.utc)
+        stamp = time.gmtime(int(text))
     except (ValueError, OverflowError, OSError) as exc:
         raise DataError(f"bad SOURCE_DATE_EPOCH {text[:20]!r}: {exc}") from exc
+    if stamp.tm_year > 9999:
+        raise DataError(f"bad SOURCE_DATE_EPOCH {text[:20]!r}: year {stamp.tm_year} is out of range")
+    return stamp
 
 
 def make_envelope(command: str, config: RunConfig, payload, warnings: list[str]) -> dict:
-    stamp = config.source_date or datetime.now(timezone.utc)
     return {
         "tool": "wtaut",
         "version": __version__,
@@ -117,7 +120,7 @@ def make_envelope(command: str, config: RunConfig, payload, warnings: list[str])
         "config": config.echo(),
         "warnings": sorted(warnings),
         "payload": payload,
-        "generated_at": stamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", config.source_date or time.gmtime()),
     }
 
 
@@ -324,6 +327,8 @@ def _latex_table(headers: list[str], rows: list[list[str]], caption: str) -> str
 
 
 def _csv_lines(headers: list[str], rows: list[list[str]], meta: dict) -> str:
+    import csv  # only CSV output needs it: at the top every run would pay for it
+
     out = io.StringIO()
     out.writelines(f"# {k}={v}\n" for k, v in sorted(meta.items()))
     writer = csv.writer(out, lineterminator="\n")
@@ -413,7 +418,7 @@ def run_pullback(config: RunConfig, partition: list[int]):
         payload.append(
             {
                 "genus": g,
-                "partition": list(mu.parts),
+                "partition": list(mu),
                 "weight": mu.weight,
                 "mode": config.mode,
                 "value_x": in_roots(value, _x_roots(g)),  # of the class before any reduction
@@ -422,7 +427,7 @@ def run_pullback(config: RunConfig, partition: list[int]):
         )
 
     def tables():
-        parts = "(" + ",".join(map(str, mu.parts)) + ")"
+        parts = "(" + ",".join(map(str, mu)) + ")"
         rows = [[str(rec["genus"]), parts, rec["value_lambda"].latex()] for rec in payload]
         return ["genus", "partition", "class"], rows, {"mode": config.mode}
 
@@ -474,7 +479,7 @@ def run_relations(config: RunConfig):
                 "max_weight": config.max_degree,
                 "generators": [
                     {
-                        "partition": list(mu.parts),
+                        "partition": list(mu),
                         "weight": mu.weight,
                         "value": poly,
                     }
@@ -543,13 +548,13 @@ def run_schur_eval(config: RunConfig, kind: str, partition: list[int],
     result = fn(mu, args)
     payload = {
         "kind": kind,
-        "partition": list(mu.parts),
+        "partition": list(mu),
         "arguments": [str(v) for v in values] if values is not None else f"z1..z{variables}",
         "value": result,
     }
 
     def tables():
-        rows = [[kind, "(" + ",".join(map(str, mu.parts)) + ")", result.latex()]]
+        rows = [[kind, "(" + ",".join(map(str, mu)) + ")", result.latex()]]
         return ["kind", "partition", "value"], rows, {}
 
     return payload, [], tables

@@ -97,8 +97,12 @@ def factorial_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
     else:
         u, complete, elementary = 1, partial(_segre_class, n), partial(_signed_lambda, n)
         total = MultiPoly.sum
-    terms = partial(_entry_terms, variant, complete, elementary)
-    value = det(_matrix(mu, n, variant, lambda r, k: total(terms(r, k, 0, -u))))
+
+    def row(r: int, ks: range) -> list[Value]:
+        coeffs = _interval_coefficients(variant, r, 0, ks[-1])  # shared by the row's entries
+        return [total(_entry_terms(variant, complete, elementary, coeffs, k, -u)) for k in ks]
+
+    value = det(_matrix(mu, n, variant, row))
     if numeric:
         return value / u**mu.weight
     zvars = tuple(zvar(i) for i in range(1, n + 1))
@@ -171,43 +175,49 @@ def _signed_lambda(g: int, a: int) -> MultiPoly:
     return MultiPoly.variable(lam(a)).scale((-1) ** a)
 
 
+def _interval_coefficients(variant: str, r: int, shift: int, top: int) -> list[int]:
+    """Coefficients 0..top of c(interval) for the interval list
+    {shift..r-1+shift}: elementary for "psi", complete for "psi_prime".
+
+    r >= 1 whenever l(mu) <= g.
+    """
+    interval = elementary_of_values if variant == "psi" else complete_of_values
+    return interval(range(shift, r + shift), top)
+
+
 def _entry_terms(
     variant: str,
     complete: Callable[[int], Value],
     elementary: Callable[[int], Value],
-    r: int,
+    coeffs: list[int],
     k: int,
-    shift: int,
     psi: Value,
 ) -> list[Value]:
-    """The nonzero terms c_(k-b) * coefficient * psi^b of the degree-k part
+    """The nonzero terms c_(k-b) * coeffs[b] * psi^b of the degree-k part
     of (sum_a c_a) * c(interval), psi^b marking degree b; the entry is
     their sum, taken by the caller in one accumulation.
 
-    For "psi", c_a = complete(a) = h_a(x) and the interval list
-    {shift..r-1+shift} enters with elementary coefficients; "psi_prime"
-    uses c_a = elementary(a) = e_a(x) and complete coefficients.  r >= 1
-    whenever l(mu) <= g.  psi is the variable psi, or the number -u.
+    coeffs are the interval's coefficients to degree k or beyond.  For
+    "psi", c_a = complete(a) = h_a(x); "psi_prime" uses c_a =
+    elementary(a) = e_a(x).  psi is the variable psi, or the number -u.
     """
-    if variant == "psi":
-        series, interval = complete, elementary_of_values
-    else:
-        series, interval = elementary, complete_of_values
+    series = complete if variant == "psi" else elementary
     if k < 0:
         return []
-    coeffs = interval(range(shift, r + shift), k)
-    return [series(k - b) * (c * psi**b) for b, c in enumerate(coeffs) if c]
+    return [series(k - b) * (c * psi**b) for b, c in enumerate(coeffs[: k + 1]) if c]
 
 
 @lru_cache(maxsize=None)
 def _matrix_entry(variant: str, g: int, r: int, k: int, shift: int) -> MultiPoly:
     """The entry in lambda and psi: h_a(x) and e_a(x) in the lambda basis."""
     series = (partial(_segre_class, g), partial(_signed_lambda, g))
-    return MultiPoly.sum(_entry_terms(variant, *series, r, k, shift, MultiPoly.variable(PSI)))
+    coeffs = _interval_coefficients(variant, r, shift, k)
+    return MultiPoly.sum(_entry_terms(variant, *series, coeffs, k, MultiPoly.variable(PSI)))
 
 
-def _matrix(mu: Partition, g: int, variant: str, entry: Callable[[int, int], Value]) -> list[list[Value]]:
-    """The Kempf-Laksov matrix of entry(r, k) for each (i, j) of the variant.
+def _matrix(mu: Partition, g: int, variant: str, row: Callable[[int, range], list]) -> list[list[Value]]:
+    """The Kempf-Laksov matrix, row i being row(r, ks): the entries of
+    interval bound r and degrees ks, one per column j of the variant.
 
     Variant "psi" is l(mu) x l(mu): entry (i, j) has degree
     k = mu_i + j - i and interval bound r = mu_i - i + g.  Variant
@@ -220,10 +230,10 @@ def _matrix(mu: Partition, g: int, variant: str, entry: Callable[[int, int], Val
         parts, sign = mu.conjugate(), -1
     else:
         raise ValueError("variant must be 'psi' or 'psi_prime'")
-    size = parts.length
+    size = len(parts)
     return [
-        [entry(g + sign * (parts.part(i) - i), parts.part(i) + j - i) for j in range(1, size + 1)]
-        for i in range(1, size + 1)
+        row(g + sign * (p - i), range(p + 1 - i, p + 1 - i + size))
+        for i, p in enumerate(parts, start=1)
     ]
 
 
@@ -241,7 +251,8 @@ def psi_matrix(mu: Partition, g: int, variant: str = "psi", shift: int = 0) -> l
     """
     if mu.length > g:
         raise ValueError("partition longer than the genus")
-    return _matrix(mu, g, variant, lambda r, k: _matrix_entry(variant, g, r, k, shift))
+    entry = partial(_matrix_entry, variant, g)
+    return _matrix(mu, g, variant, lambda r, ks: [entry(r, k, shift) for k in ks])
 
 
 # -- the roots view ----------------------------------------------------------

@@ -17,7 +17,7 @@ of two Grassmannian component conventions:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Optional
 
 from .errors import DataError, ResourceError
@@ -41,19 +41,18 @@ __all__ = [
 DEFAULT_MAX_GENUS = 12
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing tuple of positive integers."""
+class Partition(tuple):
+    """Weakly decreasing tuple of positive integers, the tuple of its parts."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        if any(p < 1 for p in parts):
+    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        self = super().__new__(cls, parts)
+        if any(p < 1 for p in self):
             raise ValueError("partition parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(self[i] < self[i + 1] for i in range(len(self) - 1)):
             raise ValueError("partition parts must be weakly decreasing")
+        return self
 
     @classmethod
     def of(cls, parts: Iterable[int]) -> "Partition":
@@ -61,36 +60,29 @@ class Partition:
 
     @property
     def weight(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def length(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     def part(self, i: int) -> int:
         """1-based part, zero beyond the length."""
         if i < 1:
             raise IndexError("parts are 1-based")
-        return self.parts[i - 1] if i <= len(self.parts) else 0
+        return self[i - 1] if i <= len(self) else 0
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
+        if not self:
             return Partition()
-        cols = [sum(1 for p in self.parts if p > j) for j in range(self.parts[0])]
-        return Partition(tuple(cols))
+        return Partition(sum(1 for p in self if p > j) for j in range(self[0]))
 
     def contains(self, other: "Partition") -> bool:
         """Young diagram containment: other fits inside self."""
         return all(other.part(i) <= self.part(i) for i in range(1, other.length + 1))
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
     def __repr__(self) -> str:
-        return f"Partition{self.parts}"
+        return f"Partition{tuple(self)}"
 
 
 def partitions_up_to(max_weight: int, max_length: int | None = None) -> list[Partition]:
@@ -109,21 +101,18 @@ def partitions_up_to(max_weight: int, max_length: int | None = None) -> list[Par
     for parts in gen(max_weight, max_weight, length_left):
         seen.append(Partition(parts))
     # dedupe while keeping a canonical order: by weight, then lex descending
-    uniq = sorted(set(seen), key=lambda p: (p.weight, tuple(-q for q in p.parts)))
+    uniq = sorted(set(seen), key=lambda p: (p.weight, tuple(-q for q in p)))
     return uniq
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+class NumericalSemigroup(namedtuple("NumericalSemigroup", "genus gaps")):
     """Genus plus the strictly increasing gap list."""
 
-    genus: int
-    gaps: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        gaps = tuple(int(a) for a in self.gaps)
-        object.__setattr__(self, "gaps", gaps)
-        if self.genus != len(gaps):
+    def __new__(cls, genus: int, gaps: Iterable[int]) -> "NumericalSemigroup":
+        gaps = tuple(int(a) for a in gaps)
+        if genus != len(gaps):
             raise DataError("genus must equal the number of gaps")
         if any(a < 1 for a in gaps):
             raise DataError("gaps must be positive")
@@ -133,6 +122,7 @@ class NumericalSemigroup:
         if witness is not None:
             x, y = witness
             raise DataError(f"closure violation: {x}+{y}={x + y} is a gap")
+        return super().__new__(cls, genus, gaps)
 
     @classmethod
     def from_gaps(cls, gaps: Iterable[int]) -> "NumericalSemigroup":
@@ -191,8 +181,7 @@ def _closure_witness(gaps: set[int]) -> Optional[tuple[int, int]]:
     return None
 
 
-@dataclass(frozen=True)
-class IndexSequence:
+class IndexSequence(namedtuple("IndexSequence", "d head")):
     """Strictly decreasing integer sequence with eventual tail s_i = d - i.
 
     Only the exceptional head is stored; d is the virtual cardinality of
@@ -200,19 +189,18 @@ class IndexSequence:
     to the tail value at its position is absorbed into the tail.
     """
 
-    d: int
-    head: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        head = tuple(int(s) for s in self.head)
+    def __new__(cls, d: int, head: Iterable[int] = ()) -> "IndexSequence":
+        head = tuple(int(s) for s in head)
         # normalize: drop trailing entries that already obey the tail rule
-        while head and head[-1] == self.d - len(head):
+        while head and head[-1] == d - len(head):
             head = head[:-1]
-        object.__setattr__(self, "head", head)
         if any(head[i] <= head[i + 1] for i in range(len(head) - 1)):
             raise DataError("index sequence must be strictly decreasing")
-        if head and head[-1] <= self.d - (len(head) + 1):
+        if head and head[-1] <= d - (len(head) + 1):
             raise DataError("head does not decrease into the tail")
+        return super().__new__(cls, d, head)
 
     @property
     def head_length(self) -> int:
@@ -385,6 +373,6 @@ def semigroup_record(semigroup: NumericalSemigroup) -> dict:
         "genus": semigroup.genus,
         "gaps": list(semigroup.gaps),
         "sequence_head": list(seq.head),
-        "partition_gr_gm1": list(partition_from_sequence(seq).parts),
-        "partition_hprime": list(hprime_partition(seq, semigroup.genus).parts),
+        "partition_gr_gm1": list(partition_from_sequence(seq)),
+        "partition_hprime": list(hprime_partition(seq, semigroup.genus)),
     }

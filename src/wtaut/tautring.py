@@ -21,7 +21,7 @@ machinery is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DataError
 from .exactalg import Echelon, MultiPoly
@@ -47,15 +47,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HilbertReport:
+class HilbertReport(NamedTuple):
     """Per-degree sandwich h_d(A/I_ev) <= h_d(R) <= h_d(A/I)."""
 
     genus: int
     cutoff: int
     lower: tuple[int, ...]
     upper: tuple[int, ...]
-    generator_counts: tuple[int, ...] = field(default=())
+    generator_counts: tuple[int, ...] = ()
 
     def rows(self) -> list[dict]:
         return [
@@ -70,7 +69,7 @@ def in_staircase(mu: Partition, g: int) -> bool:
     That is mu_i <= g - i + 1 for every i; partitions longer than g
     never fit.
     """
-    return all(p <= g - i for i, p in enumerate(mu.parts))
+    return all(p <= g - i for i, p in enumerate(mu))
 
 
 def violating_partitions(g: int, max_weight: int) -> list[Partition]:

@@ -29,8 +29,7 @@ by one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DataError
 from .exactalg import MultiPoly, PSI, det, kap
@@ -56,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CycleClass:
+class CycleClass(NamedTuple):
     """Cycle class data; formulas hold up to a nonzero constant factor."""
 
     genus: int
@@ -76,7 +74,7 @@ class CycleClass:
         """Record for the JSON writer, which expands the two classes."""
         return {
             "gaps": list(self.semigroup.gaps) if self.semigroup else None,
-            "partition": list(self.partition.parts),
+            "partition": list(self.partition),
             "codim": self.codimension,
             "class_pointed": self.class_pointed,
             "class_unpointed": self.class_unpointed,
@@ -120,7 +118,7 @@ def weierstrass_class(semigroup: NumericalSemigroup, unshifted: bool = False) ->
     """
     g = semigroup.genus
     mu = hprime_partition(weierstrass_sequence(semigroup), g)
-    return replace(virtual_class(mu, g, unshifted), semigroup=semigroup)
+    return virtual_class(mu, g, unshifted)._replace(semigroup=semigroup)
 
 
 def virtual_class(mu: Partition, g: int, unshifted: bool = False) -> CycleClass:

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import stat
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -356,7 +357,15 @@ def test_source_date_epoch_makes_the_bytes_reproducible(capsys, monkeypatch):
     assert '\n  "generated_at": "2023-11-14T22:13:20Z",\n' in first[1]
 
 
-@pytest.mark.parametrize("value", ["soon", "-1", "1.5", " 7", "9" * 30, "1" * 5000])
+def test_source_date_epoch_reaches_the_last_four_digit_year(capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "253402300799")
+    code, out, err = _run(capsys, ["semigroups", "--genus", "1"])
+    assert code == 0, err
+    assert '\n  "generated_at": "9999-12-31T23:59:59Z",\n' in out
+
+
+# 253402300800 is 10000-01-01T00:00:00Z, a year the four-digit stamp cannot hold
+@pytest.mark.parametrize("value", ["soon", "-1", "1.5", " 7", "253402300800", "9" * 30, "1" * 5000])
 def test_bad_source_date_epoch_is_rejected_before_work(capsys, monkeypatch, value):
     def refuse(*args, **kwargs):
         raise AssertionError("the computation ran")
@@ -367,3 +376,19 @@ def test_bad_source_date_epoch_is_rejected_before_work(capsys, monkeypatch, valu
     assert code == 3
     assert out == ""
     assert err.startswith("wtaut: data error: bad SOURCE_DATE_EPOCH")
+
+
+def test_importing_the_cli_loads_no_dataclasses_datetime_or_csv():
+    # Every CLI run pays for what `import wtaut.cli` loads; dataclasses (which
+    # loads inspect) and datetime are not needed, and csv only for CSV output.
+    script = (
+        "import sys; before = set(sys.modules); import wtaut.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(wtaut.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "wtaut.cli" in loaded
+    assert not {"dataclasses", "inspect", "datetime", "csv"} & set(loaded)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -19,6 +21,7 @@ from wtaut.semigroups import (
     sequence_from_hprime_partition,
     weierstrass_sequence,
 )
+from wtaut.tautring import HilbertReport
 
 GENUS_COUNTS = [1, 1, 2, 4, 7, 12, 23, 39, 67]
 
@@ -49,7 +52,7 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
-    assert Partition.of([3, 1, 0]).parts == (3, 1)
+    assert Partition.of([3, 1, 0]) == (3, 1)
 
 
 def test_partition_conjugate_involution():
@@ -61,6 +64,54 @@ def test_partition_conjugate_involution():
 def test_partition_containment():
     assert Partition((3, 2)).contains(Partition((2, 2)))
     assert not Partition((2, 2)).contains(Partition((3,)))
+
+
+def test_partitions_up_to_lists_each_partition_once():
+    parts = partitions_up_to(6)
+    # p(0) + ... + p(6): equal partitions must hash equal for the dedupe
+    assert len(parts) == len(set(parts)) == 1 + 1 + 2 + 3 + 5 + 7 + 11
+    assert hash(Partition.of([2, 1, 0])) == hash(Partition((2, 1)))
+    assert parts.count(Partition((2, 1))) == 1
+
+
+_VALUES = [
+    Partition((3, 1, 1)),
+    Partition(()),
+    NumericalSemigroup(3, (1, 2, 4)),
+    NumericalSemigroup(0, ()),
+    IndexSequence(d=1, head=(2, 0)),
+    IndexSequence(d=-1),
+    HilbertReport(2, 3, (1, 2, 3, 3), (1, 2, 4, 5), (0, 0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=repr)
+def test_value_types_round_trip_through_pickle_and_copy(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert twin == value
+        assert hash(twin) == hash(value)
+        assert type(twin) is type(value)
+        assert repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize(
+    "cls, fields, error",
+    [
+        (Partition, (1, 2), ValueError),
+        (Partition, (2, 0), ValueError),
+        (NumericalSemigroup, (2, (1, 2, 3)), DataError),
+        (NumericalSemigroup, (2, (2, 4)), DataError),
+        (IndexSequence, (1, (0, 2)), DataError),
+    ],
+    ids=["partition-rising", "partition-zero", "semigroup-genus", "semigroup-closure", "sequence-rising"],
+)
+def test_restoring_an_invalid_value_runs_its_checks(cls, fields, error):
+    with pytest.raises(error):
+        cls(fields) if cls is Partition else cls(*fields)
+    unchecked = tuple.__new__(cls, fields)  # skips __new__, which no caller does
+    for restore in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        with pytest.raises(error):
+            restore(unchecked)
 
 
 # -- semigroup type -----------------------------------------------------------
