@@ -42,12 +42,12 @@ from .wcycles import push_to_unpointed, virtual_class, weierstrass_class
 MAX_DEGREE_CAP = 16
 # schur-eval expands a Kempf-Laksov determinant of at most n rows, at a cost
 # growing like 2^n.  As CLI runs with the staircase (5,4,3,2,1), 6 symbolic
-# arguments take about 0.65 s (factorial) and 1.7 s (shifted: the stagger is
-# substituted afterwards), print 4.3-4.7 MB and peak under 45 MB; the
-# factorial result in 7 arguments already has 383,415 terms.  12 numeric
-# arguments take 0.2 s for the staircase; the determinant is integer
-# arithmetic, so its time grows with the digits of the entries: 1.7 s for
-# twelve parts of 100 (Python 3.11, one core).
+# arguments take about 0.5-0.6 s (factorial) and 1.5-1.7 s (shifted: the
+# stagger is substituted afterwards), print 4.3-4.7 MB and peak under 45 MB;
+# the factorial result in 7 arguments already has 383,415 terms.  12 numeric
+# arguments take 0.1 s for the staircase, most of it start-up; the
+# determinant is integer arithmetic, so its time grows with the digits of
+# the entries: 1.4-1.5 s for twelve parts of 100 (Python 3.11, one core).
 MAX_SCHUR_VARIABLES = 6
 MAX_SCHUR_VALUES = 12
 FORMATS = ("json", "csv", "latex")
@@ -540,10 +540,10 @@ def run_schur_eval(config: RunConfig, kind: str, partition: list[int],
         raise DataError(f"{variables} variables; the count must not be negative")
     if variables is not None and variables > MAX_SCHUR_VARIABLES:
         raise ResourceError(f"{variables} variables; use at most {MAX_SCHUR_VARIABLES}")
-    if values is not None:
-        args = [Fraction(v) for v in values]
-    else:
-        args = generic_arguments(variables)
+    try:
+        args = [Fraction(v) for v in values] if values is not None else generic_arguments(variables)
+    except ZeroDivisionError as exc:  # Fraction("1/0")
+        raise DataError(f"a value has a zero denominator: {exc}") from None
     fn = factorial_schur if kind == "factorial" else shifted_schur
     result = fn(mu, args)
     payload = {

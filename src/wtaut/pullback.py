@@ -2,15 +2,19 @@
 
 The pullback of the Schubert class of a partition mu at genus g lives in
 Q[lambda_1..lambda_g, psi].  It is the Kempf-Laksov determinant of
-schur.psi_matrix(mu, g): entry (i, j) is the degree-(mu_i + j - i) part
+schur.psi_matrix(mu, g), in one of two variants with the same
+determinant.  In "psi", entry (i, j) is the degree-(mu_i + j - i) part
 of (sum_a s_a) * c(interval), where the Segre classes of E*,
 
     s_a = h_a(x) = -sum_{i=1}^{min(a,g)} lambda_i s_(a-i),   s_0 = 1,
 
 carry the x-dependence and the interval {0..mu_i - i + g - 1} contributes
-plain rational multiples of psi^b.  Raising every interval value by one
-(psi_matrix(mu, g, shift=1)) gives the Weierstrass class of wcycles
-from the same determinant.  The determinant is exactalg.det, a Laplace
+plain rational multiples of psi^b.  "psi_prime" is built from the
+conjugate partition with e and h swapped: its entries take
+e_a(x) = (-1)^a lambda_a in place of s_a, so each has at most g + 1
+terms.  It is the one expanded unless mu is wide (schur._variant).
+Raising every interval value by one (psi_matrix(mu, g, shift=1)) gives
+the Weierstrass class of wcycles from the same determinant.  The determinant is exactalg.det, a Laplace
 expansion with memoised minors over the rows psi_matrix returns.
 
 kstar_schubert and kstar_power_sum return the class as a polynomial in

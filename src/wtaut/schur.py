@@ -9,14 +9,19 @@ polynomial s_mu(z | a) with a_m = m - 1, classically the ratio
 (z | a)^k = (z - a_1) ... (z - a_k).  wtaut never forms that ratio.
 The Kempf-Laksov determinant of psi_matrix(mu, g), the Schubert-class
 pullback, is u^|mu| t_mu(x/u) at u = -psi in the Chern roots x_1..x_g,
-so at psi = -1 (u = 1) and g = n it is t_mu itself: entry (i, j) is
+so at psi = -1 (u = 1) and g = n it is t_mu itself.  In the variant
+"psi", entry (i, j) is
 
     sum_b (-1)^b e_b(0, 1, ..., r_i - 1) h_(k - b),
     k = mu_i + j - i,  r_i = mu_i - i + n,
 
 a Jacobi-Trudi form of t_mu (Macdonald, "Schur functions: theme and
-variations", 1992, 6th variation).  The conjugate variant has e and h
-swapped, and factorial_schur expands whichever has fewer rows.  When
+variations", 1992, 6th variation).  The conjugate variant "psi_prime"
+is built the same way from the conjugate partition with e and h
+swapped, so its entries have at most n + 1 terms where the h_a of
+"psi" are dense in lambda.  Both have the same determinant;
+psi_matrix and factorial_schur expand the one that _variant picks
+from the shape, the genus and whether the entries are numbers.  When
 every argument is a number, the integers h_a(u z) and e_a(u z), with u
 a common denominator of the z_i, stand in for the Segre classes, psi
 is -u, and the determinant u^|mu| t_mu(z) is an integer.  Otherwise it
@@ -76,16 +81,13 @@ def generic_arguments(n: int) -> list[MultiPoly]:
 
 
 def factorial_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
-    """t_mu(z_1..z_n), the Kempf-Laksov determinant of psi_matrix(mu, n) at psi = -1.
-
-    Of the two variants, the one with fewer rows is expanded.
-    """
+    """t_mu(z_1..z_n), the Kempf-Laksov determinant of psi_matrix(mu, n) at psi = -1."""
     zs = [MultiPoly._wrap(v) for v in args]
     n = len(zs)
     if mu.length > n:
         raise ValueError("insufficient variables")
-    variant = "psi" if mu.length <= mu.part(1) else "psi_prime"
     numeric = not any(z.variables() for z in zs)
+    variant = _variant(mu, n, numeric)
     if numeric:  # u^|mu| t_mu(x/u) at the integers x = u z, u a common denominator
         values = [z.constant_term() for z in zs]
         u = math.lcm(*(v.denominator for v in values))
@@ -175,6 +177,21 @@ def _signed_lambda(g: int, a: int) -> MultiPoly:
     return MultiPoly.variable(lam(a)).scale((-1) ** a)
 
 
+def _variant(mu: Partition, g: int, numeric: bool) -> str:
+    """The Kempf-Laksov variant expanded for mu at genus g.
+
+    A numeric determinant costs about 2^rows, so it takes the variant
+    with fewer rows: l(mu) for "psi", mu_1 for "psi_prime".  A polynomial
+    one costs with the size of its entries as well, so it takes the
+    sparse "psi_prime" unless mu is wide, mu_1 > min(g, 2 l(mu)).  That
+    bound was set from the determinants of every shape with l(mu) <= g
+    and |mu| <= 14 at g = 6..8 (CHANGES.md).
+    """
+    if numeric:
+        return "psi" if mu.length <= mu.part(1) else "psi_prime"
+    return "psi_prime" if mu.part(1) <= min(g, 2 * mu.length) else "psi"
+
+
 def _interval_coefficients(variant: str, r: int, shift: int, top: int) -> list[int]:
     """Coefficients 0..top of c(interval) for the interval list
     {shift..r-1+shift}: elementary for "psi", complete for "psi_prime".
@@ -224,12 +241,7 @@ def _matrix(mu: Partition, g: int, variant: str, row: Callable[[int, range], lis
     "psi_prime" is l(mu') x l(mu'), built the same way from the
     conjugate mu' with the bound r = i - mu'_i + g.
     """
-    if variant == "psi":
-        parts, sign = mu, 1
-    elif variant == "psi_prime":
-        parts, sign = mu.conjugate(), -1
-    else:
-        raise ValueError("variant must be 'psi' or 'psi_prime'")
+    parts, sign = (mu, 1) if variant == "psi" else (mu.conjugate(), -1)
     size = len(parts)
     return [
         row(g + sign * (p - i), range(p + 1 - i, p + 1 - i + size))
@@ -237,20 +249,20 @@ def _matrix(mu: Partition, g: int, variant: str, row: Callable[[int, range], lis
     ]
 
 
-def psi_matrix(mu: Partition, g: int, variant: str = "psi", shift: int = 0) -> list[list[MultiPoly]]:
+def psi_matrix(mu: Partition, g: int, shift: int = 0) -> list[list[MultiPoly]]:
     """Rows of the Kempf-Laksov matrix whose determinant is the
     Schubert-class pullback.
 
-    Entries are polynomials in lambda_1..lambda_g and psi, shaped as in
-    _matrix: Segre (complete-homogeneous) entries for variant "psi",
-    elementary entries for "psi_prime".  Both determinants equal
-    kstar_schubert(mu, g) at shift = 0, that is u^|mu| t_mu(x/u) with
-    u -> -psi.  shift = 1 raises every interval value by one, which
-    gives u^|mu| t_mu(x/u - 1), the Weierstrass class (see wcycles).
+    Entries are polynomials in lambda_1..lambda_g and psi, in the variant
+    _variant picks, shaped as in _matrix.  At shift = 0 the determinant
+    is kstar_schubert(mu, g), that is u^|mu| t_mu(x/u) with u -> -psi.
+    shift = 1 raises every interval value by one, which gives
+    u^|mu| t_mu(x/u - 1), the Weierstrass class (see wcycles).
     Refused for l(mu) > g, where the class is zero.
     """
     if mu.length > g:
         raise ValueError("partition longer than the genus")
+    variant = _variant(mu, g, numeric=False)
     entry = partial(_matrix_entry, variant, g)
     return _matrix(mu, g, variant, lambda r, ks: [entry(r, k, shift) for k in ks])
 

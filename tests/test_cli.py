@@ -170,13 +170,14 @@ def test_json_writer_refuses_unknown_types(obj):
         (["schur-eval", "--partition", "1", "--variables", "-2"], 3),
         # inputs stay under Python's 4,300-digit cap on int parsing
         (["schur-eval", "--partition", "1", "--values", "1" * 5000], 3),
+        (["schur-eval", "--partition", "1", "--values", "1/0"], 3),
     ],
 )
 def test_exit_codes(capsys, argv, code):
     got, out, err = _run(capsys, argv)
     assert got == code
     assert out == ""
-    assert err.startswith("wtaut: ")
+    assert err.startswith("wtaut: data error: " if code == 3 else "wtaut: ")
 
 
 @pytest.mark.parametrize(

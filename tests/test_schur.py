@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     ParamSequence,
@@ -17,8 +19,12 @@ from oracles import (
     ratio_shifted_schur,
     to_lambda_basis,
 )
+from wtaut import schur
 from wtaut.exactalg import MultiPoly, PSI, U, det, xvar, zvar
 from wtaut.schur import (
+    _matrix,
+    _matrix_entry,
+    _variant,
     elementary_of_values,
     factorial_schur,
     generic_arguments,
@@ -272,58 +278,79 @@ def test_homogeneous_components_resum():
 
 
 def test_psi_matrix_single_box_genus_two():
-    m = psi_matrix(Partition((1,)), 2, "psi")
+    m = psi_matrix(Partition((1,)), 2)
     x1, x2 = MultiPoly.variable(xvar(1)), MultiPoly.variable(xvar(2))
     assert len(m) == len(m[0]) == 1
     assert m[0][0] == to_lambda_basis(x1 + x2 + MultiPoly.variable(PSI), 2)
 
 
 def test_psi_matrix_row_two_genus_one():
-    m = psi_matrix(Partition((2,)), 1, "psi")
+    m = psi_matrix(Partition((2,)), 1)
     x1 = MultiPoly.variable(xvar(1))
     assert m[0][0] == to_lambda_basis(x1**2 + x1 * MultiPoly.variable(PSI), 1)
 
 
 def test_psi_matrix_empty_partition():
-    assert psi_matrix(EMPTY, 3, "psi") == psi_matrix(EMPTY, 3, "psi_prime") == []
-    assert det(psi_matrix(EMPTY, 3, "psi")) == 1
-    assert det(psi_matrix(EMPTY, 3, "psi_prime")) == 1
+    assert psi_matrix(EMPTY, 3) == []
+    assert det(psi_matrix(EMPTY, 3)) == 1
 
 
-def test_psi_matrix_bad_variant():
-    with pytest.raises(ValueError):
-        psi_matrix(EMPTY, 1, "other")
+def test_psi_matrix_sizes(monkeypatch):
+    # the variant the rule picks, and the rows of the matrix it builds
+    table = [
+        ((3, 1), 2, False, "psi", 2),  # mu_1 > g
+        ((450,), 2, False, "psi", 1),  # wide: "psi_prime" would be 450 x 450
+        ((5, 1), 6, False, "psi", 2),  # mu_1 > 2 l(mu)
+        ((4, 2), 6, False, "psi_prime", 4),  # mu_1 = 2 l(mu)
+        ((8, 7, 6, 5, 4, 3, 2, 1), 9, False, "psi_prime", 8),
+        ((8, 6, 4, 2, 2, 1, 1), 9, False, "psi_prime", 8),  # one row more than "psi"
+        ((12,) * 6, 12, True, "psi", 6),  # numeric: the fewer rows
+    ]
+    sizes = []
+    monkeypatch.setattr(schur, "det", lambda m: sizes.append(len(m)) or 1)
+    for parts, g, numeric, variant, rows in table:
+        mu = Partition(parts)
+        assert _variant(mu, g, numeric) == variant, parts
+        if numeric:
+            factorial_schur(mu, [Fraction(i, i + 1) for i in range(1, g + 1)])
+            assert sizes.pop() == rows, parts
+            continue
+        matrix = psi_matrix(mu, g)
+        assert len(matrix) == rows, parts
+        assert all(len(row) == rows for row in matrix), parts
 
 
-def test_psi_matrix_sizes():
-    mu = Partition((3, 1))
-    for variant, size in (("psi", 2), ("psi_prime", 3)):
-        rows = psi_matrix(mu, 2, variant)
-        assert len(rows) == size
-        assert all(len(row) == size for row in rows)
+def _forced_matrix(mu, g, variant, shift):
+    """psi_matrix(mu, g, shift) in the given variant, whichever _variant picks."""
+    return _matrix(mu, g, variant, lambda r, ks: [_matrix_entry(variant, g, r, k, shift) for k in ks])
 
 
-def test_psi_matrix_determinants_agree_small():
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from(partitions_up_to(10)))
+@example(6, Partition((6, 2, 2)))  # mu_1 = g = 2 l(mu): "psi_prime"
+@example(6, Partition((4, 2)))  # mu_1 = 2 l(mu): "psi_prime"
+@example(6, Partition((5, 2)))  # mu_1 > 2 l(mu): "psi"
+@example(6, Partition((3, 2, 2, 1, 1, 1)))
+@example(6, Partition((7, 3)))  # mu_1 > g
+@example(3, Partition((8, 1, 1)))
+@example(3, Partition((1, 1, 1, 1)))  # l(mu) > g
+def test_psi_matrix_variants_agree(g, mu):
     from wtaut.pullback import kstar_schubert
     from wtaut.wcycles import virtual_class
 
-    for g in (1, 2, 3):
-        for mu in partitions_up_to(4):
-            if mu.length > g:  # the class is zero, and no matrix is built
-                assert not kstar_schubert(mu, g)
-                for variant in ("psi", "psi_prime"):
-                    for shift in (0, 1):
-                        with pytest.raises(ValueError, match="longer than the genus"):
-                            psi_matrix(mu, g, variant, shift=shift)
-                continue
-            xs = tuple(xvar(i) for i in range(1, g + 1))
-            expected = to_lambda_basis(in_roots(kstar_schubert(mu, g), xs), g)
-            assert det(psi_matrix(mu, g, "psi")) == expected
-            assert det(psi_matrix(mu, g, "psi_prime")) == expected
-            # the unit shift of the interval gives the Weierstrass convention
-            shifted = virtual_class(mu, g).class_pointed
-            assert det(psi_matrix(mu, g, "psi", shift=1)) == shifted, (mu, g)
-            assert det(psi_matrix(mu, g, "psi_prime", shift=1)) == shifted, (mu, g)
+    if mu.length > g:  # the class is zero, and no matrix is built
+        assert not kstar_schubert(mu, g)
+        for shift in (0, 1):
+            with pytest.raises(ValueError, match="longer than the genus"):
+                psi_matrix(mu, g, shift=shift)
+        return
+    dets = [det(_forced_matrix(mu, g, "psi", shift)) for shift in (0, 1)]
+    for shift, expected in enumerate(dets):
+        assert det(_forced_matrix(mu, g, "psi_prime", shift)) == expected, (mu, g, shift)
+        assert det(psi_matrix(mu, g, shift=shift)) == expected, (mu, g, shift)
+    assert kstar_schubert(mu, g) == dets[0]
+    # the unit shift of the interval gives the Weierstrass convention
+    assert virtual_class(mu, g).class_pointed == dets[1]
 
 
 def test_elementary_of_values_are_the_interval_product_coefficients():
