@@ -37,17 +37,18 @@ from .wcycles import push_to_unpointed, virtual_class, weierstrass_class
 
 # hilbert's cost is the fixed-point lower bound, one echelon of lambda-monomial
 # rows over all semigroups of the genus: as CLI runs at degree 16 it takes
-# about 0.2 s at genus 4 and 8, 1.2 s at genus 10 and 11 s at genus 12, the
-# default genus cap (Python 3.11, one core).
+# about 0.1-0.2 s at genus 4 and 8, 0.6-0.7 s at genus 10, 2 s at genus 11
+# and 6 s at genus 12, the default genus cap (Python 3.11, one core).
 MAX_DEGREE_CAP = 16
-# schur-eval expands a Kempf-Laksov determinant of at most n rows, at a cost
-# growing like 2^n.  As CLI runs with the staircase (5,4,3,2,1), 6 symbolic
-# arguments take about 0.5-0.6 s (factorial) and 1.5-1.7 s (shifted: the
-# stagger is substituted afterwards), print 4.3-4.7 MB and peak under 45 MB;
-# the factorial result in 7 arguments already has 383,415 terms.  12 numeric
-# arguments take 0.1 s for the staircase, most of it start-up; the
-# determinant is integer arithmetic, so its time grows with the digits of
-# the entries: 1.4-1.5 s for twelve parts of 100 (Python 3.11, one core).
+# schur-eval expands a symbolic Kempf-Laksov determinant of at most n rows,
+# at a cost growing like 2^n.  As CLI runs with the staircase (5,4,3,2,1), 6
+# symbolic arguments take about 0.4-0.5 s (factorial) and 0.7-0.8 s
+# (shifted: the stagger is substituted afterwards), print 4.3-4.7 MB and
+# peak under 40 MB; the factorial result in 7 arguments already has 383,415
+# terms.  Numeric arguments make an integer matrix, eliminated in about n^3
+# products whose time grows with the digits of the entries: 12 values take
+# 0.1 s for the staircase and for (12^6), most of it start-up, and 0.3-0.35 s
+# for twelve parts of 100 (Python 3.11, one core).
 MAX_SCHUR_VARIABLES = 6
 MAX_SCHUR_VALUES = 12
 FORMATS = ("json", "csv", "latex")

@@ -8,10 +8,31 @@ classes, Hilbert tables) reduces to arithmetic in the graded ring
 with weights  lambda_i -> i,  kappa_j -> j,  and 1 for all the weight-one
 families (psi, u, x, z).  Coefficients are exact: ints, and Fractions
 only where a division makes them; there is no floating-point mode.
-Variables are plain tuples and monomials tuples of (variable, exponent)
-pairs, kept in a canonical graded-lex order (family precedence
-lambda < psi < kappa < x < u < z, then index) so printed polynomials
-and JSON payloads are byte-stable across runs.  Determinants are one
+
+A monomial is one int, a packed exponent vector (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  The Layout of a polynomial lists the variables of
+its ring in canonical order (family precedence lambda < psi < kappa <
+x < u < z, then index) and gives each one a bit field of the same
+width, the first variable the highest; the weighted degree sits above
+them all, in a field without a width.  So a product of monomials is the
+sum of their ints, the weighted degree is a shift, and descending int
+order is canonical graded-lex order: the weighted degree first, then the
+exponents in canonical order of the variables, the larger first.  That is
+the order of the sparse lists of (variable, exponent) pairs that printed
+polynomials follow, down to a list that is a strict prefix of another
+(only weight-zero kappa_0 can make one): the longer list has the larger
+int.  Monomials are unpacked only to be printed, and by the few callers
+that read exponents, through Layout.unpack.
+
+A layout of width w holds exponents below 2^w, and the top bit of each
+field is a guard: two polynomials are multiplied in a layout only when no
+exponent of either reaches 2^(w-1), so a sum of two fields never carries
+into the next one.  Builders choose the width from a degree bound before
+work starts (field_width); a product that would break the rule anyway is
+formed in a layout one bit wider.  Polynomials of one ring share one
+layout; two layouts meet, in sums and products, in the layout of the
+union of their variables at the larger width.  Determinants are one
 function, det; linear algebra over the integers is one kernel, Echelon.
 """
 
@@ -20,10 +41,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Variable",
+    "Layout",
+    "field_width",
     "MultiPoly",
     "det",
     "lam",
@@ -102,54 +127,104 @@ PSI = Variable("psi")
 U = Variable("u")
 
 
-# A monomial is a tuple of (Variable, exponent) pairs with positive
-# exponents, sorted by variable (canonical order).  The empty tuple is 1.
-Monomial = tuple[tuple[Variable, int], ...]
+# A monomial is an int packed by the Layout of its polynomial: the
+# exponent of the i-th of n variables (canonical order) in bits
+# [w(n-1-i), w(n-i)), the weighted degree from bit wn up.  0 is the
+# monomial 1 in every layout.
+Monomial = int
+
+_MIN_WIDTH = 8
 
 
-def _mono_weight(mono: Monomial) -> int:
-    return sum(v.weight * e for v, e in mono)
+def field_width(degree: int) -> int:
+    """Bits per field for exponents up to degree with the guard bit clear."""
+    return max(_MIN_WIDTH, degree.bit_length() + 1)
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        (va, ea), (vb, eb) = a[ia], b[ib]
-        if va == vb:
-            out.append((va, ea + eb))
-            ia += 1
-            ib += 1
-        elif va < vb:
-            out.append(a[ia])
-            ia += 1
-        else:
-            out.append(b[ib])
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return tuple(out)
+class Layout:
+    """How the monomials of one ring are packed into ints.
 
-
-# Sentinel pair after every (variable, -exponent) pair, its "variable"
-# ranking past every family; it makes a monomial that is a strict prefix
-# of another (possible only through weight-zero kappa_0) compare as the
-# larger one, matching sparse-lex semantics.
-_END = ((1 << 30,), 0)
-
-
-def mono_sort_key(mono: Monomial):
-    """Canonical graded-lex order: ascending key = display order.
-
-    The leading (largest) monomial has the smallest key: degree is
-    negated and exponents enter negated, so tuple comparison walks the
-    variables in canonical order and prefers larger exponents.
+    variables are in canonical order and every one has a field of width
+    bits; offsets maps each to the lowest bit of its field, units to the
+    packed monomial of the variable itself (its field and its weight), and
+    guard has the top bit of every field set.  Layouts are interned by
+    Layout.of, so polynomials of one ring share the object and compare
+    their layouts by identity.
     """
-    return -_mono_weight(mono), tuple([(v, -e) for v, e in mono]) + (_END,)
+
+    __slots__ = ("variables", "width", "mask", "shift", "offsets", "units", "guard", "_upward")
+
+    _interned: dict = {}
+
+    def __init__(self, variables: tuple[Variable, ...], width: int):
+        n = len(variables)
+        self.variables = variables
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.shift = width * n
+        self.offsets = {v: width * (n - 1 - i) for i, v in enumerate(variables)}
+        self.units = {v: (1 << off) | (v.weight << self.shift) for v, off in self.offsets.items()}
+        self.guard = sum(1 << (off + width - 1) for off in self.offsets.values())
+        self._upward = variables[::-1]  # the variable of each field, lowest field first
+
+    @classmethod
+    def of(cls, variables: Iterable[Variable], width: int = _MIN_WIDTH) -> "Layout":
+        """The layout of these variables (in any order) with fields of width bits."""
+        key = (tuple(sorted(set(variables))), width)
+        found = cls._interned.get(key)
+        if found is None:
+            found = cls._interned[key] = cls(*key)
+        return found
+
+    def common(self, other: "Layout") -> "Layout":
+        """The layout two polynomials meet in: both variable sets, the larger width."""
+        if other is self or not other.variables:
+            return self
+        if not self.variables:
+            return other
+        return Layout.of(self.variables + other.variables, max(self.width, other.width))
+
+    def pack(self, pairs: Iterable[tuple[Variable, int]]) -> Monomial:
+        """The monomial of (variable, exponent) pairs, one pair per variable;
+        each exponent must fit its field."""
+        mono = 0
+        for var, e in pairs:
+            if not 0 <= e <= self.mask:
+                raise ValueError(f"exponent {e} of {var.name} does not fit a {self.width}-bit field")
+            mono += e * self.units[var]
+        return mono
+
+    def unpack(self, mono: Monomial) -> list[tuple[Variable, int]]:
+        """The (variable, exponent) pairs of a monomial, canonical order, zero exponents left out.
+
+        The highest nonzero field is found from the bit length, so the
+        cost goes with the variables present, not with those of the
+        layout (a pushed-forward class has one kappa field per psi power).
+        """
+        width, upward = self.width, self._upward
+        mono &= (1 << self.shift) - 1
+        pairs = []
+        while mono:
+            field = (mono.bit_length() - 1) // width
+            off = field * width
+            e = mono >> off
+            pairs.append((upward[field], e))
+            mono ^= e << off
+        return pairs
+
+    def divides(self, a: Monomial, b: Monomial) -> bool:
+        """Whether monomial a divides monomial b, field by field.
+
+        Every exponent must be below the guard bit: then setting the
+        guard bits of b and subtracting a leaves each guard bit set
+        exactly where b's field is at least a's, and no field borrows
+        from the next.
+        """
+        guard = self.guard
+        return ((b | guard) - a) & guard == guard
+
+
+_EMPTY = Layout.of(())
 
 
 def _coerce_coeff(value) -> Scalar:
@@ -161,19 +236,22 @@ def _coerce_coeff(value) -> Scalar:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial: map from monomial to nonzero coefficient.
+    """Immutable sparse polynomial: map from packed monomial to nonzero coefficient.
 
-    Coefficients are kept as given, int or Fraction, so integer
-    arithmetic stays on ints until a division makes a Fraction.  The
-    canonically sorted term list is built on first use and kept, so
-    rendering a polynomial several ways sorts it once.
+    layout says how its monomials are packed.  Coefficients are kept as
+    given, int or Fraction, so integer arithmetic stays on ints until a
+    division makes a Fraction.  The canonically sorted term list and the
+    bitwise or of the monomials (for the guard test of products) are
+    built on first use and kept.
     """
 
-    __slots__ = ("_terms", "_sorted")
+    __slots__ = ("_terms", "layout", "_sorted", "_bits")
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None, layout: Layout = _EMPTY):
         self._terms = {mono: coeff for mono, coeff in terms.items() if coeff} if terms else {}
+        self.layout = layout
         self._sorted = None
+        self._bits = None
 
     # -- constructors ------------------------------------------------
 
@@ -183,15 +261,31 @@ class MultiPoly:
 
     @classmethod
     def one(cls) -> "MultiPoly":
-        return cls({(): 1})
+        return cls({0: 1})
 
     @classmethod
     def constant(cls, value: Scalar) -> "MultiPoly":
-        return cls({(): _coerce_coeff(value)})
+        return cls({0: _coerce_coeff(value)})
 
     @classmethod
-    def variable(cls, var: Variable) -> "MultiPoly":
-        return cls({((var, 1),): 1})
+    def variable(cls, var: Variable, layout: Layout | None = None) -> "MultiPoly":
+        """var as a polynomial of layout, by default a layout of its own."""
+        layout = layout or Layout.of((var,))
+        return cls({layout.units[var]: 1}, layout)
+
+    @classmethod
+    def from_pairs(cls, terms: Iterable[tuple[Iterable[tuple[Variable, int]], Scalar]]) -> "MultiPoly":
+        """The sum of the terms, each a list of (variable, exponent) pairs (one
+        per variable) and a coefficient, in a layout of their variables wide
+        enough for them."""
+        terms = [(list(pairs), _coerce_coeff(coeff)) for pairs, coeff in terms]
+        pairs = [pair for mono, _ in terms for pair in mono]
+        layout = Layout.of({v for v, _ in pairs}, field_width(max((e for _, e in pairs), default=0)))
+        acc: dict[Monomial, Scalar] = {}
+        for mono, coeff in terms:
+            key = layout.pack(mono)
+            acc[key] = acc.get(key, 0) + coeff
+        return cls(acc, layout)
 
     @staticmethod
     def sum(values: Iterable["MultiPoly | Scalar"]) -> "MultiPoly":
@@ -201,11 +295,16 @@ class MultiPoly:
         step; for k values of comparable size that costs about k/2 times
         as much.
         """
+        polys = [MultiPoly._wrap(value) for value in values]
+        layout = _EMPTY
+        for p in polys:
+            layout = layout.common(p.layout)
         acc: dict[Monomial, Scalar] = {}
-        for value in values:
-            for mono, coeff in MultiPoly._wrap(value)._terms.items():
-                acc[mono] = acc.get(mono, 0) + coeff
-        return MultiPoly(acc)
+        get = acc.get
+        for p in polys:
+            for mono, coeff in p.recast(layout)._terms.items():
+                acc[mono] = get(mono, 0) + coeff
+        return MultiPoly(acc, layout)
 
     @staticmethod
     def _wrap(value: "MultiPoly | Scalar") -> "MultiPoly":
@@ -223,44 +322,72 @@ class MultiPoly:
             other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self._terms == other._terms
+        layout = self.layout.common(other.layout)
+        return self.recast(layout)._terms == other.recast(layout)._terms
 
     def _sorted_terms(self) -> tuple[tuple[Monomial, Scalar], ...]:
         """Terms in canonical display order, leading term first."""
         if self._sorted is None:
-            self._sorted = tuple(sorted(self._terms.items(), key=lambda term: mono_sort_key(term[0])))
+            terms = self._terms
+            self._sorted = tuple([(mono, terms[mono]) for mono in sorted(terms, reverse=True)])
         return self._sorted
 
+    def _or(self) -> int:
+        """The bitwise or of the monomials: a bound on every field at once."""
+        if self._bits is None:
+            self._bits = reduce(or_, self._terms, 0)
+        return self._bits
+
     def items(self):
-        """Raw (monomial, coefficient) pairs in arbitrary order."""
+        """Raw (monomial, coefficient) pairs in arbitrary order; layout.unpack reads a monomial."""
         return self._terms.items()
 
     def constant_term(self) -> Scalar:
-        return self._terms.get((), 0)
+        return self._terms.get(0, 0)
+
+    def degree(self) -> int:
+        """The largest weighted degree of a term (0 for constants and zero)."""
+        return max(self._terms, default=0) >> self.layout.shift
 
     def variables(self) -> set[Variable]:
-        out: set[Variable] = set()
-        for mono in self._terms:
-            out.update(v for v, _ in mono)
-        return out
+        bits, mask = self._or(), self.layout.mask
+        return {v for v, off in self.layout.offsets.items() if bits >> off & mask}
+
+    def recast(self, layout: Layout) -> "MultiPoly":
+        """The same polynomial in another layout, which has all its variables."""
+        src = self.layout
+        if src is layout:
+            return self
+        if not src.variables:
+            return MultiPoly(self._terms, layout)
+        moves = [(off, layout.offsets[v]) for v, off in src.offsets.items()]
+        mask, shift, target_shift = src.mask, src.shift, layout.shift
+        bits = self._or()
+        if any(bits >> off & mask > layout.mask for off, _ in moves):
+            raise ValueError("an exponent does not fit the narrower layout")
+        out = {}
+        for mono, coeff in self._terms.items():
+            packed = mono >> shift << target_shift
+            for off, target in moves:
+                packed |= (mono >> off & mask) << target
+            out[packed] = coeff
+        return MultiPoly(out, layout)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         other = MultiPoly._wrap(other)
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = out.get(mono, 0) + coeff
-            if acc:
-                out[mono] = acc
-            else:
-                out.pop(mono, None)
-        return MultiPoly(out)
+        layout = self.layout.common(other.layout)
+        out = dict(self.recast(layout)._terms)
+        get = out.get
+        for mono, coeff in other.recast(layout)._terms.items():
+            out[mono] = get(mono, 0) + coeff
+        return MultiPoly(out, layout)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({m: -c for m, c in self._terms.items()})
+        return MultiPoly({m: -c for m, c in self._terms.items()}, self.layout)
 
     def __sub__(self, other):
         return self + (-MultiPoly._wrap(other))
@@ -272,19 +399,21 @@ class MultiPoly:
         other = MultiPoly._wrap(other)
         if not self._terms or not other._terms:
             return MultiPoly.zero()
-        # iterate over the smaller factor
-        if len(self._terms) > len(other._terms):
-            self, other = other, self
+        layout = self.layout.common(other.layout)
+        a, b = self.recast(layout), other.recast(layout)
+        if (a._or() | b._or()) & layout.guard:  # a field could carry: widen first
+            layout = Layout.of(layout.variables, layout.width + 1)
+            a, b = a.recast(layout), b.recast(layout)
+        if len(a._terms) > len(b._terms):  # iterate over the smaller factor
+            a, b = b, a
         out: dict[Monomial, Scalar] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mono = _mono_mul(ma, mb)
-                acc = out.get(mono, 0) + ca * cb
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
-        return MultiPoly(out)
+        get = out.get
+        outer, inner = a._terms.items(), b._terms.items()
+        for ma, ca in outer:
+            for mb, cb in inner:
+                mono = ma + mb
+                out[mono] = get(mono, 0) + ca * cb
+        return MultiPoly(out, layout)
 
     __rmul__ = __mul__
 
@@ -308,7 +437,7 @@ class MultiPoly:
         c = _coerce_coeff(value)
         if not c:
             return MultiPoly.zero()
-        return MultiPoly({m: co * c for m, co in self._terms.items()})
+        return MultiPoly({m: co * c for m, co in self._terms.items()}, self.layout)
 
     def __truediv__(self, other: Scalar):
         c = _coerce_coeff(other)
@@ -321,39 +450,36 @@ class MultiPoly:
     def substitute(self, sigma: Mapping[Variable, "MultiPoly | Scalar"]) -> "MultiPoly":
         """Apply the ring homomorphism sending each variable to its image.
 
-        Variables absent from sigma map to themselves.
+        Variables absent from sigma map to themselves.  The terms are
+        grouped by the exponents of the substituted variables, and each
+        group, with those exponents cleared, is multiplied once by the
+        product of the images' powers.
         """
-        images = {v: MultiPoly._wrap(p) for v, p in sigma.items()}
-        power_cache: dict[tuple[Variable, int], MultiPoly] = {}
-        acc: dict[Monomial, Scalar] = {}
+        layout = self.layout
+        images = {v: MultiPoly._wrap(p) for v, p in sigma.items() if v in layout.offsets}
+        if not images:
+            return self
+        mask = layout.mask
+        cleared = [(v, layout.offsets[v], layout.units[v]) for v in images]
+        groups: dict[tuple, dict[Monomial, Scalar]] = {}
         for mono, coeff in self._terms.items():
-            image: MultiPoly | None = None
-            plain: list[tuple[Variable, int]] = []
-            for var, exp in mono:
-                if var in images:
-                    key = (var, exp)
-                    if key not in power_cache:
-                        power_cache[key] = images[var] ** exp
-                    factor = power_cache[key]
-                    image = factor if image is None else image * factor
-                else:
-                    plain.append((var, exp))
-            plain_mono = tuple(plain)
-            if image is None:
-                val = acc.get(plain_mono, 0) + coeff
-                if val:
-                    acc[plain_mono] = val
-                else:
-                    acc.pop(plain_mono, None)
-                continue
-            for m2, c2 in image._terms.items():
-                target = _mono_mul(plain_mono, m2)
-                val = acc.get(target, 0) + coeff * c2
-                if val:
-                    acc[target] = val
-                else:
-                    acc.pop(target, None)
-        return MultiPoly(acc)
+            key = []
+            for var, off, unit in cleared:
+                e = mono >> off & mask
+                if e:
+                    mono -= e * unit
+                    key.append((var, e))
+            groups.setdefault(tuple(key), {})[mono] = coeff
+        powers: dict[tuple[Variable, int], MultiPoly] = {}
+        parts = []
+        for key, group in groups.items():
+            image = MultiPoly.one()
+            for var, e in key:
+                if (var, e) not in powers:
+                    powers[var, e] = images[var] ** e
+                image = image * powers[var, e]
+            parts.append(MultiPoly(group, layout) * image)
+        return MultiPoly.sum(parts)
 
     # -- serialization -------------------------------------------------
 
@@ -365,9 +491,10 @@ class MultiPoly:
         term's piece of canonical_str with its sign in front, as in
         " + 3*psi" or " - lambda1".
         """
+        unpack = self.layout.unpack
         for mono, coeff in self._sorted_terms():
             coeff_text = str(coeff)
-            pairs = [(v.name, e) for v, e in mono]
+            pairs = [(v.name, e) for v, e in unpack(mono)]
             body = "*".join([f"{name}^{e}" if e > 1 else name for name, e in pairs])
             sign, mag = (" - ", coeff_text[1:]) if coeff_text[0] == "-" else (" + ", coeff_text)
             if body:
@@ -398,8 +525,9 @@ class MultiPoly:
             return f"{v.family}_{{{v.index}}}"
 
         pieces = []
+        unpack = self.layout.unpack
         for mono, coeff in self._sorted_terms():
-            body = "".join(f"{sym(v)}^{{{e}}}" if e > 1 else sym(v) for v, e in mono)
+            body = "".join(f"{sym(v)}^{{{e}}}" if e > 1 else sym(v) for v, e in unpack(mono))
             mag = abs(coeff)
             if mag.denominator == 1:
                 magtex = str(mag)
@@ -422,25 +550,27 @@ class MultiPoly:
 
 
 def det(rows: Sequence[Sequence[MultiPoly | Scalar]]) -> MultiPoly:
-    """Exact determinant of a square matrix by Laplace expansion with
-    memoised minors.
+    """Exact determinant of a square matrix.
 
-    The entries are MultiPoly or plain numbers; a matrix of numbers is
-    expanded in their own arithmetic.  Row i is expanded against the
-    minors of rows i+1..n-1, each keyed by its set of columns, so every
-    distinct minor is computed once; zero entries and zero minors are
-    skipped.  The minors are built from the bottom row up because the
-    bottom rows of a Kempf-Laksov matrix hold its lowest-degree entries:
-    the largest products are first-row entries times (n-1)-minors,
-    exactly those of cofactor expansion along the first row.  Built from
-    the top down instead, the expansion multiplies large partial
-    expansions of the upper rows, which is 2 to 6 times slower on these
-    matrices.  All C(n, k) minors of k rows may be kept, so the cost
-    grows like 2^n.
+    A matrix of ints is eliminated fraction-free (Bareiss, Math. Comp.
+    1968), which takes about n^3 products.  Any other matrix, of
+    MultiPoly or of Fractions, is expanded by Laplace with memoised
+    minors: row i is expanded against the minors of rows i+1..n-1, each
+    keyed by its set of columns, so every distinct minor is computed
+    once; zero entries and zero minors are skipped.  The minors are built
+    from the bottom row up because the bottom rows of a Kempf-Laksov
+    matrix hold its lowest-degree entries: the largest products are
+    first-row entries times (n-1)-minors, exactly those of cofactor
+    expansion along the first row.  Built from the top down instead, the
+    expansion multiplies large partial expansions of the upper rows,
+    which is 2 to 6 times slower on these matrices.  All C(n, k) minors of
+    k rows may be kept, so the cost grows like 2^n.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
+    if all(type(entry) is int for row in rows for entry in row):
+        return MultiPoly.constant(_bareiss(rows))
     minors: dict[int, MultiPoly | Scalar] = {0: 1}
     for row in reversed(rows):
         larger: dict[int, MultiPoly | Scalar] = {}
@@ -456,6 +586,32 @@ def det(rows: Sequence[Sequence[MultiPoly | Scalar]]) -> MultiPoly:
                 larger[key] = larger[key] + piece if key in larger else piece
         minors = {cols: minor for cols, minor in larger.items() if minor}
     return MultiPoly._wrap(minors.get((1 << n) - 1, 0))
+
+
+def _bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square int matrix by fraction-free elimination.
+
+    After step k every entry below and right of the pivot is a (k+2)-minor
+    of the matrix, so the division by the previous pivot is exact.  A zero
+    pivot is swapped for a lower row with a nonzero entry in its column,
+    which flips the sign; if there is none, the determinant is zero.
+    """
+    m = [list(row) for row in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for row in m[k + 1 :]:
+            a = row[k]
+            row[k + 1 :] = [(pivot * v - a * w) // prev for v, w in zip(row[k + 1 :], pivot_row[k + 1 :])]
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
 
 
 class Echelon:

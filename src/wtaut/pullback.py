@@ -37,8 +37,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import Echelon, Monomial, MultiPoly, PSI, _mono_mul, _mono_weight, det, kap, lam
-from .schur import psi_matrix
+from .exactalg import Echelon, Layout, Monomial, MultiPoly, PSI, det, field_width, kap, lam
+from .schur import lambda_ring, psi_matrix
 from .semigroups import Partition
 
 __all__ = [
@@ -73,12 +73,13 @@ def _power_sum_lambda(g: int, s: int) -> MultiPoly:
 
     built bottom-up from p_1, so that no call recurses once per degree.
     """
+    ring = lambda_ring(g, s)
     sums = [MultiPoly.zero()]  # p_0 is never read: i < t keeps t - i >= 1
     for t in range(1, s + 1):
         lower = range(1, min(t - 1, g) + 1)
-        out = MultiPoly.sum(MultiPoly.variable(lam(i)) * sums[t - i] for i in lower)
+        out = MultiPoly.sum(MultiPoly.variable(lam(i), ring) * sums[t - i] for i in lower)
         if t <= g:
-            out = out + MultiPoly.variable(lam(t)).scale(t)
+            out = out + MultiPoly.variable(lam(t), ring).scale(t)
         sums.append(-out)
     return sums[s]
 
@@ -93,7 +94,7 @@ def kstar_power_sum(s: int, g: int) -> MultiPoly:
     if g < 1 or s < 1:
         raise ValueError("genus and power must be at least 1")
     tail = sum((i - g) ** s for i in range(1, g + 1))
-    return _power_sum_lambda(g, s) - (MultiPoly.variable(PSI) ** s).scale(tail)
+    return _power_sum_lambda(g, s) - (MultiPoly.variable(PSI, lambda_ring(g, s)) ** s).scale(tail)
 
 
 # -- Mumford quotient -------------------------------------------------------
@@ -107,7 +108,8 @@ def mumford_generators(g: int) -> tuple[tuple[int, MultiPoly], ...]:
     lambda_j with lambda_0 = 1, for k = 1..g; the odd parts cancel under
     i <-> j.  Every generator lies in Q[lambda].
     """
-    lams = [MultiPoly.one()] + [MultiPoly.variable(lam(a)) for a in range(1, g + 1)]
+    ring = lambda_ring(g, 2 * g)
+    lams = [MultiPoly.one()] + [MultiPoly.variable(lam(a), ring) for a in range(1, g + 1)]
     gens = []
     for k in range(1, g + 1):
         pairs = range(max(0, 2 * k - g), min(g, 2 * k) + 1)
@@ -116,14 +118,16 @@ def mumford_generators(g: int) -> tuple[tuple[int, MultiPoly], ...]:
     return tuple(gens)
 
 
-def lambda_monomials(g: int, weight: int) -> list[Monomial]:
-    """Every monomial in lambda_1..lambda_g of the given weight, in
-    canonical order (mono_sort_key).
+def lambda_monomials(g: int, weight: int, ring: Layout) -> list[Monomial]:
+    """Every monomial in lambda_1..lambda_g of the given weight, packed in
+    ring, a layout with fields for them wide enough for weight, in
+    canonical order.
 
     Canonical order walks lambda_1, lambda_2, ... and prefers the larger
     exponent, so choosing the exponents in that order, each from the
     largest down, emits the monomials already sorted.
     """
+    steps = [ring.units[lam(i)] for i in range(1, g + 1)]
     out: list[Monomial] = []
 
     def rec(index: int, left: int, head: Monomial) -> None:
@@ -133,30 +137,31 @@ def lambda_monomials(g: int, weight: int) -> list[Monomial]:
         if index > g:
             return
         for e in range(left // index, -1, -1):
-            rec(index + 1, left - e * index, head + (((lam(index), e),) if e else ()))
+            rec(index + 1, left - e * index, head + e * steps[index - 1])
 
-    rec(1, weight, ())
+    rec(1, weight, 0)
     return out
 
 
 @lru_cache(maxsize=None)
-def _mumford_pivots(g: int, weight: int):
+def _mumford_pivots(g: int, weight: int, ring: Layout):
     """Row-echelon basis of the weight slice J_w of the lambda-only
-    Mumford ideal J.
+    Mumford ideal J, its monomials packed in ring.
 
-    Returns (lambda_monomials(g, weight), the exactalg.Echelon of the
-    integer rows m * generator).
+    Returns (lambda_monomials(g, weight, ring), the exactalg.Echelon of
+    the integer rows m * generator).
     """
-    basis = lambda_monomials(g, weight)
+    basis = lambda_monomials(g, weight, ring)
     column = {m: i for i, m in enumerate(basis)}
     echelon = Echelon()
     for gen_degree, gen in mumford_generators(g):
         if gen_degree > weight:
             break
-        for m in lambda_monomials(g, weight - gen_degree):
+        terms = gen.recast(ring).items()
+        for m in lambda_monomials(g, weight - gen_degree, ring):
             row = [0] * len(basis)
-            for mono, c in gen.items():
-                row[column[_mono_mul(m, mono)]] = c
+            for mono, c in terms:
+                row[column[m + mono]] = c
             echelon.add(row)
     return basis, echelon
 
@@ -174,22 +179,21 @@ def mumford_reduce(p: MultiPoly, g: int) -> MultiPoly:
     for v in p.variables():
         if v.family not in ("lambda", "psi") or v.index > g:
             raise ValueError("mumford_reduce expects a polynomial in lambda_1..lambda_g and psi")
+    ring = lambda_ring(g, p.degree())
+    psi = ring.units[PSI]
     blocks: dict[tuple[int, int], dict] = {}
-    for mono, c in p.items():
-        k = 0
-        if mono and mono[-1][0] == PSI:  # psi sorts after every lambda
-            k = mono[-1][1]
-            mono = mono[:-1]
-        blocks.setdefault((_mono_weight(mono), k), {})[mono] = c
+    for mono, c in p.recast(ring).items():
+        k = mono & ring.mask  # psi sorts after every lambda: its field is the lowest
+        mono -= k * psi
+        blocks.setdefault((mono >> ring.shift, k), {})[mono] = c
     out = {}
     for (weight, k), part in blocks.items():
-        basis, echelon = _mumford_pivots(g, weight)
+        basis, echelon = _mumford_pivots(g, weight, ring)
         vec = echelon.reduce([part.get(m, 0) for m in basis])
-        psi = ((PSI, k),) if k else ()
         for m, c in zip(basis, vec):
             if c:
-                out[m + psi] = c
-    return MultiPoly(out)
+                out[m + k * psi] = c
+    return MultiPoly(out, ring)
 
 
 # -- power sums on the smooth locus ----------------------------------------
@@ -230,12 +234,13 @@ def smooth_power_sum(s: int, g: int, paper_sign: bool = False) -> MultiPoly:
     """
     if g < 1 or s < 1:
         raise ValueError("genus and power must be at least 1")
-    psi = MultiPoly.variable(PSI)
+    r = (s + 1) // 2
+    ring = Layout.of((kap(2 * r - 1), PSI), field_width(s))
+    psi = MultiPoly.variable(PSI, ring)
     tail = sum((i - g) ** s for i in range(1, g + 1))
     tail_poly = (psi**s).scale(tail)
     if s % 2 == 0:
         return tail_poly if paper_sign else -tail_poly
-    r = (s + 1) // 2
-    kappa_term = MultiPoly.variable(kap(2 * r - 1)).scale(bernoulli(2 * r) / (2 * r))
+    kappa_term = MultiPoly.variable(kap(2 * r - 1), ring).scale(bernoulli(2 * r) / (2 * r))
     return kappa_term - tail_poly
 

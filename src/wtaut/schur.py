@@ -49,9 +49,9 @@ factor e_a fewer by the pull rule
 
 so only weakly decreasing nu are ever stored.  The coefficients of the
 whole class are summed per orbit and per psi power, and each orbit is
-written out as its distinct rearrangements once, at the end: for the
-pullback of mu = (5,4,3,2) at g = 6 that is 201 orbits over 15 psi
-powers for 19,872 terms in the roots.
+written out as its distinct rearrangements once, at the end, each one a
+sum of packed exponents: for the pullback of mu = (5,4,3,2) at g = 6
+that is 201 orbits over 15 psi powers for 19,872 terms in the roots.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from functools import lru_cache, partial
 from itertools import groupby
 from typing import Callable, Sequence, Union
 
-from .exactalg import MultiPoly, PSI, Variable, _mono_mul, det, lam, zvar
+from .exactalg import Layout, MultiPoly, PSI, Variable, det, field_width, lam, zvar
 from .semigroups import Partition
 
 __all__ = [
@@ -71,9 +71,20 @@ __all__ = [
     "psi_matrix",
     "generic_arguments",
     "in_roots",
+    "lambda_ring",
 ]
 
 Value = Union[MultiPoly, Fraction, int]
+
+
+@lru_cache(maxsize=None)
+def lambda_ring(g: int, degree: int) -> Layout:
+    """The layout of Q[lambda_1..lambda_g, psi] for degrees up to degree.
+
+    Every exponent of a class of weighted degree d is at most d, so the
+    fields are chosen wide enough for that (exactalg.field_width).
+    """
+    return Layout.of([*map(lam, range(1, g + 1)), PSI], field_width(degree))
 
 
 def generic_arguments(n: int) -> list[MultiPoly]:
@@ -97,8 +108,9 @@ def factorial_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
         elementary = elementary_of_values(xs, top).__getitem__
         total = sum
     else:
-        u, complete, elementary = 1, partial(_segre_class, n), partial(_signed_lambda, n)
-        total = MultiPoly.sum
+        ring = lambda_ring(n, mu.weight)
+        complete, elementary = partial(_segre_class, n, ring=ring), partial(_signed_lambda, n, ring=ring)
+        u, total = 1, MultiPoly.sum
 
     def row(r: int, ks: range) -> list[Value]:
         coeffs = _interval_coefficients(variant, r, 0, ks[-1])  # shared by the row's entries
@@ -146,13 +158,13 @@ def complete_of_values(values: Sequence[Value], top: int) -> list[Value]:
 
 
 @lru_cache(maxsize=None)
-def _segre_classes(g: int) -> list[MultiPoly]:
-    """s_0, s_1, ... at genus g, as far as _segre_class has grown the list."""
+def _segre_classes(g: int, ring: Layout) -> list[MultiPoly]:
+    """s_0, s_1, ... at genus g in ring, as far as _segre_class has grown the list."""
     return [MultiPoly.one()]
 
 
-def _segre_class(g: int, a: int) -> MultiPoly:
-    """h_a(x_1..x_g) in the lambda basis, the Segre class of E*.
+def _segre_class(g: int, a: int, ring: Layout) -> MultiPoly:
+    """h_a(x_1..x_g) in the lambda basis, the Segre class of E*, in ring.
 
     Since e_i(x) = (-1)^i lambda_i, the identity sum_i (-1)^i e_i h_(a-i) = 0
     reads s_a = -sum_{i=1}^{min(a,g)} lambda_i s_(a-i), with s_0 = 1.  The
@@ -160,21 +172,21 @@ def _segre_class(g: int, a: int) -> MultiPoly:
     """
     if a < 0:
         return MultiPoly.zero()
-    known = _segre_classes(g)
+    known = _segre_classes(g, ring)
     while len(known) <= a:
         b = len(known)
         lower = range(1, min(b, g) + 1)
-        known.append(-MultiPoly.sum(MultiPoly.variable(lam(i)) * known[b - i] for i in lower))
+        known.append(-MultiPoly.sum(MultiPoly.variable(lam(i), ring) * known[b - i] for i in lower))
     return known[a]
 
 
-def _signed_lambda(g: int, a: int) -> MultiPoly:
-    """e_a(x_1..x_g) = (-1)^a lambda_a in the lambda basis."""
+def _signed_lambda(g: int, a: int, ring: Layout) -> MultiPoly:
+    """e_a(x_1..x_g) = (-1)^a lambda_a in the lambda basis, in ring."""
     if a < 0 or a > g:
         return MultiPoly.zero()
     if a == 0:
         return MultiPoly.one()
-    return MultiPoly.variable(lam(a)).scale((-1) ** a)
+    return MultiPoly.variable(lam(a), ring).scale((-1) ** a)
 
 
 def _variant(mu: Partition, g: int, numeric: bool) -> str:
@@ -225,11 +237,11 @@ def _entry_terms(
 
 
 @lru_cache(maxsize=None)
-def _matrix_entry(variant: str, g: int, r: int, k: int, shift: int) -> MultiPoly:
-    """The entry in lambda and psi: h_a(x) and e_a(x) in the lambda basis."""
-    series = (partial(_segre_class, g), partial(_signed_lambda, g))
+def _matrix_entry(variant: str, g: int, r: int, k: int, shift: int, ring: Layout) -> MultiPoly:
+    """The entry in lambda and psi: h_a(x) and e_a(x) in the lambda basis, in ring."""
+    series = (partial(_segre_class, g, ring=ring), partial(_signed_lambda, g, ring=ring))
     coeffs = _interval_coefficients(variant, r, shift, k)
-    return MultiPoly.sum(_entry_terms(variant, *series, coeffs, k, MultiPoly.variable(PSI)))
+    return MultiPoly.sum(_entry_terms(variant, *series, coeffs, k, MultiPoly.variable(PSI, ring)))
 
 
 def _matrix(mu: Partition, g: int, variant: str, row: Callable[[int, range], list]) -> list[list[Value]]:
@@ -254,7 +266,8 @@ def psi_matrix(mu: Partition, g: int, shift: int = 0) -> list[list[MultiPoly]]:
     Schubert-class pullback.
 
     Entries are polynomials in lambda_1..lambda_g and psi, in the variant
-    _variant picks, shaped as in _matrix.  At shift = 0 the determinant
+    _variant picks, shaped as in _matrix, and share the layout
+    lambda_ring(g, |mu|).  At shift = 0 the determinant
     is kstar_schubert(mu, g), that is u^|mu| t_mu(x/u) with u -> -psi.
     shift = 1 raises every interval value by one, which gives
     u^|mu| t_mu(x/u - 1), the Weierstrass class (see wcycles).
@@ -263,8 +276,8 @@ def psi_matrix(mu: Partition, g: int, shift: int = 0) -> list[list[MultiPoly]]:
     if mu.length > g:
         raise ValueError("partition longer than the genus")
     variant = _variant(mu, g, numeric=False)
-    entry = partial(_matrix_entry, variant, g)
-    return _matrix(mu, g, variant, lambda r, ks: [entry(r, k, shift) for k in ks])
+    ring = lambda_ring(g, mu.weight)
+    return _matrix(mu, g, variant, lambda r, ks: [_matrix_entry(variant, g, r, k, shift, ring) for k in ks])
 
 
 # -- the roots view ----------------------------------------------------------
@@ -278,35 +291,44 @@ def in_roots(p: MultiPoly, xs: tuple[Variable, ...]) -> MultiPoly:
     each non-lambda part of a monomial (the psi power), one map from
     weakly decreasing nu to the coefficient of the monomial symmetric
     function m_nu, taken from `_orbit_table`.  Each orbit is then
-    written out as its distinct rearrangements xs^sigma(nu).
+    written out as its distinct rearrangements xs^sigma(nu), in the
+    layout of xs and p's other variables, where a rearrangement is a sum
+    of shifted exponents and its product with the psi power one more sum.
     """
     g = len(xs)
+    src = p.layout
+    rest_vars = [v for v in p.variables() if v.family != "lambda"]
+    ring = Layout.of([*rest_vars, *xs], max(src.width, field_width(p.degree())))
     tables: dict = {}
     orbits: dict = {}
     for mono, coeff in p.items():
         diffs = [0] * g
-        rest = []
-        for var, e in mono:
-            if var.family == "lambda":
-                diffs[var.index - 1] = e
+        rest = 0
+        for var, e in src.unpack(mono):
+            if var.family != "lambda":
+                rest += e * ring.units[var]
+            elif var.index > g:
+                raise ValueError(f"lambda_{var.index} in the roots of genus {g}")
             else:
-                rest.append((var, e))
+                diffs[var.index - 1] = e
         if sum(a * d for a, d in enumerate(diffs, start=1)) % 2:
             coeff = -coeff
-        acc = orbits.setdefault(tuple(rest), {})
+        acc = orbits.setdefault(rest, {})
         for nu, count in _orbit_table(tuple(diffs), tables).items():
             acc[nu] = acc.get(nu, 0) + coeff * count
+    units = tuple(ring.units[x] for x in xs)
     orbit_monos: dict = {}
     out: dict = {}
     for rest, acc in orbits.items():
         for nu, coeff in acc.items():
             if coeff:
-                for xmono in _orbit_monomials(xs, nu, orbit_monos):
-                    out[_mono_mul(rest, xmono)] = coeff
-    return MultiPoly(out)
+                for xmono in _orbit_monomials(units, nu, orbit_monos):
+                    out[rest + xmono] = coeff
+    return MultiPoly(out, ring)
 
 
-def _moves(vec: tuple[int, ...], a: int, step: int) -> list[tuple[tuple[int, ...], int]]:
+@lru_cache(maxsize=1 << 16)
+def _moves(vec: tuple[int, ...], a: int, step: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Each sort(vec + step * 1_S) over a-subsets S of the places, with the
     number of subsets S that give it.
 
@@ -314,6 +336,8 @@ def _moves(vec: tuple[int, ...], a: int, step: int) -> list[tuple[tuple[int, ...
     inside the support count.  Choosing j places of a run of n equal
     entries gives comb(n, j) subsets, and the result stays sorted when the
     chosen places of a run are its first (step +1) or last (step -1).
+    Cached: the orbit tables of one class ask for each move about three
+    times (2,696 calls for 819 moves at (5,4,3,2), g = 6).
     """
     runs = [(v, len(list(group))) for v, group in groupby(vec)]
     out = []
@@ -333,7 +357,7 @@ def _moves(vec: tuple[int, ...], a: int, step: int) -> list[tuple[tuple[int, ...
             rec(r + 1, left - j, head + piece, ways * math.comb(n, j))
 
     rec(0, a, (), 1)
-    return out
+    return tuple(out)
 
 
 def _orbit_table(diffs: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], int]:
@@ -374,25 +398,26 @@ def _orbit_table(diffs: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], in
     return table
 
 
-def _orbit_monomials(xs: tuple[Variable, ...], nu: tuple[int, ...], memo: dict) -> list:
-    """Every distinct monomial x^sigma(nu) in the last len(nu) variables of xs.
+def _orbit_monomials(units: tuple[int, ...], nu: tuple[int, ...], memo: dict) -> list[int]:
+    """Every distinct monomial x^sigma(nu) in the last len(nu) variables,
+    packed: units are the monomials x_1..x_g of one layout.
 
     nu is weakly decreasing.  The orbit of a tail of nu lives in the
     last places only, so memo, keyed by that tail, shares it between the
-    orbits of every nu a caller passes with the same xs.
+    orbits of every nu a caller passes with the same units.
     """
     if not nu or not nu[0]:
-        return [()]
+        return [0]
     found = memo.get(nu)
     if found is None:
-        place = xs[len(xs) - len(nu)]
+        place = units[len(units) - len(nu)]
         found = []
         for head in dict.fromkeys(nu):
             i = nu.index(head)
-            tails = _orbit_monomials(xs, nu[:i] + nu[i + 1 :], memo)
+            tails = _orbit_monomials(units, nu[:i] + nu[i + 1 :], memo)
             if head:
-                pair = ((place, head),)
-                found.extend([pair + tail for tail in tails])
+                lead = head * place
+                found.extend([lead + tail for tail in tails])
             else:
                 found.extend(tails)
         memo[nu] = found

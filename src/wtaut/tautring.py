@@ -14,8 +14,9 @@ The upper bound has a closed form, a count of partitions inside the
 staircase (see `hilbert_quotient_upper`).  The lower bound is the rank
 of the evaluation, exact integer linear algebra: each lambda-monomial
 is a row of its values at the fixed points, and one Echelon grows by
-these rows in degree order (see `hilbert_quotient_lower`); no Groebner
-machinery is involved.
+these rows in degree order, skipping the multiples of monomials already
+found dependent (see `hilbert_quotient_lower`); no Groebner basis is
+computed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple
 from .errors import DataError
 from .exactalg import Echelon, MultiPoly
 from .pullback import kstar_schubert, lambda_monomials
-from .schur import elementary_of_values
+from .schur import elementary_of_values, lambda_ring
 from .semigroups import (
     DEFAULT_MAX_GENUS,
     NumericalSemigroup,
@@ -131,19 +132,35 @@ def hilbert_quotient_lower(g: int, cutoff: int, max_genus: int = DEFAULT_MAX_GEN
     the rank of the evaluation on the lambda-monomials of weight <= d.
     Row rank equals column rank, so each lambda-monomial is one integer
     row of its values at the N_g fixed points, the rows are added to one
-    Echelon in degree order, and h_d is its size after degree d.  The
-    rank cannot exceed N_g, so rows stop once it is reached; distinct
-    semigroups give distinct fixed points, so it is reached in high
-    enough degree.
+    Echelon, and h_d is its size after degree d.  The rank cannot exceed
+    N_g, so rows stop once it is reached; distinct semigroups give
+    distinct fixed points, so it is reached in high enough degree.
+
+    The rows are the Hilbert function of a finite set of points, so the
+    Buchberger-Moeller argument applies (Abbott, Bigatti, Kreuzer and
+    Robbiano, J. Symbolic Comput. 30, 2000).  The monomials are added in
+    increasing order of a term order, weighted degree and then lex (the
+    reverse of canonical order).  A monomial that leaves the rank
+    unchanged is a leading term of the vanishing ideal, and so is every
+    multiple of it: such a multiple is, on the points, a combination of
+    smaller monomials, all in the span already.  So it gets no row.
     """
     tables = [_fixed_point_values(h) for h in enumerate_semigroups(g, max_genus)]
+    ring = lambda_ring(g, cutoff)
     echelon = Echelon()
+    dependent: list[int] = []
     dims = []
     for d in range(cutoff + 1):
-        for mono in lambda_monomials(g, d):
+        for mono in reversed(lambda_monomials(g, d, ring)):
             if len(echelon) == len(tables):
                 break
-            echelon.add([math.prod(e_values[v.index] ** e for v, e in mono) for e_values in tables])
+            if any(ring.divides(leading, mono) for leading in dependent):
+                continue
+            rank = len(echelon)
+            pairs = ring.unpack(mono)
+            echelon.add([math.prod(e_values[v.index] ** e for v, e in pairs) for e_values in tables])
+            if len(echelon) == rank:
+                dependent.append(mono)
         dims.append(len(echelon))
     return dims
 

@@ -88,22 +88,22 @@ def pushforward_rule(pointed: MultiPoly) -> MultiPoly:
 
     psi-free terms are annihilated (kappa with index -1 is zero).
     """
-    out = {}
+    terms = []
+    unpack = pointed.layout.unpack
     for mono, coeff in pointed.items():
         m = 0
         rest = []
-        for var, e in mono:
+        for var, e in unpack(mono):
             if var == PSI:
                 m = e
             elif var.family == "lambda":
                 rest.append((var, e))
             else:
                 raise ValueError("pushforward expects a polynomial in lambda and psi")
-        if m == 0:
-            continue
-        rest.append((kap(m - 1), 1))  # kappa sorts after every lambda
-        out[tuple(rest)] = coeff  # one term per (lambda part, m): no two collide
-    return MultiPoly(out)
+        if m:
+            rest.append((kap(m - 1), 1))
+            terms.append((rest, coeff))  # one term per (lambda part, m): no two collide
+    return MultiPoly.from_pairs(terms)
 
 
 def weierstrass_class(semigroup: NumericalSemigroup, unshifted: bool = False) -> CycleClass:

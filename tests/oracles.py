@@ -35,9 +35,15 @@ reached from `src/`.
   term records back, naming variables through `parse_variable`.
 * `exact_div`: exact polynomial division, the ratio route's division by
   each factor of the Vandermonde.
-* `monomial`, `terms`, `coefficient`: a one-term polynomial from
-  (variable, exponent) pairs, the terms in display order as a new list,
-  and the coefficient of the monomial of some pairs.
+* `monomial`, `terms`, `pair_terms`, `coefficient`: a one-term
+  polynomial from (variable, exponent) pairs, the terms in display order
+  as a new list, the terms in arbitrary order, each monomial unpacked to
+  its tuple of pairs, and the coefficient of the monomial of some pairs.
+* `mono_sort_key`, `pairs_mul`, `pairs_weight`: the order, product and
+  weighted degree of monomials written as sorted tuples of (variable,
+  exponent) pairs, the representation `MultiPoly` kept before it packed
+  each monomial into one int; `mono_sort_key` is the order oracle for
+  packed int order.
 * `weighted_degrees`, `homogeneous_components`: the weighted degrees of
   a polynomial's terms, and its split into homogeneous parts.
 * `ev_homomorphism`: a lambda-psi class evaluated at the monomial fixed
@@ -52,22 +58,66 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from wtaut.exactalg import (
-    PSI,
-    U,
-    Echelon,
-    MultiPoly,
-    Variable,
-    _mono_mul,
-    _mono_weight,
-    det,
-    lam,
-    mono_sort_key,
-    xvar,
-)
+from wtaut.exactalg import PSI, U, Echelon, MultiPoly, Variable, det, lam, xvar
 from wtaut.pullback import lambda_monomials, mumford_generators
+from wtaut.schur import lambda_ring
 from wtaut.semigroups import NumericalSemigroup, Partition, enumerate_semigroups
 from wtaut.tautring import _fixed_point_values
+
+
+# -- monomials as sorted tuples of (variable, exponent) pairs -----------------
+
+
+def pairs_weight(mono) -> int:
+    return sum(v.weight * e for v, e in mono)
+
+
+def pairs_mul(a, b) -> tuple:
+    """The product of two sorted pair tuples, by a pairwise merge."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    ia = ib = 0
+    while ia < len(a) and ib < len(b):
+        (va, ea), (vb, eb) = a[ia], b[ib]
+        if va == vb:
+            out.append((va, ea + eb))
+            ia += 1
+            ib += 1
+        elif va < vb:
+            out.append(a[ia])
+            ia += 1
+        else:
+            out.append(b[ib])
+            ib += 1
+    out.extend(a[ia:])
+    out.extend(b[ib:])
+    return tuple(out)
+
+
+# Sentinel pair after every (variable, -exponent) pair, its "variable"
+# ranking past every family; it makes a monomial that is a strict prefix
+# of another (possible only through weight-zero kappa_0) compare as the
+# larger one, matching sparse-lex semantics.
+_END = ((1 << 30,), 0)
+
+
+def mono_sort_key(mono):
+    """Canonical graded-lex order of a pair tuple: ascending key = display order.
+
+    The leading (largest) monomial has the smallest key: degree is
+    negated and exponents enter negated, so tuple comparison walks the
+    variables in canonical order and prefers larger exponents.
+    """
+    return -pairs_weight(mono), tuple([(v, -e) for v, e in mono]) + (_END,)
+
+
+def pair_terms(p: MultiPoly) -> list:
+    """(pair tuple, coefficient) for every term of p, in arbitrary order."""
+    unpack = p.layout.unpack
+    return [(tuple(unpack(mono)), coeff) for mono, coeff in p.items()]
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +182,7 @@ def value_x_expansion(value_lambda: MultiPoly, g: int) -> MultiPoly:
     xs = [xvar(i) for i in range(1, g + 1)]
     xmonos: dict = {}
     acc: dict = {}
-    for mono, coeff in value_lambda.items():
+    for mono, coeff in pair_terms(value_lambda):
         diffs = [0] * g
         rest = []
         for var, e in mono:
@@ -147,13 +197,13 @@ def value_x_expansion(value_lambda: MultiPoly, g: int) -> MultiPoly:
             xmono = xmonos.get(vec)
             if xmono is None:
                 xmono = xmonos[vec] = tuple((x, e) for x, e in zip(xs, vec) if e)
-            key = _mono_mul(rest, xmono)
+            key = pairs_mul(rest, xmono)
             val = acc.get(key, 0) + coeff * ecoef
             if val:
                 acc[key] = val
             else:
                 acc.pop(key, None)
-    return MultiPoly(acc)
+    return MultiPoly.from_pairs(acc.items())
 
 
 def to_lambda_basis(p: MultiPoly, g: int) -> MultiPoly:
@@ -171,7 +221,7 @@ def to_lambda_basis(p: MultiPoly, g: int) -> MultiPoly:
 
     zero_vec = (0,) * g
     groups: dict[tuple[int, ...], dict] = {}
-    for mono, c in p.items():
+    for mono, c in pair_terms(p):
         exps = [0] * g
         rest = []
         for var, e in mono:
@@ -235,11 +285,11 @@ def to_lambda_basis(p: MultiPoly, g: int) -> MultiPoly:
         sign = -1 if sum(a * d for a, d in enumerate(diffs, start=1)) % 2 else 1
         lam_mono = tuple((lam(a), d) for a, d in enumerate(diffs, start=1) if d)
         for rest, rc in bucket.items():
-            emit(_mono_mul(lam_mono, rest), rc * sign)
+            emit(pairs_mul(lam_mono, rest), rc * sign)
 
     for rest, rc in groups.pop(zero_vec, {}).items():
         emit(rest, rc)
-    return MultiPoly(out_terms)
+    return MultiPoly.from_pairs(out_terms.items())
 
 
 def lambda_psi_monomials(g: int, degree: int) -> list[MultiPoly]:
@@ -269,7 +319,7 @@ def coefficient_rows(polys: list[MultiPoly], basis: list[MultiPoly]) -> list[lis
     rows = []
     for p in polys:
         row = [Fraction(0)] * len(basis)
-        for mono, c in p.items():
+        for mono, c in pair_terms(p):
             row[index[mono]] = c
         rows.append(row)
     return rows
@@ -332,7 +382,8 @@ def lower_bound_by_degree(g: int, cutoff: int) -> list[int]:
     rows: list[list[int]] = [[] for _ in tables]
     dims = []
     for d in range(cutoff + 1):
-        monos = lambda_monomials(g, d)
+        ring = lambda_ring(g, d)
+        monos = [ring.unpack(mono) for mono in lambda_monomials(g, d, ring)]
         for row, e_values in zip(rows, tables):
             row.extend(math.prod(e_values[v.index] ** e for v, e in mono) for mono in monos)
         dims.append(len(Echelon(rows)))
@@ -443,14 +494,10 @@ def poly_payload(p: MultiPoly) -> dict:
 
 
 def from_json(data) -> MultiPoly:
-    acc: dict = {}
-    for entry in data:
-        coeff = Fraction(entry["coeff"])
-        pairs = [(parse_variable(name), int(e)) for name, e in entry["exps"].items()]
-        mono = tuple(sorted(pairs))
-        if coeff:
-            acc[mono] = acc.get(mono, Fraction(0)) + coeff
-    return MultiPoly(acc)
+    return MultiPoly.from_pairs(
+        ([(parse_variable(name), int(e)) for name, e in entry["exps"].items()], Fraction(entry["coeff"]))
+        for entry in data
+    )
 
 
 _NAME_RE = re.compile(r"^([a-z]+?)(\d*)$")
@@ -478,17 +525,19 @@ def _sorted_monomial(pairs) -> tuple:
 
 def monomial(pairs, coeff=1) -> MultiPoly:
     """coeff times the product of v^e over the (variable, exponent) pairs."""
-    return MultiPoly({_sorted_monomial(pairs): coeff})
+    return MultiPoly.from_pairs([(_sorted_monomial(pairs), coeff)])
 
 
 def terms(p: MultiPoly) -> list:
-    """Terms in canonical display order (leading term first), as a new list."""
-    return list(p._sorted_terms())
+    """Terms in canonical display order (leading term first), as a new list
+    of (pair tuple, coefficient)."""
+    unpack = p.layout.unpack
+    return [(tuple(unpack(mono)), coeff) for mono, coeff in p._sorted_terms()]
 
 
 def coefficient(p: MultiPoly, pairs):
     """The coefficient in p of the monomial of the (variable, exponent) pairs."""
-    return dict(p.items()).get(_sorted_monomial(pairs), 0)
+    return dict(pair_terms(p)).get(_sorted_monomial(pairs), 0)
 
 
 def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -503,11 +552,11 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return MultiPoly.zero()
     lq_mono, lq_coeff = terms(q)[0]
     lq = dict(lq_mono)
-    rem = dict(p.items())
+    rem = dict(pair_terms(p))
     heap = [(mono_sort_key(m), m) for m in rem]
     heapq.heapify(heap)
     quot: dict = {}
-    qterms = list(q.items())
+    qterms = pair_terms(q)
     while heap:
         mono = heapq.heappop(heap)[1]
         coeff = rem.get(mono)
@@ -524,10 +573,10 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
             if var not in lq:
                 factor.append((var, e))
         fac_mono = tuple(sorted((v, e) for v, e in factor if e))
-        c = coeff / lq_coeff
+        c = Fraction(coeff) / lq_coeff
         quot[fac_mono] = quot.get(fac_mono, Fraction(0)) + c
         for mq, cq in qterms:
-            target = _mono_mul(fac_mono, mq)
+            target = pairs_mul(fac_mono, mq)
             acc = rem.get(target, 0) - c * cq
             if not acc:
                 rem.pop(target, None)
@@ -535,12 +584,12 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
             if target not in rem:
                 heapq.heappush(heap, (mono_sort_key(target), target))
             rem[target] = acc
-    return MultiPoly(quot)
+    return MultiPoly.from_pairs(quot.items())
 
 
 def weighted_degrees(p: MultiPoly) -> set[int]:
     """The weighted degrees of the terms of p: one for a nonzero homogeneous p."""
-    return {_mono_weight(mono) for mono, _ in p.items()}
+    return {pairs_weight(mono) for mono, _ in pair_terms(p)}
 
 
 def homogeneous_components(p: MultiPoly) -> list[MultiPoly]:
@@ -550,9 +599,9 @@ def homogeneous_components(p: MultiPoly) -> list[MultiPoly]:
     sum(comps) == p.
     """
     buckets: dict[int, dict] = {}
-    for mono, coeff in p.items():
-        buckets.setdefault(_mono_weight(mono), {})[mono] = coeff
-    return [MultiPoly(buckets.get(d, {})) for d in range(max(buckets, default=-1) + 1)]
+    for mono, coeff in pair_terms(p):
+        buckets.setdefault(pairs_weight(mono), {})[mono] = coeff
+    return [MultiPoly.from_pairs(buckets.get(d, {}).items()) for d in range(max(buckets, default=-1) + 1)]
 
 
 def ev_homomorphism(p: MultiPoly, semigroup: NumericalSemigroup) -> MultiPoly:

@@ -9,6 +9,7 @@ holds the writer to `json.dumps` of the polynomial records in
 """
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -58,6 +59,29 @@ GOLDEN_ARGV = {
     "schur_eval_shifted_p31_z3": ["schur-eval", "--kind", "shifted", "--partition", "3,1", "--variables", "3"],
 }
 
+# sha256 of the whole stdout under SOURCE_DATE_EPOCH=0, for payloads too
+# large for a golden file (the pullback is 4.9 MB, the degree-450 class 120
+# MB).  Each was recorded before monomials were packed into ints, so they
+# pin that packing changes no byte: the term order, the text and the exps.
+SHA256_PINS = {
+    "pullback_g6_p5432_smooth": (
+        ["pullback", "--genus", "6", "--partition", "5,4,3,2", "--mode", "smooth"],
+        "5318aab041f7773342fdd15766728eb02f8f484f317941ebd739491a706dedc9",
+    ),
+    "class_g9_hyperelliptic": (
+        ["class", "--genus", "9", "--gaps", "1,3,5,7,9,11,13,15,17"],
+        "dccfb12ca7a8b03af07ae858dc4a1b7ac7991599765aebd07d1b6ff98397a49b",
+    ),
+    "class_g2_p450": (
+        ["class", "--genus", "2", "--partition", "450"],
+        "2583e5dbbb9625e7d7eda6aa821f678bd130b765d23bc077f28cc84ae20ed65f",
+    ),
+    "schur_eval_shifted_p54321_z6": (
+        ["schur-eval", "--partition", "5,4,3,2,1", "--variables", "6"],
+        "c1837f8e9e5b842a9ed77ace28218e4279405708b369153da7e73dce03925b54",
+    ),
+}
+
 CSV_ARGV = [
     ["semigroups", "--genus", "1-4"],
     ["class", "--genus", "4", "--gaps", "1,2,3,5"],
@@ -90,6 +114,20 @@ def test_golden_payload_bytes(capsys, name):
     [stamp] = [i for i, line in enumerate(lines) if line.startswith('  "generated_at": ')]
     del lines[stamp]
     assert "".join(lines) == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(SHA256_PINS))
+def test_large_payload_sha256(name):
+    argv, expected = SHA256_PINS[name]
+    src = str(Path(wtaut.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, SOURCE_DATE_EPOCH="0")
+    digest = hashlib.sha256()
+    cmd = [sys.executable, "-m", "wtaut.cli", *argv]
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE) as proc:
+        for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):  # never the whole payload at once
+            digest.update(chunk)
+    assert proc.returncode == 0
+    assert digest.hexdigest() == expected
 
 
 # Variables whose string order differs from the canonical one: lambda10

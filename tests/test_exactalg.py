@@ -9,9 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coefficient, exact_div, from_json, integer_rows, parse_variable, terms, to_json
+from oracles import (
+    coefficient,
+    exact_div,
+    from_json,
+    integer_rows,
+    mono_sort_key,
+    monomial,
+    pairs_mul,
+    pairs_weight,
+    parse_variable,
+    terms,
+    to_json,
+)
 from wtaut.cli import json_text
 from wtaut.exactalg import (
+    Layout,
     MultiPoly,
     PSI,
     U,
@@ -117,12 +130,12 @@ def test_scalar_coercion():
 def test_int_and_integral_fraction_coefficients_are_interchangeable():
     mono = ((lam(2), 1), (PSI, 3))
     for value in (3, -1, 1, 10**40):
-        as_int, as_fraction = MultiPoly({mono: value}), MultiPoly({mono: Fraction(value)})
+        as_int, as_fraction = monomial(mono, value), monomial(mono, Fraction(value))
         assert as_int == as_fraction
         assert as_int.canonical_str() == as_fraction.canonical_str()
         assert as_int.latex() == as_fraction.latex()
         assert json_text(as_int) == json_text(as_fraction)
-    assert MultiPoly({(): 3}) == 3 == MultiPoly({(): Fraction(3)})
+    assert MultiPoly.constant(3) == 3 == MultiPoly.constant(Fraction(3))
 
 
 def test_coefficients_stay_int_until_a_division():
@@ -207,6 +220,36 @@ def test_det_non_square_rejected():
 
 def test_det_empty_matrix_is_one():
     assert det([]) == 1
+
+
+def test_integer_det_swaps_rows_at_a_zero_pivot():
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det([[0, 2, 1], [0, 3, 4], [5, 6, 7]]) == 25
+    assert det([[1, 2, 3], [2, 4, 7], [1, 1, 1]]) == 1  # the second pivot is zero
+    assert det([[0, 1], [0, 5]]) == 0  # no pivot in the first column
+    assert det([[1, 2], [2, 4]]) == 0
+
+
+@st.composite
+def _int_matrices(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):  # singular: a row repeated or a combination of two others
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[i] = [a * v + b * w for v, w in zip(rows[i - 1], rows[j])]
+    return rows
+
+
+@given(_int_matrices())
+@settings(max_examples=200, deadline=None)
+def test_integer_det_matches_the_laplace_expansion(rows):
+    # Fraction entries take the Laplace expansion, int entries the elimination
+    laplace = det([[Fraction(v) for v in row] for row in rows])
+    result = det(rows)
+    assert type(result) is MultiPoly and not result.variables()
+    assert result == laplace
 
 
 # -- rank --------------------------------------------------------------------
@@ -414,3 +457,83 @@ def test_det_matches_leibniz_oracle(entries):
     for n in (5, 6):
         rows = [entries[n * i : n * i + n] for i in range(n)]
         assert det(rows) == _leibniz_det(rows)
+
+
+# -- packed monomials ------------------------------------------------------------
+
+# Every family, kappa_0 of weight zero among them, and names whose string
+# order differs from the canonical one.
+_ORDER_VARS = [lam(1), lam(2), lam(10), PSI, kap(0), kap(1), kap(3), xvar(1), xvar(2), U, zvar(1)]
+
+
+@st.composite
+def _pair_monomial_lists(draw):
+    width = draw(st.integers(min_value=2, max_value=10))
+    top, half = (1 << width) - 1, 1 << (width - 1)
+    exponents = st.integers(1, top) | st.sampled_from([1, half - 1, half, top - 1, top])
+    monos = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        chosen = draw(st.lists(st.sampled_from(_ORDER_VARS), unique=True, max_size=5))
+        monos.append(tuple(sorted((v, draw(exponents)) for v in chosen)))
+    return width, monos
+
+
+@given(_pair_monomial_lists())
+@settings(max_examples=300, deadline=None)
+def test_descending_packed_order_is_the_canonical_order(case):
+    width, monos = case
+    layout = Layout.of(_ORDER_VARS, width)
+    packed = {layout.pack(mono): mono for mono in monos}
+    assert len(packed) == len(set(monos))
+    assert [packed[m] for m in sorted(packed, reverse=True)] == sorted(set(monos), key=mono_sort_key)
+    for m, mono in packed.items():
+        assert tuple(layout.unpack(m)) == mono
+        assert m >> layout.shift == pairs_weight(mono)
+
+
+def test_kappa0_makes_the_longer_monomial_the_larger():
+    layout = Layout.of(_ORDER_VARS)
+    short, long = ((lam(1), 1),), ((lam(1), 1), (kap(0), 1))
+    assert layout.pack(long) > layout.pack(short) > layout.pack(())
+    assert mono_sort_key(long) < mono_sort_key(short)
+    p = monomial(short) + monomial(long) + monomial(((kap(0), 2),)) + 1
+    assert p.canonical_str() == "lambda1*kappa0 + lambda1 + kappa0^2 + 1"
+
+
+def test_a_product_that_would_carry_is_widened_not_wrapped():
+    layout = Layout.of((xvar(1), xvar(2)), 8)
+    cases = ([(xvar(1), 255), (xvar(2), 3)], [(xvar(1), 3), (xvar(2), 255)], [(xvar(1), 128), (xvar(2), 128)])
+    for pairs in cases:
+        p = MultiPoly({layout.pack(pairs): 1}, layout)
+        for q in (X1, X2, X1 * X2**200, p):
+            product = p * q
+            assert product.layout.width > 8
+            [(mono, coeff)] = terms(product)
+            assert (mono, coeff) == (pairs_mul(tuple(pairs), terms(q)[0][0]), 1)
+    high = X1**300 * X2
+    assert terms(high) == [(((xvar(1), 300), (xvar(2), 1)), 1)]
+    assert high.degree() == 301
+    with pytest.raises(ValueError):
+        layout.pack([(xvar(1), 256)])
+    with pytest.raises(ValueError):  # a narrower layout cannot hold x1^300
+        high.recast(layout)
+
+
+def test_layouts_meet_in_the_union_of_their_variables():
+    a, b = Layout.of((lam(1), PSI)), Layout.of((xvar(1), PSI), 9)
+    assert a.common(b) is Layout.of((xvar(1), lam(1), PSI), 9)
+    assert a.common(Layout.of(())) is a
+    p = MultiPoly.variable(lam(1), a) + MultiPoly.variable(xvar(1), b)
+    assert p.layout is a.common(b)
+    assert p == L1 + X1
+    assert p.variables() == {lam(1), xvar(1)}
+
+
+def test_divides_compares_field_by_field():
+    layout = Layout.of((lam(1), lam(2), PSI))
+    pack = layout.pack
+    assert layout.divides(pack([(lam(1), 1)]), pack([(lam(1), 2), (lam(2), 1)]))
+    assert layout.divides(pack([]), pack([(PSI, 3)]))
+    assert not layout.divides(pack([(lam(2), 1)]), pack([(lam(1), 5)]))
+    assert not layout.divides(pack([(lam(1), 1), (PSI, 2)]), pack([(lam(1), 3), (PSI, 1)]))
+    assert layout.divides(pack([(lam(1), 127), (PSI, 127)]), pack([(lam(1), 127), (PSI, 127)]))

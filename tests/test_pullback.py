@@ -11,12 +11,13 @@ from oracles import (
     full_slice_reduce,
     homogeneous_components,
     lambda_psi_monomials,
+    mono_sort_key,
     terms,
     to_lambda_basis,
     value_x_expansion,
     weighted_degrees,
 )
-from wtaut.exactalg import MultiPoly, PSI, U, kap, lam, mono_sort_key, xvar
+from wtaut.exactalg import MultiPoly, PSI, U, kap, lam, xvar
 from wtaut.pullback import (
     _mumford_pivots,
     bernoulli,
@@ -27,7 +28,7 @@ from wtaut.pullback import (
     mumford_reduce,
     smooth_power_sum,
 )
-from wtaut.schur import _orbit_table, in_roots
+from wtaut.schur import _orbit_table, in_roots, lambda_ring
 from wtaut.semigroups import Partition, partitions_up_to
 
 PSI_P = MultiPoly.variable(PSI)
@@ -249,7 +250,7 @@ def test_lambda_quotient_has_the_lagrangian_grassmannian_hilbert_series(g):
     top = g * (g + 1) // 2
     dims = []
     for w in range(top + 3):
-        basis, echelon = _mumford_pivots(g, w)
+        basis, echelon = _mumford_pivots(g, w, lambda_ring(g, w))
         dims.append(len(basis) - len(echelon))
     assert dims == series + [0, 0]
     assert sum(dims) == 2**g
@@ -391,9 +392,11 @@ def test_lambda_monomials_counts():
             for exps in it.product(*ranges):
                 if sum(i * e for i, e in enumerate(exps, start=1)) == w:
                     expected += 1
-            monos = lambda_monomials(g, w)
-            assert len(monos) == expected
-            assert monos == sorted(monos, key=mono_sort_key)
+            monos = lambda_monomials(g, w, lambda_ring(g, w))
+            assert len(set(monos)) == len(monos) == expected
+            assert monos == sorted(monos, reverse=True)
+            pairs = [tuple(lambda_ring(g, w).unpack(m)) for m in monos]
+            assert pairs == sorted(pairs, key=mono_sort_key)
 
 
 def test_generators_reachable_at_genus_two():

@@ -29,6 +29,7 @@ from wtaut.schur import (
     factorial_schur,
     generic_arguments,
     in_roots,
+    lambda_ring,
     psi_matrix,
     shifted_schur,
 )
@@ -322,7 +323,8 @@ def test_psi_matrix_sizes(monkeypatch):
 
 def _forced_matrix(mu, g, variant, shift):
     """psi_matrix(mu, g, shift) in the given variant, whichever _variant picks."""
-    return _matrix(mu, g, variant, lambda r, ks: [_matrix_entry(variant, g, r, k, shift) for k in ks])
+    ring = lambda_ring(g, mu.weight)
+    return _matrix(mu, g, variant, lambda r, ks: [_matrix_entry(variant, g, r, k, shift, ring) for k in ks])
 
 
 @settings(max_examples=60, deadline=None)

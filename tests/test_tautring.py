@@ -62,3 +62,10 @@ def test_lower_bound_levels_off_at_the_semigroup_count():
     lower = hilbert_quotient_lower(8, 16)
     assert lower == [1, 2, 4, 7, 12, 19, 30, 45, 58, 66] + [67] * 7
     assert len(enumerate_semigroups(8)) == 67
+
+
+def test_lower_bound_at_genus_ten():
+    # Values of the bound before it skipped the multiples of dependent
+    # monomials, when every lambda-monomial was added as a row.
+    lower = hilbert_quotient_lower(10, 16)
+    assert lower == [1, 2, 4, 7, 12, 19, 30, 45, 67, 97, 128, 161, 192, 201, 203, 204, 204]
