@@ -32,7 +32,7 @@ from .semigroups import (
     enumerate_semigroups,
     semigroup_record,
 )
-from .tautring import sandwich_report
+from .tautring import relation_generators, sandwich_report
 from .wcycles import push_to_unpointed, virtual_class, weierstrass_class
 
 # hilbert's cost is the fixed-point lower bound, one echelon of lambda-monomial
@@ -467,8 +467,6 @@ def run_psum(config: RunConfig, power: int):
 
 
 def run_relations(config: RunConfig):
-    from .tautring import relation_generators
-
     payload = []
     warnings: list[str] = []
     for g in range(config.genus_low, config.genus_high + 1):

@@ -448,37 +448,39 @@ class MultiPoly:
     # -- structure ----------------------------------------------------
 
     def substitute(self, sigma: Mapping[Variable, "MultiPoly | Scalar"]) -> "MultiPoly":
-        """Apply the ring homomorphism sending each variable to its image.
+        """Apply the ring homomorphism sending each variable to its image,
+        all at once: {z1: z2, z2: z1} swaps z1 and z2.
 
         Variables absent from sigma map to themselves.  The terms are
-        grouped by the exponents of the substituted variables, and each
-        group, with those exponents cleared, is multiplied once by the
-        product of the images' powers.
+        grouped by the exponent of the first substituted variable; the
+        other variables are substituted into each group, with that
+        exponent cleared, in the same way, and the result is multiplied by
+        the image's power, each power formed once per call.  Images are
+        never substituted into, which makes the substitution simultaneous,
+        and its cost is about that of substituting one variable at a time.
         """
-        layout = self.layout
-        images = {v: MultiPoly._wrap(p) for v, p in sigma.items() if v in layout.offsets}
-        if not images:
+        images = [(v, MultiPoly._wrap(p)) for v, p in sigma.items() if v in self.layout.offsets]
+        return self._substituted(images, {})
+
+    def _substituted(self, images: list[tuple[Variable, "MultiPoly"]], powers: dict) -> "MultiPoly":
+        """substitute for the (variable, image) pairs, sharing powers[var, e] across groups."""
+        if not images or not self._terms:
             return self
-        mask = layout.mask
-        cleared = [(v, layout.offsets[v], layout.units[v]) for v in images]
-        groups: dict[tuple, dict[Monomial, Scalar]] = {}
+        (var, image), rest = images[0], images[1:]
+        layout = self.layout
+        off, unit, mask = layout.offsets[var], layout.units[var], layout.mask
+        groups: dict[int, dict[Monomial, Scalar]] = {}
         for mono, coeff in self._terms.items():
-            key = []
-            for var, off, unit in cleared:
-                e = mono >> off & mask
-                if e:
-                    mono -= e * unit
-                    key.append((var, e))
-            groups.setdefault(tuple(key), {})[mono] = coeff
-        powers: dict[tuple[Variable, int], MultiPoly] = {}
+            e = mono >> off & mask
+            groups.setdefault(e, {})[mono - e * unit] = coeff
         parts = []
-        for key, group in groups.items():
-            image = MultiPoly.one()
-            for var, e in key:
+        for e, group in groups.items():
+            part = MultiPoly(group, layout)._substituted(rest, powers)
+            if e:
                 if (var, e) not in powers:
-                    powers[var, e] = images[var] ** e
-                image = image * powers[var, e]
-            parts.append(MultiPoly(group, layout) * image)
+                    powers[var, e] = image**e
+                part = part * powers[var, e]
+            parts.append(part)
         return MultiPoly.sum(parts)
 
     # -- serialization -------------------------------------------------
@@ -514,9 +516,6 @@ class MultiPoly:
         return MultiPoly.joined_text(piece for _, _, piece in self.rendered_terms())
 
     def latex(self) -> str:
-        if not self._terms:
-            return "0"
-
         def sym(v: Variable) -> str:
             if v.family in _UNINDEXED:
                 return "\\" + v.family if v.family == "psi" else "u"
@@ -539,11 +538,8 @@ class MultiPoly:
                 text = body
             else:
                 text = f"{magtex}{body}"
-            if not pieces:
-                pieces.append(text if coeff > 0 else f"-{text}")
-            else:
-                pieces.append(f" + {text}" if coeff > 0 else f" - {text}")
-        return "".join(pieces)
+            pieces.append(f" + {text}" if coeff > 0 else f" - {text}")
+        return MultiPoly.joined_text(pieces)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.canonical_str()})"

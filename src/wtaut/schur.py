@@ -24,10 +24,10 @@ psi_matrix and factorial_schur expand the one that _variant picks
 from the shape, the genus and whether the entries are numbers.  When
 every argument is a number, the integers h_a(u z) and e_a(u z), with u
 a common denominator of the z_i, stand in for the Segre classes, psi
-is -u, and the determinant u^|mu| t_mu(z) is an integer.  Otherwise it
-is taken in lambda_1..lambda_n and written in the roots z_1..z_n by
-in_roots; arguments other than z_i itself are then substituted, one
-variable at a time.
+is -u, and the determinant u^|mu| t_mu(z) is an integer.  Otherwise
+factorial_schur takes the class det(psi_matrix(mu, n)) itself at
+psi = -1 and writes it in the roots z_1..z_n by in_roots; arguments
+other than z_i itself are then substituted, all at once.
 No difference of arguments is divided by, so repeated arguments need
 no special case.
 Shifted Schur polynomials are the staggered substitution
@@ -92,41 +92,36 @@ def generic_arguments(n: int) -> list[MultiPoly]:
 
 
 def factorial_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
-    """t_mu(z_1..z_n), the Kempf-Laksov determinant of psi_matrix(mu, n) at psi = -1."""
+    """t_mu(z_1..z_n), the Kempf-Laksov determinant of psi_matrix(mu, n) at psi = -1.
+
+    Numbers make an integer matrix of their own (see the module
+    docstring).  Otherwise the class det(psi_matrix(mu, n)), homogeneous
+    of degree |mu|, is taken at psi = -1, written in z_1..z_n by
+    in_roots, and the arguments other than z_i itself are substituted
+    in one simultaneous substitute.
+    """
     zs = [MultiPoly._wrap(v) for v in args]
     n = len(zs)
     if mu.length > n:
         raise ValueError("insufficient variables")
-    numeric = not any(z.variables() for z in zs)
-    variant = _variant(mu, n, numeric)
-    if numeric:  # u^|mu| t_mu(x/u) at the integers x = u z, u a common denominator
-        values = [z.constant_term() for z in zs]
-        u = math.lcm(*(v.denominator for v in values))
-        xs = [int(v * u) for v in values]
-        top = mu.part(1) + mu.length
-        complete = complete_of_values(xs, top).__getitem__
-        elementary = elementary_of_values(xs, top).__getitem__
-        total = sum
-    else:
-        ring = lambda_ring(n, mu.weight)
-        complete, elementary = partial(_segre_class, n, ring=ring), partial(_signed_lambda, n, ring=ring)
-        u, total = 1, MultiPoly.sum
+    if any(z.variables() for z in zs):
+        zvars = tuple(zvar(i) for i in range(1, n + 1))
+        out = in_roots(det(psi_matrix(mu, n)).substitute({PSI: -1}), zvars)
+        return out.substitute({v: z for v, z in zip(zvars, zs) if z != MultiPoly.variable(v)})
+    # u^|mu| t_mu(x/u) at the integers x = u z, u a common denominator
+    variant = _variant(mu, n, numeric=True)
+    values = [z.constant_term() for z in zs]
+    u = math.lcm(*(v.denominator for v in values))
+    xs = [int(v * u) for v in values]
+    top = mu.part(1) + mu.length
+    complete = complete_of_values(xs, top).__getitem__
+    elementary = elementary_of_values(xs, top).__getitem__
 
-    def row(r: int, ks: range) -> list[Value]:
+    def row(r: int, ks: range) -> list[int]:
         coeffs = _interval_coefficients(variant, r, 0, ks[-1])  # shared by the row's entries
-        return [total(_entry_terms(variant, complete, elementary, coeffs, k, -u)) for k in ks]
+        return [sum(_entry_terms(variant, complete, elementary, coeffs, k, -u)) for k in ks]
 
-    value = det(_matrix(mu, n, variant, row))
-    if numeric:
-        return value / u**mu.weight
-    zvars = tuple(zvar(i) for i in range(1, n + 1))
-    out = in_roots(value, zvars)
-    sigma = {v: z for v, z in zip(zvars, zs) if z != MultiPoly.variable(v)}
-    if any(w in sigma and w != v for v, z in sigma.items() for w in z.variables()):
-        return out.substitute(sigma)  # z_i -> a polynomial in another z_j: jointly
-    for v, z in sigma.items():  # one at a time: far cheaper than jointly
-        out = out.substitute({v: z})
-    return out
+    return det(_matrix(mu, n, variant, row)) / u**mu.weight
 
 
 def shifted_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:

@@ -77,10 +77,6 @@ class Partition(tuple):
             return Partition()
         return Partition(sum(1 for p in self if p > j) for j in range(self[0]))
 
-    def contains(self, other: "Partition") -> bool:
-        """Young diagram containment: other fits inside self."""
-        return all(other.part(i) <= self.part(i) for i in range(1, other.length + 1))
-
     def __repr__(self) -> str:
         return f"Partition{tuple(self)}"
 

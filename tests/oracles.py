@@ -48,6 +48,9 @@ reached from `src/`.
   a polynomial's terms, and its split into homogeneous parts.
 * `ev_homomorphism`: a lambda-psi class evaluated at the monomial fixed
   point of a semigroup, by substitution.
+* `evaluate`: a polynomial at a point, the sum of coeff * prod v^e over
+  its unpacked terms in Fractions, the reference for `substitute`.
+* `partition_contains`: Young diagram containment of two partitions.
 """
 
 from __future__ import annotations
@@ -616,3 +619,20 @@ def ev_homomorphism(p: MultiPoly, semigroup: NumericalSemigroup) -> MultiPoly:
     psi = MultiPoly.variable(PSI)
     e_values = _fixed_point_values(semigroup)
     return p.substitute({lam(i): (psi**i).scale(e_values[i]) for i in range(1, len(e_values))})
+
+
+def evaluate(p: MultiPoly, point) -> Fraction:
+    """p at point, a map from each variable of p to a number."""
+    unpack = p.layout.unpack
+    total = Fraction(0)
+    for mono, coeff in p.items():
+        term = Fraction(coeff)
+        for var, e in unpack(mono):
+            term *= Fraction(point[var]) ** e
+        total += term
+    return total
+
+
+def partition_contains(outer: Partition, inner: Partition) -> bool:
+    """Young diagram containment: inner fits inside outer."""
+    return all(inner.part(i) <= outer.part(i) for i in range(1, inner.length + 1))

@@ -80,6 +80,14 @@ SHA256_PINS = {
         ["schur-eval", "--partition", "5,4,3,2,1", "--variables", "6"],
         "c1837f8e9e5b842a9ed77ace28218e4279405708b369153da7e73dce03925b54",
     ),
+    "schur_eval_factorial_p54321_z6": (
+        ["schur-eval", "--kind", "factorial", "--partition", "5,4,3,2,1", "--variables", "6"],
+        "933d6f3e31c04944f4c342b5b9bc2990293dd444a6eb174e30599498243f18b4",
+    ),
+    "schur_eval_shifted_p54321_z6_latex": (  # LaTeX output carries no generated_at line
+        ["schur-eval", "--partition", "5,4,3,2,1", "--variables", "6", "--format", "latex"],
+        "6db39628cbbc395523ebd4cddac5b39580f361a1c7e6db07b4497a8fffacd990",
+    ),
 }
 
 CSV_ARGV = [

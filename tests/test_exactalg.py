@@ -6,11 +6,12 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     coefficient,
+    evaluate,
     exact_div,
     from_json,
     integer_rows,
@@ -177,6 +178,39 @@ def test_substitute_annihilating_factor():
 def test_substitute_identity_default():
     p = X1 * PSI_P + L1
     assert p.substitute({}) == p
+
+
+_ZS = [zvar(1), zvar(2), zvar(3)]
+Z1, Z2, Z3 = (MultiPoly.variable(v) for v in _ZS)
+_Z_COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def _z_polys(draw, max_terms=4):
+    """Polynomials in z_1..z_3 with exponents up to 3."""
+    out = MultiPoly.zero()
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3))
+        out += monomial(zip(_ZS, exps), draw(_Z_COEFFS))
+    return out
+
+
+_NAMING_EACH_OTHER = st.sampled_from([
+    {zvar(1): Z2, zvar(2): Z1},  # the swap
+    {zvar(1): Z2, zvar(2): Z3, zvar(3): Z1},  # a 3-cycle
+    {zvar(1): Z2 + Z3, zvar(3): Z1 * Z2 - 1},
+]) | st.dictionaries(st.sampled_from(_ZS), _z_polys(max_terms=3), max_size=3)
+
+
+@given(_z_polys(), _NAMING_EACH_OTHER, st.lists(_Z_COEFFS, min_size=3, max_size=3))
+@example(Z1**2 * Z2, {zvar(1): Z2, zvar(2): Z1}, [2, 3, 5])
+@example(Z1 * Z2**2 * Z3**3, {zvar(1): Z2, zvar(2): Z3, zvar(3): Z1}, [2, 3, 5])
+@settings(max_examples=80, deadline=None)
+def test_substitute_is_simultaneous(p, sigma, values):
+    """p(sigma)(v) = p(w) with w_i the image of z_i at v, for images that name each other."""
+    point = dict(zip(_ZS, values))
+    images = {z: evaluate(sigma[z], point) if z in sigma else point[z] for z in _ZS}
+    assert evaluate(p.substitute(sigma), point) == evaluate(p, images)
 
 
 # -- determinants ------------------------------------------------------------
