@@ -2,8 +2,11 @@
 
 Subcommands: semigroups, class, pullback, psum, relations, hilbert,
 schur-eval.  Exit codes: 0 success, 2 usage, 3 data, 4 resource.  The
-genus safety cap honours the WTAUT_MAX_GENUS environment variable, and a
-key=value config file can pre-set any long option (explicit flags win).
+genus safety cap honours the WTAUT_MAX_GENUS environment variable.  A
+key=value config file (--config) may set only the keys in CONFIG_KEYS:
+genus, max_degree, mode, format, output, unshifted, paper_sign and
+kappa0_substitute, with a dash allowed for the underscore.  Explicit
+flags win over the file, and any other key is a data error.
 """
 
 from __future__ import annotations
@@ -65,33 +68,37 @@ LOWER_RING_NOTE = (
 )
 
 
-class RunConfig(NamedTuple):
-    """Effective options for one run."""
+# The options a config file may set, named as the RunConfig fields and the
+# flags' dests; every one but output is echoed in the envelope.
+CONFIG_KEYS = ("genus", "max_degree", "mode", "format", "output",
+               "unshifted", "paper_sign", "kappa0_substitute")
 
-    genus_low: int
-    genus_high: int
+
+class RunConfig(NamedTuple):
+    """Effective options for one run: the CONFIG_KEYS, then what build_config derives.
+
+    The defaults here are the only ones: a flag left out reads None and
+    leaves the config file's value or the default in place, and a file
+    value is read by the type of its field's default.
+    """
+
+    genus: str | None = None
     max_degree: int = 6
     mode: str = "CM"
-    fmt: str = "json"
+    format: str = "json"
+    output: str | None = None
     unshifted: bool = False
     paper_sign: bool = False
     kappa0_substitute: bool = False
-    output: str | None = None
+    genera: range = range(0)
     max_genus: int = DEFAULT_MAX_GENUS
     source_date: time.struct_time | None = None
 
     def echo(self) -> dict:
-        return {
-            "genus": self.genus_low
-            if self.genus_low == self.genus_high
-            else f"{self.genus_low}-{self.genus_high}",
-            "max_degree": self.max_degree,
-            "mode": self.mode,
-            "format": self.fmt,
-            "unshifted": self.unshifted,
-            "paper_sign": self.paper_sign,
-            "kappa0_substitute": self.kappa0_substitute,
-        }
+        low, high = self.genera[0], self.genera[-1]
+        echo = {key: getattr(self, key) for key in CONFIG_KEYS if key != "output"}
+        echo["genus"] = low if low == high else f"{low}-{high}"
+        return echo
 
 
 def _source_date() -> time.struct_time | None:
@@ -126,13 +133,12 @@ def make_envelope(command: str, config: RunConfig, payload, warnings: list[str])
 
 
 def _parse_genus(text: str) -> tuple[int, int]:
-    if "-" in text.lstrip("-"):
-        head, _, tail = text.partition("-") if not text.startswith("-") else (text, "", "")
-        if head and tail:
-            low, high = int(head), int(tail)
-            if low > high:
-                raise argparse.ArgumentTypeError("empty genus range")
-            return low, high
+    head, _, tail = text.partition("-")
+    if head and tail:
+        low, high = int(head), int(tail)
+        if low > high:
+            raise argparse.ArgumentTypeError("empty genus range")
+        return low, high
     value = int(text)
     return value, value
 
@@ -145,11 +151,16 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _load_config_file(path: str) -> dict:
+    """The CONFIG_KEYS values a key=value file sets, each read by the type of its default.
+
+    A bool is true for 1, true or yes in any case; an int is parsed; the
+    rest stay text.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
-    values: dict[str, str] = {}
+    values: dict = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -157,45 +168,34 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise DataError(f"malformed config line: {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in CONFIG_KEYS:
+            raise DataError(
+                f"unknown config key {key!r} in {path}; the keys are {', '.join(CONFIG_KEYS)}"
+            )
+        values[key] = value.strip()
+    defaults = RunConfig._field_defaults
+    for key, value in values.items():
+        if isinstance(defaults[key], bool):
+            values[key] = value.lower() in ("1", "true", "yes")
+        elif isinstance(defaults[key], int):
+            values[key] = int(value)
     return values
 
 
-_CONFIG_KEYS = {
-    "genus": str,
-    "max_degree": int,
-    "mode": str,
-    "format": str,
-    "output": str,
-    "unshifted": lambda v: v.lower() in ("1", "true", "yes"),
-    "paper_sign": lambda v: v.lower() in ("1", "true", "yes"),
-    "kappa0_substitute": lambda v: v.lower() in ("1", "true", "yes"),
-}
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    file_values: dict = {}
-    if getattr(args, "config", None):
-        raw = _load_config_file(args.config)
-        for key, conv in _CONFIG_KEYS.items():
-            if key in raw:
-                file_values[key] = conv(raw[key])
-
-    def pick(name: str, default):
-        cli_value = getattr(args, name, None)
-        if cli_value is not None and cli_value is not False:
-            return cli_value
-        if name in file_values:
-            return file_values[name]
-        return default
-
-    genus_text = pick("genus", None)
-    if genus_text is None:
+    """RunConfig defaults, overridden by the config file's values, then by the flags given."""
+    values = _load_config_file(args.config) if args.config else {}
+    for key in CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    config = RunConfig(**values)
+    if config.genus is None:
         raise UsageError("a genus is required")
     try:
-        low, high = _parse_genus(str(genus_text))
+        low, high = _parse_genus(str(config.genus))  # argparse reads --genus=-- as []
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise UsageError(f"bad genus {genus_text!r}: {exc}") from exc
+        raise UsageError(f"bad genus {config.genus!r}: {exc}") from exc
     max_genus = int(os.environ.get("WTAUT_MAX_GENUS", DEFAULT_MAX_GENUS))
     if high > max_genus:
         raise ResourceError(
@@ -203,23 +203,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         )
     if low < 0:
         raise UsageError("genus must be non-negative")
-    config = RunConfig(
-        genus_low=low,
-        genus_high=high,
-        max_degree=int(pick("max_degree", 6)),
-        mode=str(pick("mode", "CM")).upper().replace("SMOOTH", "smooth"),
-        fmt=str(pick("format", "json")),
-        unshifted=bool(pick("unshifted", False)),
-        paper_sign=bool(pick("paper_sign", False)),
-        kappa0_substitute=bool(pick("kappa0_substitute", False)),
-        output=pick("output", None),
+    config = config._replace(
+        mode=config.mode.upper().replace("SMOOTH", "smooth"),
+        genera=range(low, high + 1),
         max_genus=max_genus,
         source_date=_source_date(),
     )
     if config.mode not in ("CM", "smooth"):
         raise DataError("mode must be CM or smooth")
-    if config.fmt not in FORMATS:
-        raise DataError(f"format must be one of {', '.join(FORMATS)}, not {config.fmt!r}")
+    if config.format not in FORMATS:
+        raise DataError(f"format must be one of {', '.join(FORMATS)}, not {config.format!r}")
     if config.max_degree < 1:
         raise DataError("the degree cutoff must be at least 1")
     if config.max_degree > MAX_DEGREE_CAP:
@@ -346,9 +339,9 @@ def _x_roots(g: int) -> tuple:
     return tuple(xvar(i) for i in range(1, g + 1))
 
 
-def run_semigroups(config: RunConfig):
+def run_semigroups(config: RunConfig, args: argparse.Namespace):
     payload = []
-    for g in range(config.genus_low, config.genus_high + 1):
+    for g in config.genera:
         records = [semigroup_record(h) for h in enumerate_semigroups(g, config.max_genus)]
         payload.append({"genus": g, "count": len(records), "semigroups": records})
     warnings: list[str] = []
@@ -366,14 +359,16 @@ def run_semigroups(config: RunConfig):
     return payload, warnings, tables
 
 
-def run_class(config: RunConfig, gaps: list[int] | None, partition: list[int] | None):
+def run_class(config: RunConfig, args: argparse.Namespace):
+    gaps = _parse_int_list(args.gaps) if args.gaps else None
+    partition = _parse_int_list(args.partition) if args.partition else None
     if (gaps is None) == (partition is None):
         raise DataError("choose exactly one selector: --gaps or --partition")
     payload = []
     warnings = ["normalization: up-to-constant"]
     if config.unshifted:
         warnings.append(UNSHIFTED_NOTE)
-    for g in range(config.genus_low, config.genus_high + 1):
+    for g in config.genera:
         if gaps is not None:
             semigroup = NumericalSemigroup.from_gaps(gaps)
             if semigroup.genus != g:
@@ -408,11 +403,11 @@ def run_class(config: RunConfig, gaps: list[int] | None, partition: list[int] | 
     return payload, warnings, tables
 
 
-def run_pullback(config: RunConfig, partition: list[int]):
-    mu = Partition.of(partition)
+def run_pullback(config: RunConfig, args: argparse.Namespace):
+    mu = Partition.of(_parse_int_list(args.partition))
     payload = []
     warnings: list[str] = []
-    for g in range(config.genus_low, config.genus_high + 1):
+    for g in config.genera:
         if g < 1:
             raise DataError("pullback needs genus at least 1")
         value = kstar_schubert(mu, g)
@@ -435,12 +430,13 @@ def run_pullback(config: RunConfig, partition: list[int]):
     return payload, warnings, tables
 
 
-def run_psum(config: RunConfig, power: int):
+def run_psum(config: RunConfig, args: argparse.Namespace):
+    power = args.power
     if power < 1:
         raise DataError("the power must be at least 1")
     payload = []
     warnings: list[str] = []
-    for g in range(config.genus_low, config.genus_high + 1):
+    for g in config.genera:
         if g < 1:
             raise DataError("power sums need genus at least 1")
         value = kstar_power_sum(power, g)
@@ -466,12 +462,10 @@ def run_psum(config: RunConfig, power: int):
     return payload, list(set(warnings)), tables
 
 
-def run_relations(config: RunConfig):
+def run_relations(config: RunConfig, args: argparse.Namespace):
     payload = []
     warnings: list[str] = []
-    for g in range(config.genus_low, config.genus_high + 1):
-        if g < 1:
-            raise DataError("relations need genus at least 1")
+    for g in config.genera:
         payload.append(
             {
                 "genus": g,
@@ -502,10 +496,10 @@ def run_relations(config: RunConfig):
     return payload, warnings, tables
 
 
-def run_hilbert(config: RunConfig):
+def run_hilbert(config: RunConfig, args: argparse.Namespace):
     payload = []
     warnings = [LOWER_RING_NOTE]
-    for g in range(config.genus_low, config.genus_high + 1):
+    for g in config.genera:
         report = sandwich_report(g, config.max_degree, config.max_genus)
         payload.append(
             {
@@ -528,9 +522,10 @@ def run_hilbert(config: RunConfig):
     return payload, warnings, tables
 
 
-def run_schur_eval(config: RunConfig, kind: str, partition: list[int],
-                   values: list[str] | None, variables: int | None):
-    mu = Partition.of(partition)
+def run_schur_eval(config: RunConfig, args: argparse.Namespace):
+    kind, variables = args.kind, args.variables
+    values = args.values.split(",") if args.values else None
+    mu = Partition.of(_parse_int_list(args.partition))
     if (values is None) == (variables is None):
         raise DataError("choose exactly one of --values or --variables")
     if values is not None and len(values) > MAX_SCHUR_VALUES:
@@ -569,9 +564,9 @@ def _emit(envelope: dict, config: RunConfig, tables) -> None:
     so JSON output never builds the rows.
     """
     with _exact_digits():
-        if config.fmt == "json":
+        if config.format == "json":
             text = json_text(envelope) + "\n"
-        elif config.fmt == "csv":
+        elif config.format == "csv":
             headers, rows, meta = tables()
             text = _csv_lines(headers, rows, meta)
         else:
@@ -607,46 +602,45 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wtaut",
         description="Exact Weierstrass-cycle and tautological-ring calculator.",
     )
-    parser.add_argument("--config", help="key=value config file; flags win")
-
-    def add_common(sub):
-        sub.add_argument("--genus", help="genus or range A-B")
-        sub.add_argument("--format", dest="format", choices=FORMATS)
-        sub.add_argument("--output", help="write to this path (atomically)")
-        sub.add_argument("--mode", choices=("CM", "smooth"))
+    parser.add_argument(
+        "--config",
+        help=f"key=value file setting any of {', '.join(CONFIG_KEYS)}; flags win",
+    )
 
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    sp = subs.add_parser("semigroups", help="enumerate numerical semigroups")
-    add_common(sp)
+    def add(name, run, help):
+        sub = subs.add_parser(name, help=help)
+        sub.set_defaults(run=run)
+        sub.add_argument("--genus", help="genus or range A-B")
+        sub.add_argument("--format", choices=FORMATS)
+        sub.add_argument("--output", help="write to this path (atomically)")
+        sub.add_argument("--mode", choices=("CM", "smooth"))
+        return sub
 
-    sp = subs.add_parser("class", help="Weierstrass or virtual cycle class")
-    add_common(sp)
+    add("semigroups", run_semigroups, "enumerate numerical semigroups")
+
+    sp = add("class", run_class, "Weierstrass or virtual cycle class")
     sp.add_argument("--gaps", help="comma-separated gap list")
     sp.add_argument("--partition", help="comma-separated partition (virtual class)")
     sp.add_argument("--unshifted", action="store_true", default=None)
-    sp.add_argument("--kappa0-substitute", dest="kappa0_substitute",
-                    action="store_true", default=None)
+    sp.add_argument("--kappa0-substitute", action="store_true", default=None)
 
-    sp = subs.add_parser("pullback", help="Schubert-class pullback")
-    add_common(sp)
+    sp = add("pullback", run_pullback, "Schubert-class pullback")
     sp.add_argument("--partition", required=True)
 
-    sp = subs.add_parser("psum", help="power-sum pullback")
-    add_common(sp)
+    sp = add("psum", run_psum, "power-sum pullback")
     sp.add_argument("--power", type=int, required=True)
-    sp.add_argument("--paper-sign", dest="paper_sign", action="store_true", default=None)
+    sp.add_argument("--paper-sign", action="store_true", default=None)
 
-    sp = subs.add_parser("relations", help="relation ideal generators")
-    add_common(sp)
+    sp = add("relations", run_relations, "relation ideal generators")
     sp.add_argument("--max-weight", dest="max_degree", type=int)
 
-    sp = subs.add_parser("hilbert", help="Hilbert sandwich table")
-    add_common(sp)
-    sp.add_argument("--max-degree", dest="max_degree", type=int)
+    sp = add("hilbert", run_hilbert, "Hilbert sandwich table")
+    sp.add_argument("--max-degree", type=int)
 
-    sp = subs.add_parser("schur-eval", help="evaluate a Schur polynomial")
-    add_common(sp)
+    sp = add("schur-eval", run_schur_eval, "evaluate a Schur polynomial")
+    sp.set_defaults(genus="1")  # the genus plays no part in Schur evaluation
     sp.add_argument("--kind", choices=("factorial", "shifted"), default="shifted")
     sp.add_argument("--partition", required=True)
     sp.add_argument("--values", help="comma-separated rational arguments")
@@ -656,39 +650,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.subcommand == "schur-eval" and getattr(args, "genus", None) is None:
-            args.genus = "1"  # genus is irrelevant for plain Schur evaluation
         config = build_config(args)
-        if args.subcommand == "semigroups":
-            payload, warnings, tables = run_semigroups(config)
-        elif args.subcommand == "class":
-            gaps = _parse_int_list(args.gaps) if args.gaps else None
-            partition = _parse_int_list(args.partition) if args.partition else None
-            payload, warnings, tables = run_class(config, gaps, partition)
-        elif args.subcommand == "pullback":
-            payload, warnings, tables = run_pullback(config, _parse_int_list(args.partition))
-        elif args.subcommand == "psum":
-            payload, warnings, tables = run_psum(config, args.power)
-        elif args.subcommand == "relations":
-            payload, warnings, tables = run_relations(config)
-        elif args.subcommand == "hilbert":
-            payload, warnings, tables = run_hilbert(config)
-        elif args.subcommand == "schur-eval":
-            values = args.values.split(",") if args.values else None
-            payload, warnings, tables = run_schur_eval(
-                config, args.kind, _parse_int_list(args.partition), values, args.variables
-            )
-        else:  # pragma: no cover
-            parser.error(f"unknown subcommand {args.subcommand}")
-            return 2
+        payload, warnings, tables = args.run(config, args)
         envelope = make_envelope(args.subcommand, config, payload, warnings)
-        try:
+        with contextlib.suppress(BrokenPipeError):
             _emit(envelope, config, tables)
-        except BrokenPipeError:
-            return 0
         return 0
     except UsageError as exc:
         print(f"wtaut: usage error: {exc}", file=sys.stderr)
@@ -696,10 +664,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceError as exc:
         print(f"wtaut: resource error: {exc}", file=sys.stderr)
         return 4
-    except DataError as exc:
-        print(f"wtaut: data error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:  # DataError is a ValueError
         print(f"wtaut: data error: {exc}", file=sys.stderr)
         return 3
 

@@ -93,12 +93,9 @@ def partitions_up_to(max_weight: int, max_length: int | None = None) -> list[Par
                 yield (first,) + rest
 
     length_left = max_length if max_length is not None else max_weight
-    seen = []
-    for parts in gen(max_weight, max_weight, length_left):
-        seen.append(Partition(parts))
-    # dedupe while keeping a canonical order: by weight, then lex descending
-    uniq = sorted(set(seen), key=lambda p: (p.weight, tuple(-q for q in p)))
-    return uniq
+    # gen yields each partition once; the canonical order is by weight, then lex descending
+    partitions = [Partition(parts) for parts in gen(max_weight, max_weight, length_left)]
+    return sorted(partitions, key=lambda p: (p.weight, tuple(-q for q in p)))
 
 
 class NumericalSemigroup(namedtuple("NumericalSemigroup", "genus gaps")):

@@ -355,6 +355,22 @@ def test_bad_format_in_config_file_is_rejected_before_work(capsys, tmp_path, mon
     assert "xml" in err
 
 
+@pytest.mark.parametrize("key", ["foo", "max_degre"])
+def test_unknown_config_key_is_rejected_before_work(capsys, tmp_path, monkeypatch, key):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the computation ran")
+
+    monkeypatch.setattr(wtaut.cli, "weierstrass_class", refuse)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key}=12\n")
+    code, out, err = _run(capsys, ["--config", str(config), "class", "--genus", "2", "--gaps", "1,3"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"wtaut: data error: unknown config key {key!r} in {config}")
+    assert ", ".join(wtaut.cli.CONFIG_KEYS) in err
+    assert "max_degree" in err
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_unreadable_config_file_is_a_data_error(capsys, tmp_path, kind):
     config = tmp_path / "run.cfg"
@@ -383,6 +399,61 @@ def test_config_file_values_and_flag_precedence(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["config"]["max_degree"] == 3
+
+
+@pytest.mark.parametrize(
+    "text, argv, expected",
+    [
+        # file values are case-insensitive where the flag's choices are not
+        ("mode=smooth", ["pullback", "--genus", "2", "--partition", "1"], {"mode": "smooth"}),
+        ("mode=cm", ["pullback", "--genus", "2", "--partition", "1"], {"mode": "CM"}),
+        ("unshifted=yes", ["class", "--genus", "2", "--gaps", "1,3"], {"unshifted": True}),
+        ("unshifted=no", ["class", "--genus", "2", "--gaps", "1,3"], {"unshifted": False}),
+        ("paper_sign=1", ["psum", "--genus", "2", "--power", "2"], {"paper_sign": True}),
+        ("unshifted=TRUE", ["class", "--genus", "2", "--gaps", "1,3"], {"unshifted": True}),
+        ("kappa0-substitute=1", ["class", "--genus", "2", "--gaps", "1,3"],
+         {"kappa0_substitute": True}),
+        ("genus=3", ["semigroups"], {"genus": 3}),
+        ("genus=2-3", ["semigroups", "--genus", "4"], {"genus": 4}),
+        # schur-eval runs at genus 1 whatever the file says
+        ("genus=5", ["schur-eval", "--partition", "1", "--values", "2"], {"genus": 1}),
+        ("mode=smooth", ["pullback", "--genus", "2", "--partition", "1", "--mode", "CM"],
+         {"mode": "CM"}),
+    ],
+)
+def test_config_file_keys(capsys, tmp_path, text, argv, expected):
+    config = tmp_path / "run.cfg"
+    config.write_text(text + "\n")
+    code, out, err = _run(capsys, ["--config", str(config), *argv])
+    assert code == 0, err
+    echo = json.loads(out)["config"]
+    assert {key: echo[key] for key in expected} == expected
+
+
+def test_config_file_output_writes_the_file(capsys, tmp_path):
+    target = tmp_path / "out" / "run.json"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"output={target}\n")
+    code, out, _ = _run(capsys, ["--config", str(config), "semigroups", "--genus", "2"])
+    assert code == 0
+    assert out == ""
+    assert json.loads(target.read_text())["payload"][0]["count"] == 2
+
+
+@pytest.mark.parametrize(
+    "genus, message",
+    [
+        ("-1", "genus must be non-negative"),
+        ("3-1", "bad genus '3-1': empty genus range"),
+        ("1-", "bad genus '1-': invalid literal for int() with base 10: '1-'"),
+        ("2-3-4", "bad genus '2-3-4': invalid literal for int() with base 10: '3-4'"),
+    ],
+)
+def test_bad_genus_is_a_usage_error(capsys, genus, message):
+    code, out, err = _run(capsys, ["semigroups", f"--genus={genus}"])
+    assert code == 2
+    assert out == ""
+    assert err == f"wtaut: usage error: {message}\n"
 
 
 def test_hilbert_honours_the_genus_cap_override(capsys, monkeypatch):
