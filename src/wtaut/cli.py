@@ -101,22 +101,34 @@ class RunConfig(NamedTuple):
         return echo
 
 
+def _env_count(name: str, default: int | None) -> int | None:
+    """The non-negative integer the environment variable name holds; default if unset or empty."""
+    text = os.environ.get(name)
+    if not text:
+        return default
+    if not (text.isascii() and text.isdigit()):
+        raise DataError(f"bad {name} {text[:20]!r}: not a non-negative integer")
+    try:
+        return int(text)
+    except ValueError as exc:  # past Python's int-to-str digit cap
+        raise DataError(f"bad {name} {text[:20]!r}: {exc}") from exc
+
+
 def _source_date() -> time.struct_time | None:
     """The UTC time SOURCE_DATE_EPOCH names, if set, so that envelopes are reproducible.
 
     Years past 9999 are refused: the stamp writes the year in four digits.
     """
-    text = os.environ.get("SOURCE_DATE_EPOCH")
-    if not text:
+    seconds = _env_count("SOURCE_DATE_EPOCH", None)
+    if seconds is None:
         return None
-    if not (text.isascii() and text.isdigit()):
-        raise DataError(f"bad SOURCE_DATE_EPOCH {text[:20]!r}: not a count of seconds")
+    bad = f"bad SOURCE_DATE_EPOCH {str(seconds)[:20]!r}"
     try:
-        stamp = time.gmtime(int(text))
-    except (ValueError, OverflowError, OSError) as exc:
-        raise DataError(f"bad SOURCE_DATE_EPOCH {text[:20]!r}: {exc}") from exc
+        stamp = time.gmtime(seconds)
+    except (OverflowError, OSError) as exc:
+        raise DataError(f"{bad}: {exc}") from exc
     if stamp.tm_year > 9999:
-        raise DataError(f"bad SOURCE_DATE_EPOCH {text[:20]!r}: year {stamp.tm_year} is out of range")
+        raise DataError(f"{bad}: year {stamp.tm_year} is out of range")
     return stamp
 
 
@@ -192,11 +204,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(**values)
     if config.genus is None:
         raise UsageError("a genus is required")
+    # the argparse of some Pythons (3.11 among them) reads --genus=-- as []
+    genus = "--" if config.genus == [] else config.genus
     try:
-        low, high = _parse_genus(str(config.genus))  # argparse reads --genus=-- as []
+        low, high = _parse_genus(genus)
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise UsageError(f"bad genus {config.genus!r}: {exc}") from exc
-    max_genus = int(os.environ.get("WTAUT_MAX_GENUS", DEFAULT_MAX_GENUS))
+        raise UsageError(f"bad genus {genus!r}: {exc}") from exc
+    max_genus = _env_count("WTAUT_MAX_GENUS", DEFAULT_MAX_GENUS)
     if high > max_genus:
         raise ResourceError(
             f"genus {high} exceeds the cap {max_genus}; raise WTAUT_MAX_GENUS to override"
@@ -301,10 +315,9 @@ def _poly_json(p: MultiPoly, nl: str) -> str:
     """The {"terms", "text"} object of p; its records and text come from one walk."""
     i1, i2, i3, i4 = (nl + "  " * k for k in range(1, 5))
     records, pieces = [], []
-    for coeff, pairs, piece in p.rendered_terms():
-        exps = ",".join([f"{i4}{encode_basestring_ascii(name)}: {e}" for name, e in pairs])
+    for coeff, exps, piece in p.rendered_terms(i4):  # coeff is digits, "-" and "/": no escapes
         exps = f"{{{exps}{i3}}}" if exps else "{}"
-        records.append(f'{i2}{{{i3}"coeff": {encode_basestring_ascii(coeff)},{i3}"exps": {exps}{i2}}}')
+        records.append(f'{i2}{{{i3}"coeff": "{coeff}",{i3}"exps": {exps}{i2}}}')
         pieces.append(piece)
     terms = f"[{','.join(records)}{i1}]" if records else "[]"
     text = encode_basestring_ascii(MultiPoly.joined_text(pieces))

@@ -22,8 +22,9 @@ exponents in canonical order of the variables, the larger first.  That is
 the order of the sparse lists of (variable, exponent) pairs that printed
 polynomials follow, down to a list that is a strict prefix of another
 (only weight-zero kappa_0 can make one): the longer list has the larger
-int.  Monomials are unpacked only to be printed, and by the few callers
-that read exponents, through Layout.unpack.
+int.  Monomials are decoded only to be printed (JSON and text decode just
+the fields where a term differs from the one before), and by the few
+callers that read exponents, through Layout.unpack.
 
 A layout of width w holds exponents below 2^w, and the top bit of each
 field is a guard: two polynomials are multiplied in a layout only when no
@@ -485,24 +486,63 @@ class MultiPoly:
 
     # -- serialization -------------------------------------------------
 
-    def rendered_terms(self) -> Iterator[tuple[str, list[tuple[str, int]], str]]:
+    def rendered_terms(self, indent: str) -> Iterator[tuple[str, str, str]]:
         """Each term, leading first, in the three forms the output needs.
 
-        They are the coefficient's text, the (name, exponent) pairs in
-        string order of the names (lambda10 before lambda2), and the
+        They are the coefficient's text; the body of its JSON "exps"
+        object, an entry indent + '"name": e' per variable, comma-joined
+        in string order of the names (lambda10 before lambda2); and the
         term's piece of canonical_str with its sign in front, as in
         " + 3*psi" or " - lambda1".
+
+        Terms come in descending int order, so neighbours share their
+        highest fields, and the highest bit of prev ^ mono lies in the
+        highest field where they differ.  A stack holds the fields of the
+        term before, highest first, each with the text and JSON of the
+        fields up to it already joined; the fields at or below that bit
+        are popped and only they are decoded again, by bit length as in
+        Layout.unpack.  Each field's pieces are formatted once per call.
+        Names are ASCII letters and digits: they need no JSON escaping,
+        and entries sort as their names do, since '"' sorts below both.
         """
-        unpack = self.layout.unpack
+        layout = self.layout
+        width, upward = layout.width, layout._upward
+        names = [v.name for v in layout.variables]
+        in_order = names == sorted(names)  # then field order is the JSON key order
+        fields = (1 << layout.shift) - 1
+        pieces: dict[int, tuple[str, str]] = {}  # field bits -> ("*name^e", ',indent"name": e')
+        # (offset of the field, text up to it, JSON up to it, its JSON entry);
+        # the bottom entry stands above every field and is never popped
+        stack = [(layout.shift, "", "", "")]
+        prev = 0
         for mono, coeff in self._sorted_terms():
+            mono &= fields
+            top = (prev ^ mono).bit_length()
+            while stack[-1][0] < top:
+                stack.pop()
+            off, body, exps, _ = stack[-1]
+            # below the lowest field kept; a field above top that was not kept is 0 in both terms
+            rest = mono & ((1 << off) - 1)
+            while rest:
+                off = (rest.bit_length() - 1) // width * width
+                bits = rest >> off << off
+                rest ^= bits
+                piece = pieces.get(bits)
+                if piece is None:
+                    name, e = upward[off // width].name, bits >> off
+                    text = f"*{name}^{e}" if e > 1 else "*" + name
+                    piece = pieces[bits] = (text, f',{indent}"{name}": {e}')
+                body += piece[0]
+                exps += piece[1]
+                stack.append((off, body, exps, piece[1]))
+            if not in_order:
+                exps = "".join(sorted([entry for _, _, _, entry in stack]))
             coeff_text = str(coeff)
-            pairs = [(v.name, e) for v, e in unpack(mono)]
-            body = "*".join([f"{name}^{e}" if e > 1 else name for name, e in pairs])
             sign, mag = (" - ", coeff_text[1:]) if coeff_text[0] == "-" else (" + ", coeff_text)
             if body:
-                mag = body if mag == "1" else f"{mag}*{body}"
-            pairs.sort()
-            yield coeff_text, pairs, sign + mag
+                mag = body[1:] if mag == "1" else mag + body
+            yield coeff_text, exps[1:], sign + mag
+            prev = mono
 
     @staticmethod
     def joined_text(pieces: Iterable[str]) -> str:
@@ -513,7 +553,7 @@ class MultiPoly:
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def canonical_str(self) -> str:
-        return MultiPoly.joined_text(piece for _, _, piece in self.rendered_terms())
+        return MultiPoly.joined_text(piece for _, _, piece in self.rendered_terms(""))
 
     def latex(self) -> str:
         def sym(v: Variable) -> str:

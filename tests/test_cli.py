@@ -156,6 +156,38 @@ def _polys(draw):
     return out
 
 
+# Twelve variables, x10 and x11 among them, with z2 in the lowest field
+# whenever it is present.
+_WIDE_VARIABLES = [lam(1), lam(2), lam(10), PSI, kap(0), kap(3), xvar(1), xvar(2), xvar(10),
+                   xvar(11), U, zvar(2)]
+
+
+@st.composite
+def _wide_polys(draw):
+    """Up to about 40 terms with exponents up to 300 (fields wider than 8 bits),
+    in runs that differ only in their lowest field, z2, and optionally a term
+    with zero fields between two set ones and a constant term."""
+    top = draw(st.sampled_from([3, 300]))
+    exponent = st.integers(0, top)
+    out = MultiPoly.zero()
+    for pairs in draw(st.lists(st.dictionaries(st.sampled_from(_WIDE_VARIABLES[:-1]), exponent,
+                                               max_size=6), min_size=1, max_size=8)):
+        for e in draw(st.lists(exponent, min_size=1, max_size=5, unique=True)):
+            out += oracles.monomial({**pairs, zvar(2): e}.items(), draw(_COEFFS))
+    if draw(st.booleans()):
+        out += oracles.monomial([(lam(1), draw(st.integers(1, top))), (xvar(11), 1)], draw(_COEFFS))
+    if draw(st.booleans()):
+        out += draw(_COEFFS)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_polys())
+def test_json_writer_and_text_match_the_oracle_on_wide_sorted_runs(poly):
+    assert json_text(poly) == json.dumps(oracles.poly_payload(poly), indent=2, sort_keys=True)
+    assert poly.canonical_str() == oracles.canonical_str(poly)
+
+
 _TREES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6) | _polys(),
     lambda inner: st.lists(inner, max_size=3)
@@ -447,6 +479,9 @@ def test_config_file_output_writes_the_file(capsys, tmp_path):
         ("3-1", "bad genus '3-1': empty genus range"),
         ("1-", "bad genus '1-': invalid literal for int() with base 10: '1-'"),
         ("2-3-4", "bad genus '2-3-4': invalid literal for int() with base 10: '3-4'"),
+        # some Pythons' argparse (3.11 among them) hands --genus=-- over as [], others as "--"
+        ("--", "bad genus '--': invalid literal for int() with base 10: '--'"),
+        ("", "bad genus '': invalid literal for int() with base 10: ''"),
     ],
 )
 def test_bad_genus_is_a_usage_error(capsys, genus, message):
@@ -463,6 +498,23 @@ def test_hilbert_honours_the_genus_cap_override(capsys, monkeypatch):
     [block] = json.loads(out)["payload"]
     assert block["genus"] == 13
     assert [row["degree"] for row in block["rows"]] == [0, 1]
+
+
+@pytest.mark.parametrize("value", ["x", "-1", " 7", pytest.param("1" * 5000, id="5000-digits")])
+def test_bad_genus_cap_is_a_data_error_that_names_the_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("WTAUT_MAX_GENUS", value)
+    code, out, err = _run(capsys, ["semigroups", "--genus", "2"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"wtaut: data error: bad WTAUT_MAX_GENUS {value[:20]!r}: ")
+
+
+def test_empty_genus_cap_reads_as_unset(capsys, monkeypatch):
+    monkeypatch.setenv("WTAUT_MAX_GENUS", "")
+    assert _run(capsys, ["semigroups", "--genus", "2"])[0] == 0
+    code, _, err = _run(capsys, ["semigroups", "--genus", "13"])
+    assert code == 4
+    assert err == "wtaut: resource error: genus 13 exceeds the cap 12; raise WTAUT_MAX_GENUS to override\n"
 
 
 def test_source_date_epoch_makes_the_bytes_reproducible(capsys, monkeypatch):
