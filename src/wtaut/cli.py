@@ -6,7 +6,10 @@ genus safety cap honours the WTAUT_MAX_GENUS environment variable.  A
 key=value config file (--config) may set only the keys in CONFIG_KEYS:
 genus, max_degree, mode, format, output, unshifted, paper_sign and
 kappa0_substitute, with a dash allowed for the underscore.  Explicit
-flags win over the file, and any other key is a data error.
+flags win over the file.  Any other key, a bool that is not one of
+BOOL_WORDS and an int that does not parse are data errors.  Each
+subcommand returns its payload for JSON and its table, with lazy rows,
+for CSV and LaTeX.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import __version__
 from .errors import DataError, ResourceError, UsageError
@@ -54,6 +57,9 @@ MAX_DEGREE_CAP = 16
 # for twelve parts of 100 (Python 3.11, one core).
 MAX_SCHUR_VARIABLES = 6
 MAX_SCHUR_VALUES = 12
+# the most digits a --values entry may give its numerator or denominator:
+# Python's default cap on the digits of an int parsed from text
+MAX_VALUE_DIGITS = 4300
 FORMATS = ("json", "csv", "latex")
 
 KAPPA_INDEX_NOTE = (
@@ -72,6 +78,8 @@ LOWER_RING_NOTE = (
 # flags' dests; every one but output is echoed in the envelope.
 CONFIG_KEYS = ("genus", "max_degree", "mode", "format", "output",
                "unshifted", "paper_sign", "kappa0_substitute")
+# The words a config file may give a bool, in any case.
+BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class RunConfig(NamedTuple):
@@ -155,18 +163,20 @@ def _parse_genus(text: str) -> tuple[int, int]:
     return value, value
 
 
-def _parse_int_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    return [int(piece) for piece in text.split(",")]
+def _parse_flag(flag: str, text: str, make):
+    """make(the ints of the comma-separated text); a data error naming flag if either fails."""
+    try:
+        return make([int(piece) for piece in text.split(",")] if text.strip() else [])
+    except ValueError as exc:  # DataError is a ValueError
+        raise DataError(f"bad {flag} {text!r}: {exc}") from None
 
 
 def _load_config_file(path: str) -> dict:
     """The CONFIG_KEYS values a key=value file sets, each read by the type of its default.
 
-    A bool is true for 1, true or yes in any case; an int is parsed; the
-    rest stay text.
+    A bool is one of the BOOL_WORDS and an int is parsed, or the value is
+    a data error naming the key, the value and the file; the rest stay
+    text.
     """
     try:
         text = Path(path).read_text()
@@ -188,10 +198,16 @@ def _load_config_file(path: str) -> dict:
         values[key] = value.strip()
     defaults = RunConfig._field_defaults
     for key, value in values.items():
+        bad = f"bad {key} {value!r} in {path}"
         if isinstance(defaults[key], bool):
-            values[key] = value.lower() in ("1", "true", "yes")
+            if value.lower() not in BOOL_WORDS:
+                raise DataError(f"{bad}: not one of {', '.join(BOOL_WORDS)}")
+            values[key] = BOOL_WORDS[value.lower()]
         elif isinstance(defaults[key], int):
-            values[key] = int(value)
+            try:
+                values[key] = int(value)
+            except ValueError as exc:
+                raise DataError(f"{bad}: {exc}") from None
     return values
 
 
@@ -261,10 +277,10 @@ def _exact_digits():
 def json_text(obj) -> str:
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, in one pass.
 
-    A MultiPoly is written as the object {"terms": [{"coeff", "exps"},
-    ...], "text": canonical_str()}, both from one walk over its sorted
-    terms.  Besides MultiPoly it knows str, int, bool, None, lists and
-    dicts with str keys; anything else raises TypeError.
+    A MultiPoly is written as the object its json_object method writes,
+    {"terms": [{"coeff", "exps"}, ...], "text": canonical_str()}.  Besides
+    MultiPoly it knows str, int, bool, None, lists and dicts with str keys;
+    anything else raises TypeError.
     """
     chunks: list[str] = []
     _json_chunks(obj, "\n", chunks)
@@ -284,7 +300,7 @@ def _json_chunks(obj, nl: str, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, MultiPoly):
-        out.append(_poly_json(obj, nl))
+        out.append(obj.json_object(nl))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -311,20 +327,7 @@ def _json_chunks(obj, nl: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _poly_json(p: MultiPoly, nl: str) -> str:
-    """The {"terms", "text"} object of p; its records and text come from one walk."""
-    i1, i2, i3, i4 = (nl + "  " * k for k in range(1, 5))
-    records, pieces = [], []
-    for coeff, exps, piece in p.rendered_terms(i4):  # coeff is digits, "-" and "/": no escapes
-        exps = f"{{{exps}{i3}}}" if exps else "{}"
-        records.append(f'{i2}{{{i3}"coeff": "{coeff}",{i3}"exps": {exps}{i2}}}')
-        pieces.append(piece)
-    terms = f"[{','.join(records)}{i1}]" if records else "[]"
-    text = encode_basestring_ascii(MultiPoly.joined_text(pieces))
-    return f'{{{i1}"terms": {terms},{i1}"text": {text}{nl}}}'
-
-
-def _latex_table(headers: list[str], rows: list[list[str]], caption: str) -> str:
+def _latex_table(headers: list[str], rows: Iterable[list[str]], caption: str) -> str:
     lines = ["\\begin{table}", f"% {caption}", "\\begin{tabular}{" + "l" * len(headers) + "}"]
     lines.append(" & ".join(headers) + " \\\\ \\hline")
     for row in rows:
@@ -333,7 +336,7 @@ def _latex_table(headers: list[str], rows: list[list[str]], caption: str) -> str
     return "\n".join(lines) + "\n"
 
 
-def _csv_lines(headers: list[str], rows: list[list[str]], meta: dict) -> str:
+def _csv_lines(headers: list[str], rows: Iterable[list[str]], meta: dict) -> str:
     import csv  # only CSV output needs it: at the top every run would pay for it
 
     out = io.StringIO()
@@ -352,74 +355,73 @@ def _x_roots(g: int) -> tuple:
     return tuple(xvar(i) for i in range(1, g + 1))
 
 
+def _tuple_cell(values) -> str:
+    """A table cell such as (3,2,1)."""
+    return "(" + ",".join(map(str, values)) + ")"
+
+
+def _set_cell(values) -> str:
+    """A table cell such as {1 2 4}."""
+    return "{" + " ".join(map(str, values)) + "}"
+
+
 def run_semigroups(config: RunConfig, args: argparse.Namespace):
     payload = []
     for g in config.genera:
         records = [semigroup_record(h) for h in enumerate_semigroups(g, config.max_genus)]
         payload.append({"genus": g, "count": len(records), "semigroups": records})
-    warnings: list[str] = []
-
-    def tables():
-        rows = [
-            [str(rec["genus"]), "{" + " ".join(map(str, rec["gaps"])) + "}",
-             " ".join(map(str, rec["sequence_head"])),
-             " ".join(map(str, rec["partition_hprime"]))]
-            for block in payload
-            for rec in block["semigroups"]
-        ]
-        return ["genus", "gaps", "sequence_head", "partition"], rows, {"genus": config.echo()["genus"]}
-
-    return payload, warnings, tables
+    rows = (
+        [str(rec["genus"]), _set_cell(rec["gaps"]), " ".join(map(str, rec["sequence_head"])),
+         " ".join(map(str, rec["partition_hprime"]))]
+        for block in payload
+        for rec in block["semigroups"]
+    )
+    headers = ["genus", "gaps", "sequence_head", "partition"]
+    return payload, [], (headers, rows, {"genus": config.echo()["genus"]})
 
 
 def run_class(config: RunConfig, args: argparse.Namespace):
-    gaps = _parse_int_list(args.gaps) if args.gaps else None
-    partition = _parse_int_list(args.partition) if args.partition else None
-    if (gaps is None) == (partition is None):
+    semigroup = _parse_flag("--gaps", args.gaps, NumericalSemigroup.from_gaps) if args.gaps else None
+    partition = _parse_flag("--partition", args.partition, Partition.of) if args.partition else None
+    if (semigroup is None) == (partition is None):
         raise DataError("choose exactly one selector: --gaps or --partition")
     payload = []
     warnings = ["normalization: up-to-constant"]
     if config.unshifted:
         warnings.append(UNSHIFTED_NOTE)
     for g in config.genera:
-        if gaps is not None:
-            semigroup = NumericalSemigroup.from_gaps(gaps)
+        if semigroup is not None:
             if semigroup.genus != g:
                 raise DataError(
                     f"gap list has genus {semigroup.genus}, not the requested {g}"
                 )
             cycle = weierstrass_class(semigroup, unshifted=config.unshifted)
         else:
-            cycle = virtual_class(Partition.of(partition), g, unshifted=config.unshifted)
+            cycle = virtual_class(partition, g, unshifted=config.unshifted)
         record = cycle.record()
         record["class_unpointed"] = push_to_unpointed(
             cycle, substitute_kappa0=config.kappa0_substitute
         )
         record["genus"] = g
         payload.append(record)
-
-    def tables():
-        rows = [
-            [
-                str(rec["genus"]),
-                "{" + " ".join(map(str, rec["gaps"] or [])) + "}" if rec["gaps"] else "-",
-                "(" + ",".join(map(str, rec["partition"])) + ")",
-                str(rec["codim"]),
-                rec["class_pointed"].latex(),
-                rec["class_unpointed"].latex(),
-            ]
-            for rec in payload
+    rows = (
+        [
+            str(rec["genus"]),
+            _set_cell(rec["gaps"]) if rec["gaps"] else "-",
+            _tuple_cell(rec["partition"]),
+            str(rec["codim"]),
+            rec["class_pointed"].latex(),
+            rec["class_unpointed"].latex(),
         ]
-        headers = ["genus", "gaps", "partition", "codim", "pointed class", "unpointed class"]
-        return headers, rows, {"normalization": "up-to-constant"}
-
-    return payload, warnings, tables
+        for rec in payload
+    )
+    headers = ["genus", "gaps", "partition", "codim", "pointed class", "unpointed class"]
+    return payload, warnings, (headers, rows, {"normalization": "up-to-constant"})
 
 
 def run_pullback(config: RunConfig, args: argparse.Namespace):
-    mu = Partition.of(_parse_int_list(args.partition))
+    mu = _parse_flag("--partition", args.partition, Partition.of)
     payload = []
-    warnings: list[str] = []
     for g in config.genera:
         if g < 1:
             raise DataError("pullback needs genus at least 1")
@@ -434,13 +436,8 @@ def run_pullback(config: RunConfig, args: argparse.Namespace):
                 "value_lambda": mumford_reduce(value, g) if config.mode == "smooth" else value,
             }
         )
-
-    def tables():
-        parts = "(" + ",".join(map(str, mu)) + ")"
-        rows = [[str(rec["genus"]), parts, rec["value_lambda"].latex()] for rec in payload]
-        return ["genus", "partition", "class"], rows, {"mode": config.mode}
-
-    return payload, warnings, tables
+    rows = ([str(rec["genus"]), _tuple_cell(mu), rec["value_lambda"].latex()] for rec in payload)
+    return payload, [], (["genus", "partition", "class"], rows, {"mode": config.mode})
 
 
 def run_psum(config: RunConfig, args: argparse.Namespace):
@@ -467,17 +464,12 @@ def run_psum(config: RunConfig, args: argparse.Namespace):
             else:
                 warnings.append(EVEN_SIGN_NOTE)
         payload.append(record)
-
-    def tables():
-        rows = [[str(rec["genus"]), str(power), rec["value_lambda"].latex()] for rec in payload]
-        return ["genus", "power", "class"], rows, {"mode": config.mode}
-
-    return payload, list(set(warnings)), tables
+    rows = ([str(rec["genus"]), str(power), rec["value_lambda"].latex()] for rec in payload)
+    return payload, list(set(warnings)), (["genus", "power", "class"], rows, {"mode": config.mode})
 
 
 def run_relations(config: RunConfig, args: argparse.Namespace):
     payload = []
-    warnings: list[str] = []
     for g in config.genera:
         payload.append(
             {
@@ -493,25 +485,16 @@ def run_relations(config: RunConfig, args: argparse.Namespace):
                 ],
             }
         )
-
-    def tables():
-        rows = [
-            [
-                "(" + ",".join(map(str, gen["partition"])) + ")",
-                str(gen["weight"]),
-                gen["value"].latex(),
-            ]
-            for block in payload
-            for gen in block["generators"]
-        ]
-        return ["partition", "weight", "relation"], rows, {}
-
-    return payload, warnings, tables
+    rows = (
+        [_tuple_cell(gen["partition"]), str(gen["weight"]), gen["value"].latex()]
+        for block in payload
+        for gen in block["generators"]
+    )
+    return payload, [], (["partition", "weight", "relation"], rows, {})
 
 
 def run_hilbert(config: RunConfig, args: argparse.Namespace):
     payload = []
-    warnings = [LOWER_RING_NOTE]
     for g in config.genera:
         report = sandwich_report(g, config.max_degree, config.max_genus)
         payload.append(
@@ -522,23 +505,43 @@ def run_hilbert(config: RunConfig, args: argparse.Namespace):
                 "generator_counts": list(report.generator_counts),
             }
         )
+    rows = (
+        [str(block["genus"]), str(r["degree"]), str(r["lower"]), str(r["upper"])]
+        for block in payload
+        for r in block["rows"]
+    )
+    meta = {"max_degree": config.max_degree, "genus": config.echo()["genus"]}
+    return payload, [LOWER_RING_NOTE], (["genus", "degree", "lower", "upper"], rows, meta)
 
-    def tables():
-        rows = [
-            [str(block["genus"]), str(r["degree"]), str(r["lower"]), str(r["upper"])]
-            for block in payload
-            for r in block["rows"]
-        ]
-        meta = {"max_degree": config.max_degree, "genus": config.echo()["genus"]}
-        return ["genus", "degree", "lower", "upper"], rows, meta
 
-    return payload, warnings, tables
+def _parse_value(text: str) -> Fraction:
+    """The Fraction one --values entry names.
+
+    Fraction expands a decimal exponent itself, past Python's cap on the
+    digits of an int parsed from text: "1e400000" alone would take
+    seconds.  So a value whose numerator or denominator would have more
+    than MAX_VALUE_DIGITS digits is refused from its mantissa and
+    exponent, before it is built.
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        base, shift = Fraction(mantissa), int(exponent or 0)
+        for part, zeros in ((base.numerator, max(shift, 0)), (base.denominator, max(-shift, 0))):
+            if zeros >= MAX_VALUE_DIGITS or abs(part) >= 10 ** (MAX_VALUE_DIGITS - zeros):
+                raise ResourceError(
+                    f"bad --values entry {text!r}: more than {MAX_VALUE_DIGITS} digits"
+                )
+        return Fraction(text)
+    except ZeroDivisionError:  # Fraction("1/0")
+        raise DataError(f"bad --values entry {text!r}: zero denominator") from None
+    except ValueError as exc:
+        raise DataError(f"bad --values entry {text!r}: {exc}") from None
 
 
 def run_schur_eval(config: RunConfig, args: argparse.Namespace):
     kind, variables = args.kind, args.variables
     values = args.values.split(",") if args.values else None
-    mu = Partition.of(_parse_int_list(args.partition))
+    mu = _parse_flag("--partition", args.partition, Partition.of)
     if (values is None) == (variables is None):
         raise DataError("choose exactly one of --values or --variables")
     if values is not None and len(values) > MAX_SCHUR_VALUES:
@@ -547,10 +550,7 @@ def run_schur_eval(config: RunConfig, args: argparse.Namespace):
         raise DataError(f"{variables} variables; the count must not be negative")
     if variables is not None and variables > MAX_SCHUR_VARIABLES:
         raise ResourceError(f"{variables} variables; use at most {MAX_SCHUR_VARIABLES}")
-    try:
-        args = [Fraction(v) for v in values] if values is not None else generic_arguments(variables)
-    except ZeroDivisionError as exc:  # Fraction("1/0")
-        raise DataError(f"a value has a zero denominator: {exc}") from None
+    args = [_parse_value(v) for v in values] if values is not None else generic_arguments(variables)
     fn = factorial_schur if kind == "factorial" else shifted_schur
     result = fn(mu, args)
     payload = {
@@ -559,31 +559,25 @@ def run_schur_eval(config: RunConfig, args: argparse.Namespace):
         "arguments": [str(v) for v in values] if values is not None else f"z1..z{variables}",
         "value": result,
     }
-
-    def tables():
-        rows = [[kind, "(" + ",".join(map(str, mu)) + ")", result.latex()]]
-        return ["kind", "partition", "value"], rows, {}
-
-    return payload, [], tables
+    rows = ([kind, _tuple_cell(mu), value.latex()] for value in (result,))
+    return payload, [], (["kind", "partition", "value"], rows, {})
 
 
 # -- driver ------------------------------------------------------------------
 
 
-def _emit(envelope: dict, config: RunConfig, tables) -> None:
-    """Write the envelope as JSON, or the rows of tables() as CSV or LaTeX.
+def _emit(envelope: dict, config: RunConfig, table) -> None:
+    """Write the envelope as JSON, or table, (headers, rows, meta), as CSV or LaTeX.
 
-    tables is a zero-argument callable returning (headers, rows, meta),
-    so JSON output never builds the rows.
+    rows is a generator, so JSON output never builds the rows.
     """
+    headers, rows, meta = table
     with _exact_digits():
         if config.format == "json":
             text = json_text(envelope) + "\n"
         elif config.format == "csv":
-            headers, rows, meta = tables()
             text = _csv_lines(headers, rows, meta)
         else:
-            headers, rows, meta = tables()
             text = _latex_table(headers, rows, caption=envelope["command"])
     if config.output:
         _write_output(Path(config.output), text)
@@ -666,10 +660,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = build_config(args)
-        payload, warnings, tables = args.run(config, args)
+        payload, warnings, table = args.run(config, args)
         envelope = make_envelope(args.subcommand, config, payload, warnings)
         with contextlib.suppress(BrokenPipeError):
-            _emit(envelope, config, tables)
+            _emit(envelope, config, table)
         return 0
     except UsageError as exc:
         print(f"wtaut: usage error: {exc}", file=sys.stderr)

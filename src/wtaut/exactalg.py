@@ -22,9 +22,12 @@ exponents in canonical order of the variables, the larger first.  That is
 the order of the sparse lists of (variable, exponent) pairs that printed
 polynomials follow, down to a list that is a strict prefix of another
 (only weight-zero kappa_0 can make one): the longer list has the larger
-int.  Monomials are decoded only to be printed (JSON and text decode just
-the fields where a term differs from the one before), and by the few
-callers that read exponents, through Layout.unpack.
+int.  Monomials are decoded only by the few callers that read exponents,
+through Layout.unpack, and to be printed.  Every printed form, the
+canonical text, LaTeX and the JSON object {"terms", "text"} that this
+module alone writes (MultiPoly.json_object), comes from one walk over the
+sorted terms that decodes just the fields where a term differs from the
+one before.
 
 A layout of width w holds exponents below 2^w, and the top bit of each
 field is a guard: two polynomials are multiplied in a layout only when no
@@ -64,6 +67,8 @@ __all__ = [
 _FAMILIES = ("lambda", "psi", "kappa", "x", "u", "z")
 _RANK = {fam: r for r, fam in enumerate(_FAMILIES)}
 _UNINDEXED = frozenset(("psi", "u"))
+# the LaTeX symbol of each family, by rank; format fills in the index
+_LATEX = ("\\lambda_{{{}}}", "\\psi", "\\kappa_{{{}}}", "x_{{{}}}", "u", "z_{{{}}}")
 
 Scalar = Union[int, Fraction]
 
@@ -486,41 +491,43 @@ class MultiPoly:
 
     # -- serialization -------------------------------------------------
 
-    def rendered_terms(self, indent: str) -> Iterator[tuple[str, str, str]]:
-        """Each term, leading first, in the three forms the output needs.
+    def _rendered_terms(self, indent: str) -> Iterator[tuple[str, str, str, str]]:
+        """Each term, leading first, in the four forms the output needs.
 
         They are the coefficient's text; the body of its JSON "exps"
         object, an entry indent + '"name": e' per variable, comma-joined
-        in string order of the names (lambda10 before lambda2); and the
+        in string order of the names (lambda10 before lambda2); the
         term's piece of canonical_str with its sign in front, as in
-        " + 3*psi" or " - lambda1".
+        " + 3*psi" or " - lambda1"; and the LaTeX of its monomial alone,
+        as in "\\lambda_{1}^{2}\\psi".  Text and LaTeX follow field order.
 
         Terms come in descending int order, so neighbours share their
         highest fields, and the highest bit of prev ^ mono lies in the
         highest field where they differ.  A stack holds the fields of the
-        term before, highest first, each with the text and JSON of the
-        fields up to it already joined; the fields at or below that bit
-        are popped and only they are decoded again, by bit length as in
-        Layout.unpack.  Each field's pieces are formatted once per call.
-        Names are ASCII letters and digits: they need no JSON escaping,
-        and entries sort as their names do, since '"' sorts below both.
+        term before, highest first, each with the text, JSON and LaTeX of
+        the fields up to it already joined; the fields at or below that
+        bit are popped and only they are decoded again, by bit length as
+        in Layout.unpack.  Each field's pieces are formatted once per
+        call.  Names are ASCII letters and digits: they need no JSON
+        escaping, and entries sort as their names do, since '"' sorts
+        below both.
         """
         layout = self.layout
         width, upward = layout.width, layout._upward
         names = [v.name for v in layout.variables]
         in_order = names == sorted(names)  # then field order is the JSON key order
         fields = (1 << layout.shift) - 1
-        pieces: dict[int, tuple[str, str]] = {}  # field bits -> ("*name^e", ',indent"name": e')
-        # (offset of the field, text up to it, JSON up to it, its JSON entry);
+        pieces: dict[int, tuple[str, str, str]] = {}  # field bits -> ("*name^e", ',indent"name": e', LaTeX)
+        # (offset of the field, text, JSON and LaTeX up to it, its JSON entry);
         # the bottom entry stands above every field and is never popped
-        stack = [(layout.shift, "", "", "")]
+        stack = [(layout.shift, "", "", "", "")]
         prev = 0
         for mono, coeff in self._sorted_terms():
             mono &= fields
             top = (prev ^ mono).bit_length()
             while stack[-1][0] < top:
                 stack.pop()
-            off, body, exps, _ = stack[-1]
+            off, body, exps, tex, _ = stack[-1]
             # below the lowest field kept; a field above top that was not kept is 0 in both terms
             rest = mono & ((1 << off) - 1)
             while rest:
@@ -529,57 +536,64 @@ class MultiPoly:
                 rest ^= bits
                 piece = pieces.get(bits)
                 if piece is None:
-                    name, e = upward[off // width].name, bits >> off
-                    text = f"*{name}^{e}" if e > 1 else "*" + name
-                    piece = pieces[bits] = (text, f',{indent}"{name}": {e}')
+                    var, e = upward[off // width], bits >> off
+                    text, latex = var.name, _LATEX[var.rank].format(var.index)
+                    if e > 1:
+                        text, latex = f"{text}^{e}", f"{latex}^{{{e}}}"
+                    piece = pieces[bits] = ("*" + text, f',{indent}"{var.name}": {e}', latex)
                 body += piece[0]
                 exps += piece[1]
-                stack.append((off, body, exps, piece[1]))
+                tex += piece[2]
+                stack.append((off, body, exps, tex, piece[1]))
             if not in_order:
-                exps = "".join(sorted([entry for _, _, _, entry in stack]))
+                exps = "".join(sorted([entry[4] for entry in stack]))
             coeff_text = str(coeff)
             sign, mag = (" - ", coeff_text[1:]) if coeff_text[0] == "-" else (" + ", coeff_text)
             if body:
                 mag = body[1:] if mag == "1" else mag + body
-            yield coeff_text, exps[1:], sign + mag
+            yield coeff_text, exps[1:], sign + mag, tex
             prev = mono
 
     @staticmethod
-    def joined_text(pieces: Iterable[str]) -> str:
-        """canonical_str from the pieces rendered_terms yields, in order."""
+    def _joined_text(pieces: Iterable[str]) -> str:
+        """The polynomial from its signed term pieces, in order, as in "-a + b"; 0 if none."""
         text = "".join(pieces)
         if not text:
             return "0"
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def canonical_str(self) -> str:
-        return MultiPoly.joined_text(piece for _, _, piece in self.rendered_terms(""))
+        return MultiPoly._joined_text(piece for _, _, piece, _ in self._rendered_terms(""))
+
+    def json_object(self, nl: str) -> str:
+        """The object {"terms": [{"coeff", "exps"}, ...], "text": canonical_str()}
+        as json.dumps(..., indent=2, sort_keys=True) writes it; nl is the
+        line break and indent of the line it starts on.
+
+        The coefficients are digits, "-" and "/", and the text is ASCII
+        letters, digits and "*^/+- ": neither needs JSON escaping.
+        """
+        i1, i2, i3, i4 = (nl + "  " * k for k in range(1, 5))
+        records, pieces = [], []
+        for coeff, exps, piece, _ in self._rendered_terms(i4):
+            exps = f"{{{exps}{i3}}}" if exps else "{}"
+            records.append(f'{i2}{{{i3}"coeff": "{coeff}",{i3}"exps": {exps}{i2}}}')
+            pieces.append(piece)
+        terms = f"[{','.join(records)}{i1}]" if records else "[]"
+        return f'{{{i1}"terms": {terms},{i1}"text": "{MultiPoly._joined_text(pieces)}"{nl}}}'
 
     def latex(self) -> str:
-        def sym(v: Variable) -> str:
-            if v.family in _UNINDEXED:
-                return "\\" + v.family if v.family == "psi" else "u"
-            if v.family in ("lambda", "kappa"):
-                return f"\\{v.family}_{{{v.index}}}"
-            return f"{v.family}_{{{v.index}}}"
-
+        """The polynomial in LaTeX, as in "-\\lambda_{1} + \\tfrac{3}{2}\\psi^{2}"."""
         pieces = []
-        unpack = self.layout.unpack
-        for mono, coeff in self._sorted_terms():
-            body = "".join(f"{sym(v)}^{{{e}}}" if e > 1 else sym(v) for v, e in unpack(mono))
-            mag = abs(coeff)
-            if mag.denominator == 1:
-                magtex = str(mag)
-            else:
-                magtex = f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
-            if not body:
-                text = magtex
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{magtex}{body}"
-            pieces.append(f" + {text}" if coeff > 0 else f" - {text}")
-        return MultiPoly.joined_text(pieces)
+        for coeff, _, _, body in self._rendered_terms(""):
+            sign, mag = (" - ", coeff[1:]) if coeff[0] == "-" else (" + ", coeff)
+            if "/" in mag:
+                num, _, den = mag.partition("/")
+                mag = f"\\tfrac{{{num}}}{{{den}}}"
+            if body:
+                mag = body if mag == "1" else mag + body
+            pieces.append(sign + mag)
+        return MultiPoly._joined_text(pieces)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.canonical_str()})"

@@ -33,6 +33,9 @@ reached from `src/`.
   and lists for `json.dumps`, the route the CLI took before it wrote
   each polynomial in one pass over its terms; `from_json` reads the
   term records back, naming variables through `parse_variable`.
+* `latex`: a polynomial in LaTeX with every term unpacked through
+  `Layout.unpack`, the route `MultiPoly.latex` took before it printed
+  from the same walk over the terms as the text and the JSON.
 * `exact_div`: exact polynomial division, the ratio route's division by
   each factor of the Vandermonde.
 * `monomial`, `terms`, `pair_terms`, `coefficient`: a one-term
@@ -486,6 +489,36 @@ def canonical_str(p: MultiPoly) -> str:
         else:
             pieces.append(f" + {text}" if coeff > 0 else f" - {text}")
     return "".join(pieces)
+
+
+def _latex_symbol(v: Variable) -> str:
+    if v.family in ("psi", "u"):
+        return "\\" + v.family if v.family == "psi" else "u"
+    if v.family in ("lambda", "kappa"):
+        return f"\\{v.family}_{{{v.index}}}"
+    return f"{v.family}_{{{v.index}}}"
+
+
+def latex(p: MultiPoly) -> str:
+    pieces = []
+    for mono, coeff in terms(p):
+        body = "".join(f"{_latex_symbol(v)}^{{{e}}}" if e > 1 else _latex_symbol(v) for v, e in mono)
+        mag = abs(coeff)
+        if mag.denominator == 1:
+            magtex = str(mag)
+        else:
+            magtex = f"\\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
+        if not body:
+            text = magtex
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{magtex}{body}"
+        pieces.append(f" + {text}" if coeff > 0 else f" - {text}")
+    text = "".join(pieces)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def to_json(p: MultiPoly) -> list[dict]:

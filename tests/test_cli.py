@@ -16,6 +16,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,6 +88,15 @@ SHA256_PINS = {
     "schur_eval_shifted_p54321_z6_latex": (  # LaTeX output carries no generated_at line
         ["schur-eval", "--partition", "5,4,3,2,1", "--variables", "6", "--format", "latex"],
         "6db39628cbbc395523ebd4cddac5b39580f361a1c7e6db07b4497a8fffacd990",
+    ),
+    # kappa and lambda in LaTeX, kappa10 and up out of name order: 1.1 MB
+    "class_g2_p120_latex": (
+        ["class", "--genus", "2", "--partition", "120", "--format", "latex"],
+        "d1aa14f5971774baa102f3b6477b412fa0c1b959cc8803d0d7c6d2e4e8479a07",
+    ),
+    "relations_g4_w10_csv": (
+        ["relations", "--genus", "4", "--max-weight", "10", "--format", "csv"],
+        "5f3c6f9b4cd0d24ae3a76bc440dd0ab44683f1e09dfa4fe36fd80c9dc342e8c1",
     ),
 }
 
@@ -321,6 +331,16 @@ def test_csv_rows_match_header_width(capsys, argv):
         assert len(row) == len(header), (header, row)
 
 
+@pytest.mark.parametrize("argv", CSV_ARGV, ids=lambda argv: argv[0])
+def test_json_runs_build_no_table_rows(capsys, monkeypatch, argv):
+    def refuse(self):
+        raise AssertionError("a JSON run rendered LaTeX")
+
+    monkeypatch.setattr(MultiPoly, "latex", refuse)
+    code, _, err = _run(capsys, argv)
+    assert code == 0, err
+
+
 def test_csv_keeps_multipart_partitions_in_one_cell(capsys):
     code, out, _ = _run(capsys, ["pullback", "--genus", "2", "--partition", "2,1", "--format", "csv"])
     assert code == 0
@@ -460,6 +480,86 @@ def test_config_file_keys(capsys, tmp_path, text, argv, expected):
     assert code == 0, err
     echo = json.loads(out)["config"]
     assert {key: echo[key] for key in expected} == expected
+
+
+# test_config_file_keys covers yes, no, 1 and TRUE
+@pytest.mark.parametrize("word, value", [("True", True), ("0", False), ("FALSE", False), ("nO", False)])
+def test_config_file_bool_words_in_any_case(capsys, tmp_path, word, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"unshifted={word}\n")
+    code, out, err = _run(capsys, ["--config", str(config), "class", "--genus", "2", "--gaps", "1,3"])
+    assert code == 0, err
+    assert json.loads(out)["config"]["unshifted"] is value
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("unshifted=ture", ["class", "--genus", "2", "--gaps", "1,3"]),
+        ("kappa0_substitute=", ["class", "--genus", "2", "--gaps", "1,3"]),
+        ("paper-sign=2", ["psum", "--genus", "2", "--power", "2"]),
+        ("max_degree=abc", ["hilbert", "--genus", "2"]),
+        ("max_degree=1.5", ["hilbert", "--genus", "2"]),
+    ],
+)
+def test_bad_config_value_names_key_value_and_file(capsys, tmp_path, monkeypatch, text, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the computation ran")
+
+    for name in ("weierstrass_class", "kstar_power_sum", "sandwich_report"):
+        monkeypatch.setattr(wtaut.cli, name, refuse)
+    config = tmp_path / "run.cfg"
+    config.write_text(text + "\n")
+    code, out, err = _run(capsys, ["--config", str(config), *argv])
+    key, _, value = text.partition("=")
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"wtaut: data error: bad {key.replace('-', '_')} {value!r} in {config}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["pullback", "--genus", "2", "--partition", "1,a"], "--partition '1,a'"),
+        (["class", "--genus", "2", "--partition", "1,2"], "--partition '1,2'"),
+        (["class", "--genus", "2", "--gaps", "1,x"], "--gaps '1,x'"),
+        (["class", "--genus", "2", "--gaps", "2,3"], "--gaps '2,3'"),
+        (["schur-eval", "--partition", "2,b", "--values", "1"], "--partition '2,b'"),
+        (["schur-eval", "--partition", "1", "--values", "1,x"], "--values entry 'x'"),
+        (["schur-eval", "--partition", "1", "--values", "1/2e3"], "--values entry '1/2e3'"),
+        (["schur-eval", "--partition", "1", "--values", "1/0"], "--values entry '1/0'"),
+    ],
+)
+def test_bad_flag_value_is_a_data_error_naming_the_flag(capsys, argv, shown):
+    code, out, err = _run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"wtaut: data error: bad {shown}: ")
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1e5000", "1e-5000", "0e5000", "2.5e4300", "1" * 4300 + "." + "1" * 4300, "1e" + "9" * 4000],
+    ids=["1e5000", "1e-5000", "0e5000", "2.5e4300", "4300.4300-digits", "4000-digit-exponent"],
+)
+def test_values_past_the_digit_cap_are_refused_before_work(capsys, value):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["schur-eval", "--partition", "1", "--values", value])
+    assert time.perf_counter() - start < 1
+    assert code == 4
+    assert out == ""
+    assert err.startswith(f"wtaut: resource error: bad --values entry {value!r}: ")
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [("1e4000", "1" + "0" * 4000), ("-1e-4299", "-1/1" + "0" * 4299)],
+    ids=["1e4000", "-1e-4299"],
+)
+def test_values_within_the_digit_cap_are_accepted(capsys, value, text):
+    code, out, err = _run(capsys, ["schur-eval", "--partition", "1", f"--values={value}"])
+    assert code == 0, err
+    assert json.loads(out)["payload"]["value"]["text"] == text
 
 
 def test_config_file_output_writes_the_file(capsys, tmp_path):

@@ -5,10 +5,13 @@ import math
 import pickle
 from fractions import Fraction
 
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     coefficient,
     evaluate,
@@ -412,6 +415,37 @@ def test_terms_returns_a_fresh_list_each_call():
 
 def test_latex_tokens():
     assert (PSI_P.scale(3) - L1).latex() == "-\\lambda_{1} + 3\\psi"
+
+
+# Names out of field order (lambda10 before lambda2, kappa10 before kappa2,
+# x11 before x2), u and z among them; exponents up to 300 need fields wider
+# than 8 bits.
+_LATEX_VARIABLES = [lam(1), lam(2), lam(10), PSI, kap(0), kap(2), kap(10), xvar(2), xvar(11), U,
+                    zvar(1), zvar(3)]
+_LATEX_COEFFS = st.sampled_from([1, -1]) | st.fractions(max_denominator=30) | st.integers(-(10**6), 10**6)
+
+
+@st.composite
+def _latex_polys(draw):
+    """Up to 8 terms, with a constant term sometimes; the zero polynomial when empty."""
+    out = MultiPoly.zero()
+    exponents = st.dictionaries(st.sampled_from(_LATEX_VARIABLES), st.integers(0, 300), max_size=5)
+    for pairs in draw(st.lists(exponents, max_size=8)):
+        out += monomial(pairs.items(), draw(_LATEX_COEFFS))
+    if draw(st.booleans()):
+        out += draw(_LATEX_COEFFS)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_latex_polys())
+@example(MultiPoly.zero())
+@example(monomial([(kap(10), 200), (kap(2), 1), (U, 1)], Fraction(-1, 7)) - 1)
+def test_latex_matches_the_unpack_oracle(poly):
+    expected = oracles.latex(poly)
+    refuse = AssertionError("latex decoded a term through Layout.unpack")
+    with mock.patch.object(Layout, "unpack", side_effect=refuse):
+        assert poly.latex() == expected
 
 
 # -- property tests ----------------------------------------------------------
