@@ -21,6 +21,7 @@ from .errors import DataError, ResourceError
 from .pullback import (
     bernoulli,
     kstar_power_sum,
+    kstar_power_sum_roots,
     kstar_schubert,
     mumford_generators,
     mumford_reduce,

@@ -29,7 +29,9 @@ from typing import Iterable, NamedTuple
 from . import __version__
 from .errors import DataError, ResourceError, UsageError
 from .exactalg import MultiPoly, xvar
-from .pullback import kstar_power_sum, kstar_schubert, mumford_reduce, smooth_power_sum
+from .pullback import (
+    kstar_power_sum, kstar_power_sum_roots, kstar_schubert, mumford_reduce, smooth_power_sum,
+)
 from .schur import factorial_schur, generic_arguments, in_roots, shifted_schur
 from .semigroups import (
     DEFAULT_MAX_GENUS,
@@ -449,13 +451,12 @@ def run_psum(config: RunConfig, args: argparse.Namespace):
     for g in config.genera:
         if g < 1:
             raise DataError("power sums need genus at least 1")
-        value = kstar_power_sum(power, g)
         record = {
             "genus": g,
             "power": power,
             "mode": config.mode,
-            "value_x": in_roots(value, _x_roots(g)),
-            "value_lambda": value,
+            "value_x": kstar_power_sum_roots(power, g),
+            "value_lambda": kstar_power_sum(power, g),
         }
         if config.mode == "smooth":
             record["value_kappa_psi"] = smooth_power_sum(power, g, paper_sign=config.paper_sign)
@@ -656,8 +657,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_values(argv: list[str]) -> list[str]:
+    """argv with "--values V" written "--values=V" where V is "-" and then a
+    digit or ".": argparse takes such a V for an option unless it is a plain
+    negative number, so "--values -1,2" would stop as a usage error."""
+    out: list[str] = []
+    for token in argv:
+        if out[-1:] == ["--values"] and len(token) > 1 and token[0] == "-" and token[1] in "0123456789.":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     try:
         config = build_config(args)
         payload, warnings, table = args.run(config, args)

@@ -37,13 +37,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import Echelon, Layout, Monomial, MultiPoly, PSI, det, field_width, kap, lam
+from .exactalg import Echelon, Layout, Monomial, MultiPoly, PSI, det, field_width, kap, lam, xvar
 from .schur import lambda_ring, psi_matrix
 from .semigroups import Partition
 
 __all__ = [
     "kstar_schubert",
     "kstar_power_sum",
+    "kstar_power_sum_roots",
     "mumford_generators",
     "mumford_reduce",
     "smooth_power_sum",
@@ -84,6 +85,11 @@ def _power_sum_lambda(g: int, s: int) -> MultiPoly:
     return sums[s]
 
 
+def _psi_tail(s: int, g: int) -> int:
+    """sum_{i<=g} (i - g)^s, the coefficient of psi^s the pinning takes off."""
+    return sum((i - g) ** s for i in range(1, g + 1))
+
+
 def kstar_power_sum(s: int, g: int) -> MultiPoly:
     """Pullback of the power-sum class: sum_i x_i^s minus the psi tail.
 
@@ -93,8 +99,18 @@ def kstar_power_sum(s: int, g: int) -> MultiPoly:
     """
     if g < 1 or s < 1:
         raise ValueError("genus and power must be at least 1")
-    tail = sum((i - g) ** s for i in range(1, g + 1))
-    return _power_sum_lambda(g, s) - (MultiPoly.variable(PSI, lambda_ring(g, s)) ** s).scale(tail)
+    psi_power = MultiPoly.variable(PSI, lambda_ring(g, s)) ** s
+    return _power_sum_lambda(g, s) - psi_power.scale(_psi_tail(s, g))
+
+
+def kstar_power_sum_roots(s: int, g: int) -> MultiPoly:
+    """kstar_power_sum(s, g) in the Chern roots x_1..x_g, written from the
+    formula above: the class schur.in_roots gives, without expanding its
+    lambda-monomials orbit by orbit."""
+    if g < 1 or s < 1:
+        raise ValueError("genus and power must be at least 1")
+    powers = [([(xvar(i), s)], 1) for i in range(1, g + 1)]
+    return MultiPoly.from_pairs([*powers, ([(PSI, s)], -_psi_tail(s, g))])
 
 
 # -- Mumford quotient -------------------------------------------------------
@@ -237,8 +253,7 @@ def smooth_power_sum(s: int, g: int, paper_sign: bool = False) -> MultiPoly:
     r = (s + 1) // 2
     ring = Layout.of((kap(2 * r - 1), PSI), field_width(s))
     psi = MultiPoly.variable(PSI, ring)
-    tail = sum((i - g) ** s for i in range(1, g + 1))
-    tail_poly = (psi**s).scale(tail)
+    tail_poly = (psi**s).scale(_psi_tail(s, g))
     if s % 2 == 0:
         return tail_poly if paper_sign else -tail_poly
     kappa_term = MultiPoly.variable(kap(2 * r - 1), ring).scale(bernoulli(2 * r) / (2 * r))

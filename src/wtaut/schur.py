@@ -21,13 +21,18 @@ is built the same way from the conjugate partition with e and h
 swapped, so its entries have at most n + 1 terms where the h_a of
 "psi" are dense in lambda.  Both have the same determinant;
 psi_matrix and factorial_schur expand the one that _variant picks
-from the shape, the genus and whether the entries are numbers.  When
-every argument is a number, the integers h_a(u z) and e_a(u z), with u
-a common denominator of the z_i, stand in for the Segre classes, psi
-is -u, and the determinant u^|mu| t_mu(z) is an integer.  Otherwise
-factorial_schur takes the class det(psi_matrix(mu, n)) itself at
-psi = -1 and writes it in the roots z_1..z_n by in_roots; arguments
-other than z_i itself are then substituted, all at once.
+from the shape, the genus and whether the entries are numbers.  The
+variant is read in one place, _shape, which turns it into the rows
+(kind, r, ks) of the matrix: the series kind, "h" or "e", the interval
+bound r and the degrees ks of the row's entries.  Every entry is then
+one rule, _entry_terms, over a list of the series, [h_0, h_1, ...] or
+[e_0, ..., e_n], and the interval's coefficients.  When every argument
+is a number, the lists are the integers h_a(u z) and e_a(u z), with u
+a common denominator of the z_i, psi is -u, and the determinant
+u^|mu| t_mu(z) is an integer.  Otherwise factorial_schur takes the
+class det(psi_matrix(mu, n)) itself at psi = -1 and writes it in the
+roots z_1..z_n by in_roots; arguments other than z_i itself are then
+substituted, all at once.
 No difference of arguments is divided by, so repeated arguments need
 no special case.
 Shifted Schur polynomials are the staggered substitution
@@ -35,9 +40,10 @@ s*_mu(z_1..z_n) = t_mu(z_1 + n - 1, ..., z_n), which makes the
 stability identity s*_mu(z, 0) = s*_mu(z) hold by construction.
 
 The lambda basis: the x_i are Chern roots of the dual Hodge bundle, so
-e_a(x) = (-1)^a lambda_a (_signed_lambda) and h_a(x) is the Segre class
-of E* (_segre_class).  in_roots maps a class back to the roots.  A
-lambda-monomial prod_a lambda_a^(d_a) goes to plus or minus
+the list of e_a(x) is [1, -lambda_1, lambda_2, ..., (-1)^g lambda_g] and
+that of h_a(x) the Segre classes of E*, grown per genus and ring as far
+as an entry asks (_lambda_series).  in_roots maps a class back to the
+roots.  A lambda-monomial prod_a lambda_a^(d_a) goes to plus or minus
 prod_a e_a^(d_a), a symmetric polynomial, so it is expanded orbit by
 orbit: its coefficient on the monomial symmetric function m_nu is the
 number of 0-1 matrices with row sums the factor indices a and column
@@ -58,9 +64,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import groupby
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .exactalg import Layout, MultiPoly, PSI, Variable, det, field_width, lam, zvar
 from .semigroups import Partition
@@ -109,19 +115,16 @@ def factorial_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
         out = in_roots(det(psi_matrix(mu, n)).substitute({PSI: -1}), zvars)
         return out.substitute({v: z for v, z in zip(zvars, zs) if z != MultiPoly.variable(v)})
     # u^|mu| t_mu(x/u) at the integers x = u z, u a common denominator
-    variant = _variant(mu, n, numeric=True)
     values = [z.constant_term() for z in zs]
     u = math.lcm(*(v.denominator for v in values))
     xs = [int(v * u) for v in values]
     top = mu.part(1) + mu.length
-    complete = complete_of_values(xs, top).__getitem__
-    elementary = elementary_of_values(xs, top).__getitem__
-
-    def row(r: int, ks: range) -> list[int]:
-        coeffs = _interval_coefficients(variant, r, 0, ks[-1])  # shared by the row's entries
-        return [sum(_entry_terms(variant, complete, elementary, coeffs, k, -u)) for k in ks]
-
-    return det(_matrix(mu, n, variant, row)) / u**mu.weight
+    series = {"h": complete_of_values(xs, top), "e": elementary_of_values(xs, top)}
+    rows = []
+    for kind, r, ks in _shape(mu, n, _variant(mu, n, numeric=True)):
+        coeffs = _interval_coefficients(kind, r, 0, ks[-1])  # shared by the row's entries
+        rows.append([sum(_entry_terms(series[kind], coeffs, k, -u)) for k in ks])
+    return det(rows) / u**mu.weight
 
 
 def shifted_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
@@ -152,38 +155,6 @@ def complete_of_values(values: Sequence[Value], top: int) -> list[Value]:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _segre_classes(g: int, ring: Layout) -> list[MultiPoly]:
-    """s_0, s_1, ... at genus g in ring, as far as _segre_class has grown the list."""
-    return [MultiPoly.one()]
-
-
-def _segre_class(g: int, a: int, ring: Layout) -> MultiPoly:
-    """h_a(x_1..x_g) in the lambda basis, the Segre class of E*, in ring.
-
-    Since e_i(x) = (-1)^i lambda_i, the identity sum_i (-1)^i e_i h_(a-i) = 0
-    reads s_a = -sum_{i=1}^{min(a,g)} lambda_i s_(a-i), with s_0 = 1.  The
-    classes are built bottom-up, so no call recurses once per degree.
-    """
-    if a < 0:
-        return MultiPoly.zero()
-    known = _segre_classes(g, ring)
-    while len(known) <= a:
-        b = len(known)
-        lower = range(1, min(b, g) + 1)
-        known.append(-MultiPoly.sum(MultiPoly.variable(lam(i), ring) * known[b - i] for i in lower))
-    return known[a]
-
-
-def _signed_lambda(g: int, a: int, ring: Layout) -> MultiPoly:
-    """e_a(x_1..x_g) = (-1)^a lambda_a in the lambda basis, in ring."""
-    if a < 0 or a > g:
-        return MultiPoly.zero()
-    if a == 0:
-        return MultiPoly.one()
-    return MultiPoly.variable(lam(a), ring).scale((-1) ** a)
-
-
 def _variant(mu: Partition, g: int, numeric: bool) -> str:
     """The Kempf-Laksov variant expanded for mu at genus g.
 
@@ -199,61 +170,77 @@ def _variant(mu: Partition, g: int, numeric: bool) -> str:
     return "psi_prime" if mu.part(1) <= min(g, 2 * mu.length) else "psi"
 
 
-def _interval_coefficients(variant: str, r: int, shift: int, top: int) -> list[int]:
+def _shape(mu: Partition, g: int, variant: str) -> list[tuple[str, int, range]]:
+    """The rows (kind, r, ks) of the Kempf-Laksov matrix of mu at genus g:
+    the series kind, "h" or "e", the interval bound r and the degrees ks
+    of the row's entries, one per column.
+
+    Variant "psi" is l(mu) x l(mu), of kind "h": entry (i, j) has degree
+    k = mu_i + j - i and interval bound r = mu_i - i + g.  Variant
+    "psi_prime" is l(mu') x l(mu'), of kind "e", built the same way from
+    the conjugate mu' with the bound r = i - mu'_i + g.
+    """
+    kind, parts, sign = ("h", mu, 1) if variant == "psi" else ("e", mu.conjugate(), -1)
+    size = len(parts)
+    return [
+        (kind, g + sign * (p - i), range(p + 1 - i, p + 1 - i + size))
+        for i, p in enumerate(parts, start=1)
+    ]
+
+
+def _interval_coefficients(kind: str, r: int, shift: int, top: int) -> list[int]:
     """Coefficients 0..top of c(interval) for the interval list
-    {shift..r-1+shift}: elementary for "psi", complete for "psi_prime".
+    {shift..r-1+shift}: elementary for kind "h", complete for kind "e".
 
     r >= 1 whenever l(mu) <= g.
     """
-    interval = elementary_of_values if variant == "psi" else complete_of_values
+    interval = elementary_of_values if kind == "h" else complete_of_values
     return interval(range(shift, r + shift), top)
 
 
-def _entry_terms(
-    variant: str,
-    complete: Callable[[int], Value],
-    elementary: Callable[[int], Value],
-    coeffs: list[int],
-    k: int,
-    psi: Value,
-) -> list[Value]:
-    """The nonzero terms c_(k-b) * coeffs[b] * psi^b of the degree-k part
-    of (sum_a c_a) * c(interval), psi^b marking degree b; the entry is
-    their sum, taken by the caller in one accumulation.
+def _entry_terms(series: Sequence[Value], coeffs: list[int], k: int, psi: Value) -> list[Value]:
+    """The nonzero terms series[k-b] * coeffs[b] * psi^b of the degree-k part
+    of (sum_a series[a]) * c(interval), psi^b marking degree b; the entry
+    is their sum, taken by the caller in one accumulation.
 
-    coeffs are the interval's coefficients to degree k or beyond.  For
-    "psi", c_a = complete(a) = h_a(x); "psi_prime" uses c_a =
-    elementary(a) = e_a(x).  psi is the variable psi, or the number -u.
+    series is [h_0, h_1, ...] or [e_0, e_1, ...] of the x, zero past its
+    end, and coeffs are the interval's coefficients to degree k or
+    beyond.  psi is the variable psi, or the number -u.  For k < 0 the
+    range of b is empty, where a slice coeffs[:k + 1] would not be: the
+    "psi" rows of (4,1,1,1) have entries of degree -2.
     """
-    series = complete if variant == "psi" else elementary
-    if k < 0:
-        return []
-    return [series(k - b) * (c * psi**b) for b, c in enumerate(coeffs[: k + 1]) if c]
+    low = max(k + 1 - len(series), 0)
+    return [series[k - b] * (coeffs[b] * psi**b) for b in range(low, k + 1) if coeffs[b]]
 
 
 @lru_cache(maxsize=None)
-def _matrix_entry(variant: str, g: int, r: int, k: int, shift: int, ring: Layout) -> MultiPoly:
-    """The entry in lambda and psi: h_a(x) and e_a(x) in the lambda basis, in ring."""
-    series = (partial(_segre_class, g, ring=ring), partial(_signed_lambda, g, ring=ring))
-    coeffs = _interval_coefficients(variant, r, shift, k)
-    return MultiPoly.sum(_entry_terms(variant, *series, coeffs, k, MultiPoly.variable(PSI, ring)))
+def _lambda_series(kind: str, g: int, ring: Layout) -> list[MultiPoly]:
+    """The series of kind in the lambda basis, in ring.
 
-
-def _matrix(mu: Partition, g: int, variant: str, row: Callable[[int, range], list]) -> list[list[Value]]:
-    """The Kempf-Laksov matrix, row i being row(r, ks): the entries of
-    interval bound r and degrees ks, one per column j of the variant.
-
-    Variant "psi" is l(mu) x l(mu): entry (i, j) has degree
-    k = mu_i + j - i and interval bound r = mu_i - i + g.  Variant
-    "psi_prime" is l(mu') x l(mu'), built the same way from the
-    conjugate mu' with the bound r = i - mu'_i + g.
+    Kind "e" is [e_0..e_g], e_a(x) = (-1)^a lambda_a.  Kind "h" is the
+    Segre classes of E*, [h_0, h_1, ...], as far as _matrix_entry has
+    grown the list.
     """
-    parts, sign = (mu, 1) if variant == "psi" else (mu.conjugate(), -1)
-    size = len(parts)
-    return [
-        row(g + sign * (p - i), range(p + 1 - i, p + 1 - i + size))
-        for i, p in enumerate(parts, start=1)
-    ]
+    if kind == "h":
+        return [MultiPoly.one()]
+    return [MultiPoly.one(), *(MultiPoly.variable(lam(a), ring).scale((-1) ** a) for a in range(1, g + 1))]
+
+
+@lru_cache(maxsize=None)
+def _matrix_entry(kind: str, g: int, r: int, k: int, shift: int, ring: Layout) -> MultiPoly:
+    """The entry of kind, interval bound r and degree k in lambda and psi, in ring.
+
+    The Segre list grows bottom-up to h_k by e_i(x) = (-1)^i lambda_i and
+    sum_i (-1)^i e_i h_(b-i) = 0, that is h_b = -sum_{i=1}^{min(b,g)}
+    lambda_i h_(b-i), so no call recurses once per degree.
+    """
+    series = _lambda_series(kind, g, ring)
+    while kind == "h" and len(series) <= k:
+        b = len(series)
+        lower = range(1, min(b, g) + 1)
+        series.append(-MultiPoly.sum(MultiPoly.variable(lam(i), ring) * series[b - i] for i in lower))
+    coeffs = _interval_coefficients(kind, r, shift, k)
+    return MultiPoly.sum(_entry_terms(series, coeffs, k, MultiPoly.variable(PSI, ring)))
 
 
 def psi_matrix(mu: Partition, g: int, shift: int = 0) -> list[list[MultiPoly]]:
@@ -261,7 +248,7 @@ def psi_matrix(mu: Partition, g: int, shift: int = 0) -> list[list[MultiPoly]]:
     Schubert-class pullback.
 
     Entries are polynomials in lambda_1..lambda_g and psi, in the variant
-    _variant picks, shaped as in _matrix, and share the layout
+    _variant picks, shaped as _shape says, and share the layout
     lambda_ring(g, |mu|).  At shift = 0 the determinant
     is kstar_schubert(mu, g), that is u^|mu| t_mu(x/u) with u -> -psi.
     shift = 1 raises every interval value by one, which gives
@@ -270,9 +257,9 @@ def psi_matrix(mu: Partition, g: int, shift: int = 0) -> list[list[MultiPoly]]:
     """
     if mu.length > g:
         raise ValueError("partition longer than the genus")
-    variant = _variant(mu, g, numeric=False)
     ring = lambda_ring(g, mu.weight)
-    return _matrix(mu, g, variant, lambda r, ks: [_matrix_entry(variant, g, r, k, shift, ring) for k in ks])
+    shape = _shape(mu, g, _variant(mu, g, numeric=False))
+    return [[_matrix_entry(kind, g, r, k, shift, ring) for k in ks] for kind, r, ks in shape]
 
 
 # -- the roots view ----------------------------------------------------------

@@ -4,14 +4,17 @@ A numerical semigroup of genus g is a cofinite additive subsemigroup of
 the non-negative integers with exactly g gaps.  Each semigroup has a
 strictly decreasing index sequence s_1 > s_2 > ... with virtual
 cardinality g - 1 (the gaps shifted down by one, padded with the tail
-s_i = g - 1 - i), and that sequence converts to a partition under either
-of two Grassmannian component conventions:
+s_i = g - 1 - i).  Seen as a set of integers (its Maya diagram), a
+sequence of virtual cardinality d has the partition mu_i = s_i + i - d,
+trailing zeros dropped (partition_from_sequence); that is the one rule
+from sequences to partitions.  The semigroups are recorded under two
+Grassmannian component conventions:
 
-* partition_from_sequence uses mu_i = s_i + i - d with d the sequence's
-  own virtual cardinality;
-* hprime_partition uses the component of index g, where the tail is
-  s_i = g - 1 - i and -1 never occurs; the conversion is piecewise
-  around the last non-negative entry.
+* partition_from_sequence of the sequence itself, of virtual cardinality
+  g - 1;
+* hprime_partition, the component of index g, where -1 never occurs:
+  partition_from_sequence of the sequence with every negative entry
+  raised by one, of virtual cardinality g.
 """
 
 from __future__ import annotations
@@ -82,20 +85,20 @@ class Partition(tuple):
 
 
 def partitions_up_to(max_weight: int, max_length: int | None = None) -> list[Partition]:
-    """All partitions of weight <= max_weight (optionally length-capped)."""
+    """All partitions of weight <= max_weight (optionally length-capped), in
+    canonical order: by weight, then lexicographically descending."""
 
-    def gen(remaining: int, cap: int, length_left: int):
-        yield ()
-        if remaining == 0 or length_left == 0:
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first, length_left - 1):
-                yield (first,) + rest
+    def gen(weight: int, cap: int, length_left: int):
+        """The partitions of weight with parts <= cap, lexicographically descending."""
+        if weight == 0:
+            yield ()
+        elif length_left:
+            for first in range(min(weight, cap), 0, -1):
+                for rest in gen(weight - first, first, length_left - 1):
+                    yield (first,) + rest
 
-    length_left = max_length if max_length is not None else max_weight
-    # gen yields each partition once; the canonical order is by weight, then lex descending
-    partitions = [Partition(parts) for parts in gen(max_weight, max_weight, length_left)]
-    return sorted(partitions, key=lambda p: (p.weight, tuple(-q for q in p)))
+    length = max_length if max_length is not None else max_weight
+    return [Partition(parts) for weight in range(max_weight + 1) for parts in gen(weight, weight, length)]
 
 
 class NumericalSemigroup(namedtuple("NumericalSemigroup", "genus gaps")):
@@ -208,9 +211,7 @@ class IndexSequence(namedtuple("IndexSequence", "d head")):
         return self.d - i
 
     def contains(self, n: int) -> bool:
-        if n in self.head:
-            return True
-        return n <= self.d - (len(self.head) + 1)
+        return n in self.head or n <= self.d - (len(self.head) + 1)
 
     def entries(self, count: int) -> tuple[int, ...]:
         return tuple(self.s(i) for i in range(1, count + 1))
@@ -257,60 +258,40 @@ def semigroup_from_sequence(seq: IndexSequence) -> Optional[NumericalSemigroup]:
     in the non-negative integers, missing 0, or not additively closed).
     """
     # every integer <= -2 must lie in the sequence, else a negative number
-    # would be a member of the candidate set
+    # would be a member of the candidate set; -1 must not, else 0 is a gap
     low = seq.d - (seq.head_length + 1)
-    for n in range(low, -1):
-        if not seq.contains(n):
-            return None
-    if seq.contains(-1):
-        return None  # 0 would be a gap
-    gaps = tuple(
-        n for n in range(1, max(seq.head, default=0) + 2) if seq.contains(n - 1)
-    )
-    if _closure_witness(set(gaps)) is not None:
+    if seq.contains(-1) or not all(seq.contains(n) for n in range(low, -1)):
         return None
-    return NumericalSemigroup(len(gaps), gaps)
+    gaps = [n for n in range(1, max(seq.head, default=0) + 2) if seq.contains(n - 1)]
+    try:
+        return NumericalSemigroup.from_gaps(gaps)
+    except DataError:  # not additively closed
+        return None
 
 
 def partition_from_sequence(seq: IndexSequence) -> Partition:
-    """mu_i = s_i + i - d with trailing zeros dropped."""
-    parts = []
-    for i in range(1, seq.head_length + 1):
-        mu_i = seq.s(i) + i - seq.d
-        if mu_i < 0:
-            raise DataError("sequence entry below the tail rule; no partition")
-        parts.append(mu_i)
-    while parts and parts[-1] == 0:
-        parts.pop()
-    return Partition(tuple(parts))
+    """mu_i = s_i + i - d with trailing zeros dropped.
+
+    A strictly decreasing sequence with tail d - i has s_i >= d - i, so
+    every mu_i is non-negative, and the mu_i weakly decrease.
+    """
+    return Partition.of(s + i - seq.d for i, s in enumerate(seq.head, start=1))
 
 
 def hprime_partition(seq: IndexSequence, genus: int) -> Partition:
     """Partition of a genus-g sequence under the index-g component convention.
 
-    Requires the tail rule s_i = g - 1 - i and -1 not in the sequence;
-    mu_i = s_i + i - g up to the last non-negative entry and
-    mu_i = s_i + i - g + 1 afterwards.  The result has length at most g.
+    Requires the tail rule s_i = g - 1 - i and -1 not in the sequence.
+    Raising every negative entry by one closes the gap at -1 and gives a
+    sequence of virtual cardinality g, whose partition_from_sequence this
+    is.  The result has length at most g.
     """
     if seq.d != genus - 1:
         raise DataError("sequence is not in the genus-g component")
     if seq.contains(-1):
         raise DataError("sequence not in H'")
-    horizon = max(seq.head_length, genus) + 1
-    entries = seq.entries(horizon)
-    i_zero = 0
-    for i, s_i in enumerate(entries, start=1):
-        if s_i >= 0:
-            i_zero = i
-    parts = []
-    for i, s_i in enumerate(entries, start=1):
-        mu_i = s_i + i - genus if i <= i_zero else s_i + i - genus + 1
-        if mu_i < 0:
-            raise DataError("sequence entry below the tail rule; no partition")
-        parts.append(mu_i)
-    while parts and parts[-1] == 0:
-        parts.pop()
-    part = Partition(tuple(parts))
+    raised = [s + (s < 0) for s in seq.entries(max(seq.head_length, genus))]
+    part = partition_from_sequence(IndexSequence(genus, raised))
     if part.length > genus:
         raise DataError("partition length exceeds the genus")
     return part
@@ -348,15 +329,10 @@ def dual_index_set(seq: IndexSequence) -> IndexSequence:
     """
     # m > hi implies -1 - m lies in the tail of seq, so m is excluded;
     # m < lo implies -1 - m exceeds every entry of seq, so m belongs.
+    # Reflection m -> -1 - m negates the charge (the virtual cardinality).
     hi = seq.head_length - seq.d
     lo = min(-2 - max(seq.head, default=seq.d - seq.head_length - 1), -1)
-    members = [m for m in range(hi, lo - 1, -1) if not seq.contains(-1 - m)]
-    positives = sum(1 for m in members if m >= 0)
-    member_set = set(members)
-    missing_negatives = max(0, -1 - hi)  # negatives above the window
-    missing_negatives += sum(1 for m in range(lo, min(hi, -1) + 1) if m not in member_set)
-    d = positives - missing_negatives
-    return IndexSequence(d=d, head=tuple(members))
+    return IndexSequence(-seq.d, [m for m in range(hi, lo - 1, -1) if not seq.contains(-1 - m)])
 
 
 def semigroup_record(semigroup: NumericalSemigroup) -> dict:

@@ -54,6 +54,11 @@ reached from `src/`.
 * `evaluate`: a polynomial at a point, the sum of coeff * prod v^e over
   its unpacked terms in Fractions, the reference for `substitute`.
 * `partition_contains`: Young diagram containment of two partitions.
+* `piecewise_hprime_partition`, `counted_dual_index_set`: the H'
+  partition of a sequence by a formula piecewise around its last
+  non-negative entry, and the dual index set with its virtual
+  cardinality counted over a window, the routes `hprime_partition` and
+  `dual_index_set` took before both came from the one Maya-diagram rule.
 """
 
 from __future__ import annotations
@@ -67,7 +72,8 @@ from functools import lru_cache
 from wtaut.exactalg import PSI, U, Echelon, MultiPoly, Variable, det, lam, xvar
 from wtaut.pullback import lambda_monomials, mumford_generators
 from wtaut.schur import lambda_ring
-from wtaut.semigroups import NumericalSemigroup, Partition, enumerate_semigroups
+from wtaut.errors import DataError
+from wtaut.semigroups import IndexSequence, NumericalSemigroup, Partition, enumerate_semigroups
 from wtaut.tautring import _fixed_point_values
 
 
@@ -669,3 +675,44 @@ def evaluate(p: MultiPoly, point) -> Fraction:
 def partition_contains(outer: Partition, inner: Partition) -> bool:
     """Young diagram containment: inner fits inside outer."""
     return all(inner.part(i) <= outer.part(i) for i in range(1, inner.length + 1))
+
+
+def piecewise_hprime_partition(seq: IndexSequence, genus: int) -> Partition:
+    """hprime_partition by mu_i = s_i + i - g up to the last non-negative
+    entry and mu_i = s_i + i - g + 1 afterwards."""
+    if seq.d != genus - 1:
+        raise DataError("sequence is not in the genus-g component")
+    if seq.contains(-1):
+        raise DataError("sequence not in H'")
+    horizon = max(seq.head_length, genus) + 1
+    entries = seq.entries(horizon)
+    i_zero = 0
+    for i, s_i in enumerate(entries, start=1):
+        if s_i >= 0:
+            i_zero = i
+    parts = []
+    for i, s_i in enumerate(entries, start=1):
+        mu_i = s_i + i - genus if i <= i_zero else s_i + i - genus + 1
+        if mu_i < 0:
+            raise DataError("sequence entry below the tail rule; no partition")
+        parts.append(mu_i)
+    while parts and parts[-1] == 0:
+        parts.pop()
+    part = Partition(tuple(parts))
+    if part.length > genus:
+        raise DataError("partition length exceeds the genus")
+    return part
+
+
+def counted_dual_index_set(seq: IndexSequence) -> IndexSequence:
+    """dual_index_set with the virtual cardinality counted: the members
+    m >= 0 less the integers m < 0 that are not members."""
+    hi = seq.head_length - seq.d
+    lo = min(-2 - max(seq.head, default=seq.d - seq.head_length - 1), -1)
+    members = [m for m in range(hi, lo - 1, -1) if not seq.contains(-1 - m)]
+    positives = sum(1 for m in members if m >= 0)
+    member_set = set(members)
+    missing_negatives = max(0, -1 - hi)  # negatives above the window
+    missing_negatives += sum(1 for m in range(lo, min(hi, -1) + 1) if m not in member_set)
+    d = positives - missing_negatives
+    return IndexSequence(d=d, head=tuple(members))

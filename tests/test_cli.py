@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import oracles
 import wtaut.cli
+import wtaut.schur
 import wtaut.tautring
 from wtaut.cli import json_text, main
 from wtaut.exactalg import PSI, U, MultiPoly, kap, lam, xvar, zvar
@@ -97,6 +98,11 @@ SHA256_PINS = {
     "relations_g4_w10_csv": (
         ["relations", "--genus", "4", "--max-weight", "10", "--format", "csv"],
         "5f3c6f9b4cd0d24ae3a76bc440dd0ab44683f1e09dfa4fe36fd80c9dc342e8c1",
+    ),
+    # every partition of all 1,413 semigroups of genus 0 to 12: 1.06 MB
+    "semigroups_g0_12": (
+        ["semigroups", "--genus", "0-12"],
+        "cdfe4820a3de1a2d8713e1103af7cd8c335a29b6793b042b425c6beeacc5a591",
     ),
 }
 
@@ -560,6 +566,38 @@ def test_values_within_the_digit_cap_are_accepted(capsys, value, text):
     code, out, err = _run(capsys, ["schur-eval", "--partition", "1", f"--values={value}"])
     assert code == 0, err
     assert json.loads(out)["payload"]["value"]["text"] == text
+
+
+@pytest.mark.parametrize("values", ["-1,2", "-1/2,3", "-.5,2", "-1e-5,1", "-3"])
+def test_values_starting_with_a_minus_sign_need_no_equals_sign(capsys, monkeypatch, values):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    for kind in ("factorial", "shifted"):
+        argv = ["schur-eval", "--kind", kind, "--partition", "2"]
+        code, out, err = _run(capsys, [*argv, "--values", values])
+        assert code == 0, err
+        joined_code, joined, _ = _run(capsys, [*argv, f"--values={values}"])
+        assert joined_code == 0
+        assert out == joined
+
+
+def test_values_followed_by_an_option_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["schur-eval", "--partition", "1", "--values", "--variables", "3"])
+    assert stop.value.code == 2
+    assert "--values: expected one argument" in capsys.readouterr().err
+
+
+def test_psum_writes_its_root_view_without_in_roots(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("psum called in_roots")
+
+    monkeypatch.setattr(wtaut.cli, "in_roots", refuse)
+    monkeypatch.setattr(wtaut.schur, "in_roots", refuse)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["psum", "--genus", "12", "--power", "25", "--mode", "smooth"])
+    assert code == 0, err
+    assert time.perf_counter() - start < 1
+    assert len(json.loads(out)["payload"][0]["value_x"]["terms"]) == 13
 
 
 def test_config_file_output_writes_the_file(capsys, tmp_path):

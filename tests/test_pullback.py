@@ -22,6 +22,7 @@ from wtaut.pullback import (
     _mumford_pivots,
     bernoulli,
     kstar_power_sum,
+    kstar_power_sum_roots,
     kstar_schubert,
     lambda_monomials,
     mumford_generators,
@@ -185,6 +186,17 @@ def test_power_sum_matches_x_root_oracle():
             tail = sum((i - g) ** s for i in range(1, g + 1))
             oracle = to_lambda_basis(x_part - (PSI_P**s).scale(tail), g)
             assert kstar_power_sum(s, g) == oracle, (s, g)
+
+
+def test_power_sum_roots_are_in_roots_of_the_lambda_class():
+    for g in range(1, 7):
+        xs = tuple(xvar(i) for i in range(1, g + 1))
+        for s in range(1, 12):
+            expected = in_roots(kstar_power_sum(s, g), xs)
+            got = kstar_power_sum_roots(s, g)
+            assert got == expected, (s, g)
+            assert got.json_object("\n") == expected.json_object("\n"), (s, g)
+            assert got.latex() == expected.latex(), (s, g)
 
 
 # -- lambda basis -----------------------------------------------------------------

@@ -23,8 +23,8 @@ from oracles import (
 from wtaut import schur
 from wtaut.exactalg import MultiPoly, PSI, U, det, xvar, zvar
 from wtaut.schur import (
-    _matrix,
     _matrix_entry,
+    _shape,
     _variant,
     elementary_of_values,
     factorial_schur,
@@ -140,6 +140,18 @@ def test_factorial_and_shifted_schur_match_ratio_oracle_numerically():
             assert factorial_schur(mu, vals) == ratio_factorial_schur(mu, vals), (mu, vals)
             vals = _distinct_rationals(rng, n, 1)
             assert shifted_schur(mu, vals) == ratio_shifted_schur(mu, vals), (mu, vals)
+
+
+@pytest.mark.parametrize("parts", [(4, 1, 1, 1), (5, 1, 1, 1, 1)])
+def test_numeric_rows_with_entries_of_negative_degree(parts):
+    mu = Partition(parts)
+    rng = random.Random(len(parts))
+    for n in (mu.length, mu.length + 1):
+        assert _variant(mu, n, numeric=True) == "psi"
+        # the last row starts at degree 1 + 1 - l(mu) <= -2, where coeffs[:k + 1] is not empty
+        assert min(ks[0] for _, _, ks in _shape(mu, n, "psi")) <= -2
+        vals = _distinct_rationals(rng, n, 0)
+        assert factorial_schur(mu, vals) == ratio_factorial_schur(mu, vals), (mu, vals)
 
 
 # -- shifted Schur ----------------------------------------------------------------
@@ -325,7 +337,7 @@ def test_psi_matrix_sizes(monkeypatch):
 def _forced_matrix(mu, g, variant, shift):
     """psi_matrix(mu, g, shift) in the given variant, whichever _variant picks."""
     ring = lambda_ring(g, mu.weight)
-    return _matrix(mu, g, variant, lambda r, ks: [_matrix_entry(variant, g, r, k, shift, ring) for k in ks])
+    return [[_matrix_entry(kind, g, r, k, shift, ring) for k in ks] for kind, r, ks in _shape(mu, g, variant)]
 
 
 @settings(max_examples=60, deadline=None)

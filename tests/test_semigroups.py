@@ -4,8 +4,11 @@ import pickle
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import partition_contains
+from oracles import counted_dual_index_set, partition_contains, piecewise_hprime_partition
+from wtaut import semigroups
 from wtaut.errors import DataError, ResourceError
 from wtaut.semigroups import (
     IndexSequence,
@@ -73,6 +76,15 @@ def test_partitions_up_to_lists_each_partition_once():
     assert len(parts) == len(set(parts)) == 1 + 1 + 2 + 3 + 5 + 7 + 11
     assert hash(Partition.of([2, 1, 0])) == hash(Partition((2, 1)))
     assert parts.count(Partition((2, 1))) == 1
+
+
+@pytest.mark.parametrize("max_weight, max_length", [(0, None), (7, None), (7, 0), (7, 1), (8, 3), (3, 9)])
+def test_partitions_up_to_are_in_canonical_order(max_weight, max_length):
+    parts = partitions_up_to(max_weight, max_length)
+    # by weight, then lexicographically descending, with no sort in partitions_up_to
+    assert parts == sorted(parts, key=lambda p: (p.weight, tuple(-q for q in p)))
+    cap = max_weight if max_length is None else max_length
+    assert all(p.weight <= max_weight and p.length <= cap for p in parts)
 
 
 _VALUES = [
@@ -203,6 +215,18 @@ def test_sequence_round_trip_all_semigroups():
             assert semigroup_from_sequence(weierstrass_sequence(h)) == h
 
 
+def test_sequence_inversion_checks_closure_once(monkeypatch):
+    calls = []
+    witness = semigroups._closure_witness
+    monkeypatch.setattr(semigroups, "_closure_witness", lambda gaps: calls.append(gaps) or witness(gaps))
+    h = NumericalSemigroup.from_gaps([1, 2, 4, 5, 7])
+    calls.clear()
+    assert semigroup_from_sequence(weierstrass_sequence(h)) == h
+    # the gaps {1, 4} are not closed: 2 + 2 = 4
+    assert semigroup_from_sequence(IndexSequence(d=1, head=(3, 0))) is None
+    assert len(calls) == 2
+
+
 def test_sequence_rejection():
     assert semigroup_from_sequence(IndexSequence(d=1, head=(3, 0))) is None
     # pure tail with d = -1 is the trivial semigroup
@@ -274,6 +298,57 @@ def test_sequence_from_hprime_partition_inverts():
             seq = weierstrass_sequence(h)
             mu = hprime_partition(seq, g)
             assert sequence_from_hprime_partition(mu, g) == seq
+
+
+@st.composite
+def index_sequences(draw, d):
+    """An IndexSequence of virtual cardinality d whose head has up to 9 entries
+    drawn from [d - L, d + 12], L the head's length, so it decreases into the tail."""
+    length = draw(st.integers(0, 9))
+    entries = draw(st.sets(st.integers(d - length, d + 12), min_size=length, max_size=length))
+    return IndexSequence(d, sorted(entries, reverse=True))
+
+
+@st.composite
+def genus_sequences(draw):
+    """(seq, g): mostly of virtual cardinality g - 1, sometimes of g - 2 or g."""
+    g = draw(st.integers(0, 7))
+    d = g - 1 + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    return draw(index_sequences(d)), g
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the DataError it raises."""
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(genus_sequences())
+@example((IndexSequence(2, (4, 2, 0)), 3))  # a semigroup's sequence: (2, 1)
+@example((IndexSequence(1, (5, 3, 0, -3)), 2))  # a head longer than g gives a partition longer than g
+@example((IndexSequence(0, (5, 3)), 1))
+@example((IndexSequence(1, (2, -1)), 2))  # contains -1: not in H'
+@example((IndexSequence(2, (4, 2, 0)), 2))  # virtual cardinality g, not g - 1
+@example((IndexSequence(-1, ()), 0))  # genus 0
+def test_hprime_partition_matches_the_piecewise_formula(case):
+    seq, g = case
+    assert _outcome(hprime_partition, seq, g) == _outcome(piecewise_hprime_partition, seq, g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-6, 6).flatmap(index_sequences))
+@example(IndexSequence(-1))
+@example(IndexSequence(1, (2, 0)))
+@example(IndexSequence(-3, (4, 1, -2)))
+def test_dual_index_set_matches_the_counted_charge(seq):
+    dual = dual_index_set(seq)
+    assert dual == counted_dual_index_set(seq)
+    assert dual.d == -seq.d
+    for n in range(-seq.head_length - abs(seq.d) - 14, seq.head_length + abs(seq.d) + 14):
+        assert dual.contains(n) == (not seq.contains(-1 - n))
 
 
 # -- realizability --------------------------------------------------------------
