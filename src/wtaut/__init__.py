@@ -27,7 +27,7 @@ from .pullback import (
     mumford_reduce,
     smooth_power_sum,
 )
-from .schur import factorial_schur, in_roots, psi_matrix, shifted_schur
+from .schur import factorial_schur, in_roots, psi_matrix, root_orbits, shifted_schur
 from .semigroups import (
     IndexSequence,
     NumericalSemigroup,

@@ -10,6 +10,20 @@ flags win over the file.  Any other key, a bool that is not one of
 BOOL_WORDS and an int that does not parse are data errors.  Each
 subcommand returns its payload for JSON and its table, with lazy rows,
 for CSV and LaTeX.
+
+A polynomial is written as {"terms": [{"coeff", "exps"}, ...], "text"}.
+The x-root view value_x of pullback and psum, the class in the Chern
+roots x_1..x_g before any reduction, is written on the monomial
+symmetric functions m_nu instead, one record per orbit, as
+schur.root_orbits gives them.  For the pullback of (2,1) at genus 2:
+
+    {"orbits": [{"coeff": "3", "exps": {"psi": 1}, "nu": [1, 1]},
+                {"coeff": "1", "exps": {}, "nu": [2, 1]}],
+     "text": "3*psi*m(1,1) + m(2,1)"}
+
+nu holds the positive parts of the partition, weakly decreasing, at most
+g of them; m() is 1.  Orbits come in descending order of the psi power,
+then of nu.
 """
 
 from __future__ import annotations
@@ -28,11 +42,11 @@ from typing import Iterable, NamedTuple
 
 from . import __version__
 from .errors import DataError, ResourceError, UsageError
-from .exactalg import MultiPoly, xvar
+from .exactalg import MultiPoly
 from .pullback import (
     kstar_power_sum, kstar_power_sum_roots, kstar_schubert, mumford_reduce, smooth_power_sum,
 )
-from .schur import factorial_schur, generic_arguments, in_roots, shifted_schur
+from .schur import factorial_schur, generic_arguments, root_orbits, shifted_schur
 from .semigroups import (
     DEFAULT_MAX_GENUS,
     NumericalSemigroup,
@@ -63,6 +77,9 @@ MAX_SCHUR_VALUES = 12
 # Python's default cap on the digits of an int parsed from text
 MAX_VALUE_DIGITS = 4300
 FORMATS = ("json", "csv", "latex")
+# --values and each abbreviation argparse resolves to it; --va and --v are
+# shared with --variables, so argparse refuses them as ambiguous
+VALUES_FLAGS = ("--val", "--valu", "--value", "--values")
 
 KAPPA_INDEX_NOTE = (
     "odd power sums carry kappa_(2r-1); the published index 2r is off by one in degree"
@@ -352,9 +369,16 @@ def _csv_lines(headers: list[str], rows: Iterable[list[str]], meta: dict) -> str
 # -- subcommand payloads -----------------------------------------------------
 
 
-def _x_roots(g: int) -> tuple:
-    """x_1..x_g, the Chern roots of the dual Hodge bundle."""
-    return tuple(xvar(i) for i in range(1, g + 1))
+def _orbits_record(orbits: dict) -> dict:
+    """The x-root view {"orbits": [...], "text"} of a root_orbits map (module docstring)."""
+    records, pieces = [], []
+    for (rest, nu), coeff in orbits.items():
+        text = str(coeff)
+        records.append({"coeff": text, "exps": {v.name: e for v, e in rest}, "nu": list(nu)})
+        sign, mag = (" - ", text[1:]) if text[0] == "-" else (" + ", text)
+        factors = [mag] * (mag != "1") + [v.name if e == 1 else f"{v.name}^{e}" for v, e in rest]
+        pieces.append(sign + "*".join([*factors, "m" + _tuple_cell(nu)]))
+    return {"orbits": records, "text": MultiPoly._joined_text(pieces)}
 
 
 def _tuple_cell(values) -> str:
@@ -423,21 +447,20 @@ def run_class(config: RunConfig, args: argparse.Namespace):
 
 def run_pullback(config: RunConfig, args: argparse.Namespace):
     mu = _parse_flag("--partition", args.partition, Partition.of)
-    payload = []
-    for g in config.genera:
-        if g < 1:
-            raise DataError("pullback needs genus at least 1")
-        value = kstar_schubert(mu, g)
-        payload.append(
-            {
-                "genus": g,
-                "partition": list(mu),
-                "weight": mu.weight,
-                "mode": config.mode,
-                "value_x": in_roots(value, _x_roots(g)),  # of the class before any reduction
-                "value_lambda": mumford_reduce(value, g) if config.mode == "smooth" else value,
-            }
-        )
+    if config.genera[0] < 1:
+        raise DataError("pullback needs genus at least 1")
+    payload = [
+        {
+            "genus": g,
+            "partition": list(mu),
+            "weight": mu.weight,
+            "mode": config.mode,
+            "value_x": _orbits_record(root_orbits(value, g)),  # of the class before any reduction
+            "value_lambda": mumford_reduce(value, g) if config.mode == "smooth" else value,
+        }
+        for g in config.genera
+        for value in [kstar_schubert(mu, g)]
+    ]
     rows = ([str(rec["genus"]), _tuple_cell(mu), rec["value_lambda"].latex()] for rec in payload)
     return payload, [], (["genus", "partition", "class"], rows, {"mode": config.mode})
 
@@ -446,8 +469,8 @@ def run_psum(config: RunConfig, args: argparse.Namespace):
     power = args.power
     if power < 1:
         raise DataError("the power must be at least 1")
+    smooth = config.mode == "smooth"
     payload = []
-    warnings: list[str] = []
     for g in config.genera:
         if g < 1:
             raise DataError("power sums need genus at least 1")
@@ -455,37 +478,29 @@ def run_psum(config: RunConfig, args: argparse.Namespace):
             "genus": g,
             "power": power,
             "mode": config.mode,
-            "value_x": kstar_power_sum_roots(power, g),
+            "value_x": _orbits_record(kstar_power_sum_roots(power, g)),
             "value_lambda": kstar_power_sum(power, g),
         }
-        if config.mode == "smooth":
+        if smooth:
             record["value_kappa_psi"] = smooth_power_sum(power, g, paper_sign=config.paper_sign)
-            if power % 2:
-                warnings.append(KAPPA_INDEX_NOTE)
-            else:
-                warnings.append(EVEN_SIGN_NOTE)
         payload.append(record)
+    warnings = [KAPPA_INDEX_NOTE if power % 2 else EVEN_SIGN_NOTE] if smooth else []
     rows = ([str(rec["genus"]), str(power), rec["value_lambda"].latex()] for rec in payload)
-    return payload, list(set(warnings)), (["genus", "power", "class"], rows, {"mode": config.mode})
+    return payload, warnings, (["genus", "power", "class"], rows, {"mode": config.mode})
 
 
 def run_relations(config: RunConfig, args: argparse.Namespace):
-    payload = []
-    for g in config.genera:
-        payload.append(
-            {
-                "genus": g,
-                "max_weight": config.max_degree,
-                "generators": [
-                    {
-                        "partition": list(mu),
-                        "weight": mu.weight,
-                        "value": poly,
-                    }
-                    for mu, poly in relation_generators(g, config.max_degree)
-                ],
-            }
-        )
+    payload = [
+        {
+            "genus": g,
+            "max_weight": config.max_degree,
+            "generators": [
+                {"partition": list(mu), "weight": mu.weight, "value": poly}
+                for mu, poly in relation_generators(g, config.max_degree)
+            ],
+        }
+        for g in config.genera
+    ]
     rows = (
         [_tuple_cell(gen["partition"]), str(gen["weight"]), gen["value"].latex()]
         for block in payload
@@ -660,10 +675,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _joined_values(argv: list[str]) -> list[str]:
     """argv with "--values V" written "--values=V" where V is "-" and then a
     digit or ".": argparse takes such a V for an option unless it is a plain
-    negative number, so "--values -1,2" would stop as a usage error."""
+    negative number, so "--values -1,2" would stop as a usage error.  The
+    flag may be any of VALUES_FLAGS.
+    """
     out: list[str] = []
     for token in argv:
-        if out[-1:] == ["--values"] and len(token) > 1 and token[0] == "-" and token[1] in "0123456789.":
+        if out and out[-1] in VALUES_FLAGS and token[:1] == "-" and token[1:2] in tuple("0123456789."):
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -18,8 +18,10 @@ the Weierstrass class of wcycles from the same determinant.  The determinant is 
 expansion with memoised minors over the rows psi_matrix returns.
 
 kstar_schubert and kstar_power_sum return the class as a polynomial in
-lambda and psi; schur.in_roots writes it in the Chern roots x_1..x_g of
-the dual Hodge bundle, where e_a(x) = (-1)^a lambda_a.
+lambda and psi.  In the Chern roots x_1..x_g of the dual Hodge bundle,
+where e_a(x) = (-1)^a lambda_a, the class is symmetric: schur.root_orbits
+writes it as its coefficients on the monomial symmetric functions m_nu,
+and schur.in_roots expands those orbits into monomials of the x_i.
 
 On the smooth locus a class is reduced modulo Mumford's relations
 c(E) c(E*) = 1.  They involve lambda only, so the degree-d slice of the
@@ -37,7 +39,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import Echelon, Layout, Monomial, MultiPoly, PSI, det, field_width, kap, lam, xvar
+from .exactalg import Echelon, Layout, Monomial, MultiPoly, PSI, det, field_width, kap, lam
 from .schur import lambda_ring, psi_matrix
 from .semigroups import Partition
 
@@ -103,14 +105,15 @@ def kstar_power_sum(s: int, g: int) -> MultiPoly:
     return _power_sum_lambda(g, s) - psi_power.scale(_psi_tail(s, g))
 
 
-def kstar_power_sum_roots(s: int, g: int) -> MultiPoly:
-    """kstar_power_sum(s, g) in the Chern roots x_1..x_g, written from the
-    formula above: the class schur.in_roots gives, without expanding its
-    lambda-monomials orbit by orbit."""
+def kstar_power_sum_roots(s: int, g: int) -> dict:
+    """kstar_power_sum(s, g) on the monomial symmetric functions of the
+    roots, keyed as schur.root_orbits keys them, from the formula above:
+    sum_i x_i^s - c psi^s = m_(s) - c psi^s m_(), with no lambda class
+    built or rewritten; the psi orbit is left out where c = 0 (g = 1)."""
     if g < 1 or s < 1:
         raise ValueError("genus and power must be at least 1")
-    powers = [([(xvar(i), s)], 1) for i in range(1, g + 1)]
-    return MultiPoly.from_pairs([*powers, ([(PSI, s)], -_psi_tail(s, g))])
+    orbits = {(((PSI, s),), ()): -_psi_tail(s, g), ((), (s,)): 1}
+    return {key: coeff for key, coeff in orbits.items() if coeff}
 
 
 # -- Mumford quotient -------------------------------------------------------

@@ -42,9 +42,9 @@ stability identity s*_mu(z, 0) = s*_mu(z) hold by construction.
 The lambda basis: the x_i are Chern roots of the dual Hodge bundle, so
 the list of e_a(x) is [1, -lambda_1, lambda_2, ..., (-1)^g lambda_g] and
 that of h_a(x) the Segre classes of E*, grown per genus and ring as far
-as an entry asks (_lambda_series).  in_roots maps a class back to the
+as an entry asks (_lambda_series).  root_orbits maps a class back to the
 roots.  A lambda-monomial prod_a lambda_a^(d_a) goes to plus or minus
-prod_a e_a^(d_a), a symmetric polynomial, so it is expanded orbit by
+prod_a e_a^(d_a), a symmetric polynomial, so it is written orbit by
 orbit: its coefficient on the monomial symmetric function m_nu is the
 number of 0-1 matrices with row sums the factor indices a and column
 sums nu.  The orbit table of a product is built from the table with one
@@ -53,11 +53,12 @@ factor e_a fewer by the pull rule
     [x^nu](f e_a) = sum over a-subsets S with nu - 1_S >= 0 of
                     [x^sort(nu - 1_S)] f        (f symmetric),
 
-so only weakly decreasing nu are ever stored.  The coefficients of the
-whole class are summed per orbit and per psi power, and each orbit is
-written out as its distinct rearrangements once, at the end, each one a
-sum of packed exponents: for the pullback of mu = (5,4,3,2) at g = 6
-that is 201 orbits over 15 psi powers for 19,872 terms in the roots.
+so only weakly decreasing nu are ever stored.  root_orbits sums the
+coefficients of the whole class per orbit and per psi power, and stops
+there: for the pullback of mu = (5,4,3,2) at g = 6 that is 201 orbits
+over 15 psi powers.  in_roots writes each orbit out as its distinct
+rearrangements, each one a sum of packed exponents: 19,872 terms in the
+roots for that pullback.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ __all__ = [
     "shifted_schur",
     "psi_matrix",
     "generic_arguments",
+    "root_orbits",
     "in_roots",
     "lambda_ring",
 ]
@@ -265,47 +267,60 @@ def psi_matrix(mu: Partition, g: int, shift: int = 0) -> list[list[MultiPoly]]:
 # -- the roots view ----------------------------------------------------------
 
 
-def in_roots(p: MultiPoly, xs: tuple[Variable, ...]) -> MultiPoly:
-    """p under lambda_a -> (-1)^a e_a(xs), for g = len(xs) variables xs in
-    canonical order; p is a polynomial in lambda_1..lambda_g and psi.
+def root_orbits(p: MultiPoly, g: int) -> dict:
+    """p under lambda_a -> (-1)^a e_a(x_1..x_g) on the monomial symmetric
+    functions m_nu; p is a polynomial in lambda_1..lambda_g and psi.
 
-    The image is symmetric in xs, so it is summed orbit by orbit: for
-    each non-lambda part of a monomial (the psi power), one map from
-    weakly decreasing nu to the coefficient of the monomial symmetric
-    function m_nu, taken from `_orbit_table`.  Each orbit is then
-    written out as its distinct rearrangements xs^sigma(nu), in the
-    layout of xs and p's other variables, where a rearrangement is a sum
-    of shifted exponents and its product with the psi power one more sum.
+    Maps (rest, nu) to the nonzero coefficient of rest * m_nu: rest is the
+    non-lambda part of a monomial of p (the psi power), as the
+    (variable, exponent) pairs of Layout.unpack, and nu a partition of at
+    most g positive parts, weakly decreasing.  The keys come in
+    descending order of rest, as p's terms sort, then of nu; for a
+    homogeneous p that is the order of the orbits' leading monomials
+    rest * x^nu in in_roots.  For each rest, the coefficients are summed
+    from the tables of `_orbit_table`.
     """
-    g = len(xs)
     src = p.layout
-    rest_vars = [v for v in p.variables() if v.family != "lambda"]
-    ring = Layout.of([*rest_vars, *xs], max(src.width, field_width(p.degree())))
     tables: dict = {}
     orbits: dict = {}
     for mono, coeff in p.items():
         diffs = [0] * g
-        rest = 0
         for var, e in src.unpack(mono):
-            if var.family != "lambda":
-                rest += e * ring.units[var]
-            elif var.index > g:
-                raise ValueError(f"lambda_{var.index} in the roots of genus {g}")
-            else:
+            if var.family == "lambda":
+                if var.index > g:
+                    raise ValueError(f"lambda_{var.index} in the roots of genus {g}")
                 diffs[var.index - 1] = e
-        if sum(a * d for a, d in enumerate(diffs, start=1)) % 2:
-            coeff = -coeff
-        acc = orbits.setdefault(rest, {})
+                mono -= e * src.units[var]
+        coeff *= (-1) ** sum(a * d for a, d in enumerate(diffs, start=1))
+        acc = orbits.setdefault(mono, {})
         for nu, count in _orbit_table(tuple(diffs), tables).items():
             acc[nu] = acc.get(nu, 0) + coeff * count
+    return {
+        (tuple(src.unpack(rest)), nu[: g - nu.count(0)]): coeff
+        for rest in sorted(orbits, reverse=True)
+        for nu, coeff in sorted(orbits[rest].items(), reverse=True)
+        if coeff
+    }
+
+
+def in_roots(p: MultiPoly, xs: tuple[Variable, ...]) -> MultiPoly:
+    """p under lambda_a -> (-1)^a e_a(xs), for g = len(xs) variables xs in
+    canonical order: the orbits of root_orbits(p, g) written out.
+
+    Each orbit is written as its distinct rearrangements xs^sigma(nu), in
+    the layout of xs and p's other variables, where a rearrangement is a
+    sum of shifted exponents and its product with the rest one more sum.
+    """
+    g = len(xs)
+    rest_vars = [v for v in p.variables() if v.family != "lambda"]
+    ring = Layout.of([*rest_vars, *xs], max(p.layout.width, field_width(p.degree())))
     units = tuple(ring.units[x] for x in xs)
     orbit_monos: dict = {}
     out: dict = {}
-    for rest, acc in orbits.items():
-        for nu, coeff in acc.items():
-            if coeff:
-                for xmono in _orbit_monomials(units, nu, orbit_monos):
-                    out[rest + xmono] = coeff
+    for (rest, nu), coeff in root_orbits(p, g).items():
+        head = ring.pack(rest)
+        for xmono in _orbit_monomials(units, nu + (0,) * (g - len(nu)), orbit_monos):
+            out[head + xmono] = coeff
     return MultiPoly(out, ring)
 
 
@@ -397,10 +412,7 @@ def _orbit_monomials(units: tuple[int, ...], nu: tuple[int, ...], memo: dict) ->
         for head in dict.fromkeys(nu):
             i = nu.index(head)
             tails = _orbit_monomials(units, nu[:i] + nu[i + 1 :], memo)
-            if head:
-                lead = head * place
-                found.extend([lead + tail for tail in tails])
-            else:
-                found.extend(tails)
+            lead = head * place
+            found.extend([lead + tail for tail in tails])
         memo[nu] = found
     return found

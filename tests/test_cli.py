@@ -62,13 +62,16 @@ GOLDEN_ARGV = {
 }
 
 # sha256 of the whole stdout under SOURCE_DATE_EPOCH=0, for payloads too
-# large for a golden file (the pullback is 4.9 MB, the degree-450 class 120
-# MB).  Each was recorded before monomials were packed into ints, so they
+# large for a golden file (the degree-450 class is 120 MB).  All but the
+# pullback's were recorded before monomials were packed into ints, so they
 # pin that packing changes no byte: the term order, the text and the exps.
+# The pullback's pin was recorded when its x-root view became 201 orbits
+# (0.06 MB) in place of 19,872 terms (4.9 MB); the rest of that output is
+# byte-identical to what the earlier pin covered.
 SHA256_PINS = {
     "pullback_g6_p5432_smooth": (
         ["pullback", "--genus", "6", "--partition", "5,4,3,2", "--mode", "smooth"],
-        "5318aab041f7773342fdd15766728eb02f8f484f317941ebd739491a706dedc9",
+        "c9e55f10d82cc182431985f059d0b4a03758a1f56132b4726996fcbe6cec42ee",
     ),
     "class_g9_hyperelliptic": (
         ["class", "--genus", "9", "--gaps", "1,3,5,7,9,11,13,15,17"],
@@ -310,7 +313,8 @@ def test_power_sums_of_high_degree_build_without_deep_recursion(capsys):
     assert code == 0, err
     [record] = json.loads(out)["payload"]
     assert record["value_lambda"]["text"] == "lambda1^600"
-    assert record["value_x"]["text"] == "x1^600"
+    # x1^600 is the single orbit m_(600)
+    assert record["value_x"] == {"orbits": [{"coeff": "1", "exps": {}, "nu": [600]}], "text": "m(600)"}
 
 
 def test_sandwich_violation_is_a_data_error(capsys, monkeypatch):
@@ -580,6 +584,25 @@ def test_values_starting_with_a_minus_sign_need_no_equals_sign(capsys, monkeypat
         assert out == joined
 
 
+@pytest.mark.parametrize("flag", ["--val", "--valu", "--value"])
+def test_values_abbreviated_takes_a_value_starting_with_a_minus_sign(capsys, monkeypatch, flag):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    argv = ["schur-eval", "--partition", "1"]
+    code, out, err = _run(capsys, [*argv, flag, "-1,2"])
+    assert code == 0, err
+    joined_code, joined, _ = _run(capsys, [*argv, "--values=-1,2"])
+    assert joined_code == 0
+    assert out == joined
+
+
+@pytest.mark.parametrize("flag", ["--va", "--v"])
+def test_values_abbreviation_shared_with_variables_is_a_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as stop:
+        main(["schur-eval", "--partition", "1", flag, "-1,2"])
+    assert stop.value.code == 2
+    assert "ambiguous option" in capsys.readouterr().err
+
+
 def test_values_followed_by_an_option_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as stop:
         main(["schur-eval", "--partition", "1", "--values", "--variables", "3"])
@@ -589,15 +612,24 @@ def test_values_followed_by_an_option_is_a_usage_error(capsys):
 
 def test_psum_writes_its_root_view_without_in_roots(capsys, monkeypatch):
     def refuse(*args):
-        raise AssertionError("psum called in_roots")
+        raise AssertionError("psum wrote its class in the roots")
 
-    monkeypatch.setattr(wtaut.cli, "in_roots", refuse)
+    monkeypatch.setattr(wtaut.cli, "root_orbits", refuse)
+    monkeypatch.setattr(wtaut.schur, "root_orbits", refuse)
     monkeypatch.setattr(wtaut.schur, "in_roots", refuse)
     start = time.perf_counter()
     code, out, err = _run(capsys, ["psum", "--genus", "12", "--power", "25", "--mode", "smooth"])
     assert code == 0, err
     assert time.perf_counter() - start < 1
-    assert len(json.loads(out)["payload"][0]["value_x"]["terms"]) == 13
+    # sum_i x_i^25 - c psi^25 with c = sum_{i<=12} (i - 12)^25: 13 terms, 2 orbits
+    c = sum((i - 12) ** 25 for i in range(1, 13))
+    assert json.loads(out)["payload"][0]["value_x"] == {
+        "orbits": [
+            {"coeff": str(-c), "exps": {"psi": 25}, "nu": []},
+            {"coeff": "1", "exps": {}, "nu": [25]},
+        ],
+        "text": f"{-c}*psi^25*m() + m(25)",
+    }
 
 
 def test_config_file_output_writes_the_file(capsys, tmp_path):
