@@ -407,8 +407,9 @@ def run_semigroups(config: RunConfig, args: argparse.Namespace):
 
 
 def run_class(config: RunConfig, args: argparse.Namespace):
-    semigroup = _parse_flag("--gaps", args.gaps, NumericalSemigroup.from_gaps) if args.gaps else None
-    partition = _parse_flag("--partition", args.partition, Partition.of) if args.partition else None
+    gaps, parts = args.gaps, args.partition
+    semigroup = None if gaps is None else _parse_flag("--gaps", gaps, NumericalSemigroup.from_gaps)
+    partition = None if parts is None else _parse_flag("--partition", parts, Partition.of)
     if (semigroup is None) == (partition is None):
         raise DataError("choose exactly one selector: --gaps or --partition")
     payload = []
@@ -635,7 +636,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, run, help):
         sub = subs.add_parser(name, help=help)
         sub.set_defaults(run=run)
-        sub.add_argument("--genus", help="genus or range A-B")
+        if name != "schur-eval":  # the genus plays no part in Schur evaluation
+            sub.add_argument("--genus", help="genus or range A-B")
         sub.add_argument("--format", choices=FORMATS)
         sub.add_argument("--output", help="write to this path (atomically)")
         sub.add_argument("--mode", choices=("CM", "smooth"))
@@ -663,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-degree", type=int)
 
     sp = add("schur-eval", run_schur_eval, "evaluate a Schur polynomial")
-    sp.set_defaults(genus="1")  # the genus plays no part in Schur evaluation
+    sp.set_defaults(genus="1")  # echoed in the envelope; no file or flag changes it
     sp.add_argument("--kind", choices=("factorial", "shifted"), default="shifted")
     sp.add_argument("--partition", required=True)
     sp.add_argument("--values", help="comma-separated rational arguments")

@@ -82,7 +82,8 @@ class Variable(namedtuple("Variable", "rank index weight name")):
     those of the symbol.  The weight (graded degree) is the index for
     lambda_i and kappa_j and one for every other family.  psi and u are
     distinct symbols; they are only related through the explicit
-    substitution u -> -psi performed by callers.
+    substitution u -> -psi, which only the tests perform, on the double
+    Schur polynomials of their reference routes.
     """
 
     __slots__ = ()
@@ -278,20 +279,6 @@ class MultiPoly:
         """var as a polynomial of layout, by default a layout of its own."""
         layout = layout or Layout.of((var,))
         return cls({layout.units[var]: 1}, layout)
-
-    @classmethod
-    def from_pairs(cls, terms: Iterable[tuple[Iterable[tuple[Variable, int]], Scalar]]) -> "MultiPoly":
-        """The sum of the terms, each a list of (variable, exponent) pairs (one
-        per variable) and a coefficient, in a layout of their variables wide
-        enough for them."""
-        terms = [(list(pairs), _coerce_coeff(coeff)) for pairs, coeff in terms]
-        pairs = [pair for mono, _ in terms for pair in mono]
-        layout = Layout.of({v for v, _ in pairs}, field_width(max((e for _, e in pairs), default=0)))
-        acc: dict[Monomial, Scalar] = {}
-        for mono, coeff in terms:
-            key = layout.pack(mono)
-            acc[key] = acc.get(key, 0) + coeff
-        return cls(acc, layout)
 
     @staticmethod
     def sum(values: Iterable["MultiPoly | Scalar"]) -> "MultiPoly":

@@ -13,9 +13,9 @@ plain rational multiples of psi^b.  "psi_prime" is built from the
 conjugate partition with e and h swapped: its entries take
 e_a(x) = (-1)^a lambda_a in place of s_a, so each has at most g + 1
 terms.  It is the one expanded unless mu is wide (schur._variant).
-Raising every interval value by one (psi_matrix(mu, g, shift=1)) gives
-the Weierstrass class of wcycles from the same determinant.  The determinant is exactalg.det, a Laplace
-expansion with memoised minors over the rows psi_matrix returns.
+The Weierstrass class of wcycles is the same determinant with every
+interval bound raised by one.  The determinant is exactalg.det, a
+Laplace expansion with memoised minors over the rows psi_matrix returns.
 
 kstar_schubert and kstar_power_sum return the class as a polynomial in
 lambda and psi.  In the Chern roots x_1..x_g of the dual Hodge bundle,
@@ -41,7 +41,7 @@ from functools import lru_cache
 
 from .exactalg import Echelon, Layout, Monomial, MultiPoly, PSI, det, field_width, kap, lam
 from .schur import lambda_ring, psi_matrix
-from .semigroups import Partition
+from .semigroups import Partition, partitions_of
 
 __all__ = [
     "kstar_schubert",
@@ -142,24 +142,12 @@ def lambda_monomials(g: int, weight: int, ring: Layout) -> list[Monomial]:
     ring, a layout with fields for them wide enough for weight, in
     canonical order.
 
-    Canonical order walks lambda_1, lambda_2, ... and prefers the larger
-    exponent, so choosing the exponents in that order, each from the
-    largest down, emits the monomials already sorted.
+    They are the partitions of weight with parts <= g, a part i standing
+    for a factor lambda_i; canonical order is descending int order.
     """
-    steps = [ring.units[lam(i)] for i in range(1, g + 1)]
-    out: list[Monomial] = []
-
-    def rec(index: int, left: int, head: Monomial) -> None:
-        if not left:
-            out.append(head)
-            return
-        if index > g:
-            return
-        for e in range(left // index, -1, -1):
-            rec(index + 1, left - e * index, head + e * steps[index - 1])
-
-    rec(1, weight, 0)
-    return out
+    units = [0, *(ring.units[lam(i)] for i in range(1, g + 1))]
+    monos = [sum(units[i] for i in parts) for parts in partitions_of(weight, g, weight)]
+    return sorted(monos, reverse=True)
 
 
 @lru_cache(maxsize=None)

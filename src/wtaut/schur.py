@@ -24,15 +24,17 @@ psi_matrix and factorial_schur expand the one that _variant picks
 from the shape, the genus and whether the entries are numbers.  The
 variant is read in one place, _shape, which turns it into the rows
 (kind, r, ks) of the matrix: the series kind, "h" or "e", the interval
-bound r and the degrees ks of the row's entries.  Every entry is then
-one rule, _entry_terms, over a list of the series, [h_0, h_1, ...] or
-[e_0, ..., e_n], and the interval's coefficients.  When every argument
-is a number, the lists are the integers h_a(u z) and e_a(u z), with u
-a common denominator of the z_i, psi is -u, and the determinant
-u^|mu| t_mu(z) is an integer.  Otherwise factorial_schur takes the
-class det(psi_matrix(mu, n)) itself at psi = -1 and writes it in the
-roots z_1..z_n by in_roots; arguments other than z_i itself are then
-substituted, all at once.
+bound r and the degrees ks of the row's entries.  The interval of bound
+r is the list {0..r-1}, and a row's entries need only its e_b (kind
+"h") or h_b (kind "e"); psi_matrix(mu, g, shift) raises every bound by
+shift.  Every entry is then one rule, _entry_terms, over a list of the
+series, [h_0, h_1, ...] or [e_0, ..., e_n], and the interval's
+coefficients.  When every argument is a number, the lists are the
+integers h_a(u z) and e_a(u z), with u a common denominator of the z_i,
+psi is -u, and the determinant u^|mu| t_mu(z) is an integer.
+Otherwise factorial_schur takes the class det(psi_matrix(mu, n))
+itself at psi = -1 and writes it in the roots z_1..z_n by in_roots;
+arguments other than z_i itself are then substituted, all at once.
 No difference of arguments is divided by, so repeated arguments need
 no special case.
 Shifted Schur polynomials are the staggered substitution
@@ -124,7 +126,7 @@ def factorial_schur(mu: Partition, args: Sequence[Value]) -> MultiPoly:
     series = {"h": complete_of_values(xs, top), "e": elementary_of_values(xs, top)}
     rows = []
     for kind, r, ks in _shape(mu, n, _variant(mu, n, numeric=True)):
-        coeffs = _interval_coefficients(kind, r, 0, ks[-1])  # shared by the row's entries
+        coeffs = _interval_coefficients(kind, r, ks[-1])  # shared by the row's entries
         rows.append([sum(_entry_terms(series[kind], coeffs, k, -u)) for k in ks])
     return det(rows) / u**mu.weight
 
@@ -190,14 +192,14 @@ def _shape(mu: Partition, g: int, variant: str) -> list[tuple[str, int, range]]:
     ]
 
 
-def _interval_coefficients(kind: str, r: int, shift: int, top: int) -> list[int]:
-    """Coefficients 0..top of c(interval) for the interval list
-    {shift..r-1+shift}: elementary for kind "h", complete for kind "e".
+def _interval_coefficients(kind: str, r: int, top: int) -> list[int]:
+    """Coefficients 0..top of c(interval) for the interval list {0..r-1}
+    of bound r: elementary for kind "h", complete for kind "e".
 
     r >= 1 whenever l(mu) <= g.
     """
     interval = elementary_of_values if kind == "h" else complete_of_values
-    return interval(range(shift, r + shift), top)
+    return interval(range(r), top)
 
 
 def _entry_terms(series: Sequence[Value], coeffs: list[int], k: int, psi: Value) -> list[Value]:
@@ -229,7 +231,7 @@ def _lambda_series(kind: str, g: int, ring: Layout) -> list[MultiPoly]:
 
 
 @lru_cache(maxsize=None)
-def _matrix_entry(kind: str, g: int, r: int, k: int, shift: int, ring: Layout) -> MultiPoly:
+def _matrix_entry(kind: str, g: int, r: int, k: int, ring: Layout) -> MultiPoly:
     """The entry of kind, interval bound r and degree k in lambda and psi, in ring.
 
     The Segre list grows bottom-up to h_k by e_i(x) = (-1)^i lambda_i and
@@ -241,7 +243,7 @@ def _matrix_entry(kind: str, g: int, r: int, k: int, shift: int, ring: Layout) -
         b = len(series)
         lower = range(1, min(b, g) + 1)
         series.append(-MultiPoly.sum(MultiPoly.variable(lam(i), ring) * series[b - i] for i in lower))
-    coeffs = _interval_coefficients(kind, r, shift, k)
+    coeffs = _interval_coefficients(kind, r, k)
     return MultiPoly.sum(_entry_terms(series, coeffs, k, MultiPoly.variable(PSI, ring)))
 
 
@@ -250,18 +252,20 @@ def psi_matrix(mu: Partition, g: int, shift: int = 0) -> list[list[MultiPoly]]:
     Schubert-class pullback.
 
     Entries are polynomials in lambda_1..lambda_g and psi, in the variant
-    _variant picks, shaped as _shape says, and share the layout
-    lambda_ring(g, |mu|).  At shift = 0 the determinant
-    is kstar_schubert(mu, g), that is u^|mu| t_mu(x/u) with u -> -psi.
-    shift = 1 raises every interval value by one, which gives
-    u^|mu| t_mu(x/u - 1), the Weierstrass class (see wcycles).
+    _variant picks at g, shaped as _shape says with every interval bound
+    raised by shift, and share the layout lambda_ring(g, |mu|).  At
+    shift = 0 the determinant is kstar_schubert(mu, g), that is
+    u^|mu| t_mu(x/u) with u -> -psi.  At shift = 1 it is
+    u^|mu| t_mu(x/u - 1), the Weierstrass class (see wcycles): the
+    interval {1..r} has the coefficients of {0..r}, since a value 0 adds
+    nothing to e or h, and that is the interval of bound r + 1.
     Refused for l(mu) > g, where the class is zero.
     """
     if mu.length > g:
         raise ValueError("partition longer than the genus")
     ring = lambda_ring(g, mu.weight)
-    shape = _shape(mu, g, _variant(mu, g, numeric=False))
-    return [[_matrix_entry(kind, g, r, k, shift, ring) for k in ks] for kind, r, ks in shape]
+    shape = _shape(mu, g + shift, _variant(mu, g, numeric=False))
+    return [[_matrix_entry(kind, g, r, k, ring) for k in ks] for kind, r, ks in shape]
 
 
 # -- the roots view ----------------------------------------------------------

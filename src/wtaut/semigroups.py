@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import DataError, ResourceError
 
@@ -36,6 +36,7 @@ __all__ = [
     "hprime_partition",
     "is_realizable",
     "dual_index_set",
+    "partitions_of",
     "partitions_up_to",
     "semigroup_record",
     "DEFAULT_MAX_GENUS",
@@ -84,21 +85,28 @@ class Partition(tuple):
         return f"Partition{tuple(self)}"
 
 
+def partitions_of(weight: int, cap: int, length: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of weight with parts <= cap and at most length parts,
+    as tuples, lexicographically descending.
+
+    The number of parts equal to cap is chosen first, from the largest
+    down, then that of cap - 1, and so on, so the recursion is as deep as
+    cap, not as the number of parts: the partition of 1,200 into ones is
+    one level.
+    """
+    if not weight:
+        yield ()
+    elif cap and length:
+        for count in range(min(weight // cap, length), -1, -1):
+            for rest in partitions_of(weight - count * cap, cap - 1, length - count):
+                yield (cap,) * count + rest
+
+
 def partitions_up_to(max_weight: int, max_length: int | None = None) -> list[Partition]:
     """All partitions of weight <= max_weight (optionally length-capped), in
     canonical order: by weight, then lexicographically descending."""
-
-    def gen(weight: int, cap: int, length_left: int):
-        """The partitions of weight with parts <= cap, lexicographically descending."""
-        if weight == 0:
-            yield ()
-        elif length_left:
-            for first in range(min(weight, cap), 0, -1):
-                for rest in gen(weight - first, first, length_left - 1):
-                    yield (first,) + rest
-
     length = max_length if max_length is not None else max_weight
-    return [Partition(parts) for weight in range(max_weight + 1) for parts in gen(weight, weight, length)]
+    return [Partition(p) for w in range(max_weight + 1) for p in partitions_of(w, w, length)]
 
 
 class NumericalSemigroup(namedtuple("NumericalSemigroup", "genus gaps")):

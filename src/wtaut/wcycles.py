@@ -14,13 +14,15 @@ and the Vandermonde in the denominator does not change under
 translation, so t_mu(y - 1) = s_mu(y | a'_m = m) (Macdonald, "Schur
 functions: theme and variations", 1992, 6th variation).  In the
 Kempf-Laksov determinant of the plain Schubert pullback the sequence a
-enters only through the interval values {0..r-1} of each row; the
-Weierstrass class is the same determinant with every interval value
-raised by one, psi_matrix(mu, g, shift=1).  The unit shift is what makes
-mu = (1) reproduce the classical Weierstrass divisor class
-g(g+1)/2 psi - lambda_1.  The unshifted evaluation u^|mu| t_mu(x/u) is
-kept available for comparison: it is the plain pullback
-kstar_schubert(mu, g) (in s*_mu(z) with
+enters only through the interval {0..r-1} of each row, of bound r.
+Raising every value by one gives {1..r}, whose elementary and complete
+symmetric functions are those of {0..r}, since a value 0 adds nothing to
+either: so the Weierstrass class is the same determinant with every
+interval bound raised by one, psi_matrix(mu, g, shift=1).  The unit
+shift is what makes mu = (1) reproduce the classical Weierstrass
+divisor class g(g+1)/2 psi - lambda_1.  The unshifted evaluation
+u^|mu| t_mu(x/u) is kept available for comparison: it is the plain
+pullback kstar_schubert(mu, g) (in s*_mu(z) with
 z_i = (x_i + (i - g) u) / u the shifted-Schur stagger cancels the
 offset), and for mu = (1) it is g(g-1)/2 psi - lambda_1.
 Pushing forward along the forgetful map sends lambda-monomial times
@@ -32,7 +34,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .errors import DataError
-from .exactalg import MultiPoly, PSI, det, kap
+from .exactalg import Layout, MultiPoly, PSI, det, kap
 from .schur import psi_matrix
 from .semigroups import (
     IndexSequence,
@@ -86,24 +88,25 @@ class CycleClass(NamedTuple):
 def pushforward_rule(pointed: MultiPoly) -> MultiPoly:
     """lambda-monomial * psi^m  ->  lambda-monomial * kappa_(m-1).
 
-    psi-free terms are annihilated (kappa with index -1 is zero).
+    psi-free terms are annihilated (kappa with index -1 is zero).  The
+    result's layout is the pointed one with psi and kappa_0..kappa_(d-1)
+    added, d the degree, which bounds every psi power.  There a term with
+    psi^m moves by adding the unit of kappa_(m-1) and taking off m units
+    of psi, which lowers the weighted degree by m - (m - 1) = 1.  No two
+    terms land together: the lambda part and m are kept.
     """
-    terms = []
-    unpack = pointed.layout.unpack
-    for mono, coeff in pointed.items():
-        m = 0
-        rest = []
-        for var, e in unpack(mono):
-            if var == PSI:
-                m = e
-            elif var.family == "lambda":
-                rest.append((var, e))
-            else:
-                raise ValueError("pushforward expects a polynomial in lambda and psi")
+    if any(v.family not in ("lambda", "psi") for v in pointed.variables()):
+        raise ValueError("pushforward expects a polynomial in lambda and psi")
+    src, top = pointed.layout, pointed.degree()
+    ring = Layout.of([*src.variables, PSI, *map(kap, range(top))], src.width)
+    off, mask, psi = ring.offsets[PSI], ring.mask, ring.units[PSI]
+    moves = [0, *(ring.units[kap(m - 1)] - m * psi for m in range(1, top + 1))]
+    out = {}
+    for mono, coeff in pointed.recast(ring).items():
+        m = mono >> off & mask
         if m:
-            rest.append((kap(m - 1), 1))
-            terms.append((rest, coeff))  # one term per (lambda part, m): no two collide
-    return MultiPoly.from_pairs(terms)
+            out[mono + moves[m]] = coeff
+    return MultiPoly(out, ring)
 
 
 def weierstrass_class(semigroup: NumericalSemigroup, unshifted: bool = False) -> CycleClass:

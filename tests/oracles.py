@@ -22,6 +22,15 @@ reached from `src/`.
   from scratch at every degree, one row per semigroup, the route
   `hilbert_quotient_lower` took before it grew one echelon of
   lambda-monomial rows.
+* `recursive_lambda_monomials`: the lambda-monomials of a weight by a
+  recursion over the exponents of lambda_1, lambda_2, ..., the route
+  `lambda_monomials` took before it read them off partitions.
+* `pairs_pushforward`: the pushforward psi^m -> kappa_(m-1) with every
+  term unpacked to pairs and packed again by `from_pairs`, the route
+  `pushforward_rule` took before it moved packed monomials.
+* `shifted_interval_matrix`: a Kempf-Laksov matrix whose interval values
+  are all raised by a shift, the route `psi_matrix(mu, g, shift)` took
+  before it raised the interval bound instead.
 * `ParamSequence`, `generalized_power`, `falling_factorial`,
   `double_schur`: double Schur polynomials as the ratio of determinants
   det[(z_i | a)^(mu_j + n - j)] / Vandermonde, the route
@@ -38,6 +47,9 @@ reached from `src/`.
   from the same walk over the terms as the text and the JSON.
 * `exact_div`: exact polynomial division, the ratio route's division by
   each factor of the Vandermonde.
+* `from_pairs`: a polynomial from its terms as lists of (variable,
+  exponent) pairs, in a layout of just their variables; production code
+  packs its monomials itself.
 * `monomial`, `terms`, `pair_terms`, `coefficient`: a one-term
   polynomial from (variable, exponent) pairs, the terms in display order
   as a new list, the terms in arbitrary order, each monomial unpacked to
@@ -69,9 +81,9 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from wtaut.exactalg import PSI, U, Echelon, MultiPoly, Variable, det, lam, xvar
+from wtaut.exactalg import PSI, U, Echelon, Layout, MultiPoly, Variable, det, field_width, kap, lam, xvar
 from wtaut.pullback import lambda_monomials, mumford_generators
-from wtaut.schur import lambda_ring
+from wtaut.schur import _shape, complete_of_values, elementary_of_values, lambda_ring
 from wtaut.errors import DataError
 from wtaut.semigroups import IndexSequence, NumericalSemigroup, Partition, enumerate_semigroups
 from wtaut.tautring import _fixed_point_values
@@ -130,6 +142,20 @@ def pair_terms(p: MultiPoly) -> list:
     """(pair tuple, coefficient) for every term of p, in arbitrary order."""
     unpack = p.layout.unpack
     return [(tuple(unpack(mono)), coeff) for mono, coeff in p.items()]
+
+
+def from_pairs(terms) -> MultiPoly:
+    """The sum of the terms, each a list of (variable, exponent) pairs (one
+    per variable) and a coefficient, in a layout of their variables wide
+    enough for them."""
+    terms = [(list(pairs), coeff) for pairs, coeff in terms]
+    pairs = [pair for mono, _ in terms for pair in mono]
+    layout = Layout.of({v for v, _ in pairs}, field_width(max((e for _, e in pairs), default=0)))
+    acc: dict = {}
+    for mono, coeff in terms:
+        key = layout.pack(mono)
+        acc[key] = acc.get(key, 0) + coeff
+    return MultiPoly(acc, layout)
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +241,7 @@ def value_x_expansion(value_lambda: MultiPoly, g: int) -> MultiPoly:
                 acc[key] = val
             else:
                 acc.pop(key, None)
-    return MultiPoly.from_pairs(acc.items())
+    return from_pairs(acc.items())
 
 
 def to_lambda_basis(p: MultiPoly, g: int) -> MultiPoly:
@@ -301,7 +327,7 @@ def to_lambda_basis(p: MultiPoly, g: int) -> MultiPoly:
 
     for rest, rc in groups.pop(zero_vec, {}).items():
         emit(rest, rc)
-    return MultiPoly.from_pairs(out_terms.items())
+    return from_pairs(out_terms.items())
 
 
 def lambda_psi_monomials(g: int, degree: int) -> list[MultiPoly]:
@@ -400,6 +426,71 @@ def lower_bound_by_degree(g: int, cutoff: int) -> list[int]:
             row.extend(math.prod(e_values[v.index] ** e for v, e in mono) for mono in monos)
         dims.append(len(Echelon(rows)))
     return dims
+
+
+def recursive_lambda_monomials(g: int, weight: int, ring) -> list[int]:
+    """lambda_monomials(g, weight, ring) by choosing the exponents of
+    lambda_1, lambda_2, ... in turn, each from the largest down, which
+    emits them in canonical order with no sort."""
+    steps = [ring.units[lam(i)] for i in range(1, g + 1)]
+    out: list[int] = []
+
+    def rec(index: int, left: int, head: int) -> None:
+        if not left:
+            out.append(head)
+            return
+        if index > g:
+            return
+        for e in range(left // index, -1, -1):
+            rec(index + 1, left - e * index, head + e * steps[index - 1])
+
+    rec(1, weight, 0)
+    return out
+
+
+def pairs_pushforward(pointed: MultiPoly) -> MultiPoly:
+    """wcycles.pushforward_rule with every term unpacked to (variable,
+    exponent) pairs, psi^m swapped for kappa_(m-1), and packed again by
+    from_pairs in a layout of just the variables present."""
+    out = []
+    for mono, coeff in pair_terms(pointed):
+        pairs = dict(mono)
+        if any(v.family not in ("lambda", "psi") for v in pairs):
+            raise ValueError("pushforward expects a polynomial in lambda and psi")
+        m = pairs.pop(PSI, 0)
+        if m:
+            out.append(([*pairs.items(), (kap(m - 1), 1)], coeff))
+    return from_pairs(out)
+
+
+def shifted_interval_matrix(mu: Partition, g: int, variant: str, shift: int) -> list[list[MultiPoly]]:
+    """The Kempf-Laksov matrix of mu at genus g in the variant, with each
+    row's interval the list {shift..r-1+shift} for its bound r at g.
+
+    The Segre classes of E* come from h_b = -sum_{i<=min(b,g)} lambda_i
+    h_(b-i), the elementary classes from e_a(x) = (-1)^a lambda_a.
+    """
+    ring = lambda_ring(g, mu.weight)
+    psi = MultiPoly.variable(PSI, ring)
+    lams = [MultiPoly.variable(lam(i), ring) for i in range(1, g + 1)]
+    segre = [MultiPoly.one()]  # grown as far as an entry asks
+    elementary = [MultiPoly.one(), *(x.scale((-1) ** a) for a, x in enumerate(lams, start=1))]
+    series = {"e": elementary, "h": segre}
+    rows = []
+    for kind, r, ks in _shape(mu, g, variant):
+        values = range(shift, r + shift)
+        row = []
+        for k in ks:
+            while kind == "h" and len(segre) <= k:
+                b = len(segre)
+                segre.append(-MultiPoly.sum(lams[i - 1] * segre[b - i] for i in range(1, min(b, g) + 1)))
+            coeffs = (elementary_of_values if kind == "h" else complete_of_values)(values, k)
+            row.append(MultiPoly.sum(
+                series[kind][k - b] * (psi**b).scale(coeffs[b])
+                for b in range(k + 1) if k - b < len(series[kind])
+            ))
+        rows.append(row)
+    return rows
 
 
 class ParamSequence:
@@ -536,7 +627,7 @@ def poly_payload(p: MultiPoly) -> dict:
 
 
 def from_json(data) -> MultiPoly:
-    return MultiPoly.from_pairs(
+    return from_pairs(
         ([(parse_variable(name), int(e)) for name, e in entry["exps"].items()], Fraction(entry["coeff"]))
         for entry in data
     )
@@ -567,7 +658,7 @@ def _sorted_monomial(pairs) -> tuple:
 
 def monomial(pairs, coeff=1) -> MultiPoly:
     """coeff times the product of v^e over the (variable, exponent) pairs."""
-    return MultiPoly.from_pairs([(_sorted_monomial(pairs), coeff)])
+    return from_pairs([(_sorted_monomial(pairs), coeff)])
 
 
 def terms(p: MultiPoly) -> list:
@@ -626,7 +717,7 @@ def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
             if target not in rem:
                 heapq.heappush(heap, (mono_sort_key(target), target))
             rem[target] = acc
-    return MultiPoly.from_pairs(quot.items())
+    return from_pairs(quot.items())
 
 
 def weighted_degrees(p: MultiPoly) -> set[int]:
@@ -643,7 +734,7 @@ def homogeneous_components(p: MultiPoly) -> list[MultiPoly]:
     buckets: dict[int, dict] = {}
     for mono, coeff in pair_terms(p):
         buckets.setdefault(pairs_weight(mono), {})[mono] = coeff
-    return [MultiPoly.from_pairs(buckets.get(d, {}).items()) for d in range(max(buckets, default=-1) + 1)]
+    return [from_pairs(buckets.get(d, {}).items()) for d in range(max(buckets, default=-1) + 1)]
 
 
 def ev_homomorphism(p: MultiPoly, semigroup: NumericalSemigroup) -> MultiPoly:

@@ -277,6 +277,28 @@ def test_exit_codes(capsys, argv, code):
     assert err.startswith("wtaut: data error: " if code == 3 else "wtaut: ")
 
 
+@pytest.mark.parametrize("genus", ["13", "0-3"])
+def test_schur_eval_takes_no_genus_flag(capsys, genus):
+    # Schur evaluation has no genus, so none is parsed, capped or ignored
+    with pytest.raises(SystemExit) as stop:
+        main(["schur-eval", "--genus", genus, "--partition", "1", "--values", "0"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --genus" in capsys.readouterr().err
+
+
+def test_class_reads_an_empty_selector_as_given(capsys):
+    code, out, err = _run(capsys, ["class", "--genus", "2", "--partition", ""])
+    assert code == 0, err
+    (record,) = json.loads(out)["payload"]
+    assert (record["class_pointed"]["text"], record["class_unpointed"]["text"]) == ("1", "0")
+    code, out, err = _run(capsys, ["class", "--genus", "2", "--gaps", ""])
+    assert (code, out) == (3, "")
+    assert err == "wtaut: data error: gap list has genus 0, not the requested 2\n"
+    code, out, err = _run(capsys, ["class", "--genus", "2", "--gaps", "1,3", "--partition", "1"])
+    assert (code, out) == (3, "")
+    assert "choose exactly one selector" in err
+
+
 @pytest.mark.parametrize(
     "values, value",
     [("0,1", "1"), ("2,3,4", "9")],

@@ -9,10 +9,12 @@ from oracles import (
     complete_in_x,
     double_schur,
     elementary_in_x,
+    from_pairs,
     full_slice_reduce,
     homogeneous_components,
     lambda_psi_monomials,
     mono_sort_key,
+    recursive_lambda_monomials,
     terms,
     to_lambda_basis,
     value_x_expansion,
@@ -125,7 +127,7 @@ def expand_orbits(orbits, g):
     for (rest, nu), coeff in orbits.items():
         for perm in set(permutations(nu + (0,) * (g - len(nu)))):
             pairs.append(([*rest, *((xvar(i), e) for i, e in enumerate(perm, start=1) if e)], coeff))
-    return MultiPoly.from_pairs(pairs)
+    return from_pairs(pairs)
 
 
 def _orbit_cases():
@@ -456,6 +458,13 @@ def test_lambda_monomials_counts():
             assert monos == sorted(monos, reverse=True)
             pairs = [tuple(lambda_ring(g, w).unpack(m)) for m in monos]
             assert pairs == sorted(pairs, key=mono_sort_key)
+
+
+def test_lambda_monomials_match_the_exponent_recursion():
+    # g = 1 at weight 1,200 is one partition of 1,200 parts
+    for g, w in [*((g, w) for g in range(1, 13) for w in range(25)), (1, 1200)]:
+        ring = lambda_ring(g, w)
+        assert lambda_monomials(g, w, ring) == recursive_lambda_monomials(g, w, ring), (g, w)
 
 
 def test_generators_reachable_at_genus_two():

@@ -18,6 +18,7 @@ from oracles import (
     partition_contains,
     ratio_factorial_schur,
     ratio_shifted_schur,
+    shifted_interval_matrix,
     to_lambda_basis,
 )
 from wtaut import schur
@@ -337,7 +338,8 @@ def test_psi_matrix_sizes(monkeypatch):
 def _forced_matrix(mu, g, variant, shift):
     """psi_matrix(mu, g, shift) in the given variant, whichever _variant picks."""
     ring = lambda_ring(g, mu.weight)
-    return [[_matrix_entry(kind, g, r, k, shift, ring) for k in ks] for kind, r, ks in _shape(mu, g, variant)]
+    shape = _shape(mu, g + shift, variant)
+    return [[_matrix_entry(kind, g, r, k, ring) for k in ks] for kind, r, ks in shape]
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,6 +368,18 @@ def test_psi_matrix_variants_agree(g, mu):
     assert kstar_schubert(mu, g) == dets[0]
     # the unit shift of the interval gives the Weierstrass convention
     assert virtual_class(mu, g).class_pointed == dets[1]
+
+
+def test_psi_matrix_raises_the_bound_where_the_intervals_were_shifted():
+    # {1..r} has the e and h of {0..r}, the interval of bound r + 1
+    for g in range(1, 6):
+        for mu in partitions_up_to(8, max_length=g):
+            for shift in (0, 1):
+                for variant in ("psi", "psi_prime"):
+                    expected = shifted_interval_matrix(mu, g, variant, shift)
+                    assert _forced_matrix(mu, g, variant, shift) == expected, (mu, g, variant, shift)
+                expected = shifted_interval_matrix(mu, g, _variant(mu, g, numeric=False), shift)
+                assert psi_matrix(mu, g, shift) == expected, (mu, g, shift)
 
 
 def test_elementary_of_values_are_the_interval_product_coefficients():

@@ -4,12 +4,17 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     ParamSequence,
     double_schur,
     ev_homomorphism,
     from_json,
+    from_pairs,
+    pairs_pushforward,
+    terms,
     to_lambda_basis,
     weighted_degrees,
 )
@@ -17,6 +22,7 @@ from wtaut.cli import json_text
 from wtaut.errors import DataError
 from wtaut.exactalg import MultiPoly, PSI, U, kap, lam, xvar
 from wtaut.pullback import kstar_power_sum, kstar_schubert
+from wtaut.schur import lambda_ring
 from wtaut.semigroups import (
     IndexSequence,
     NumericalSemigroup,
@@ -171,6 +177,43 @@ def test_pushforward_rule_examples():
     assert pushforward_rule(-L(1) + PSI_P.scale(3)) == K(0).scale(3)
     assert not pushforward_rule(MultiPoly.one())
     assert pushforward_rule(L(1) * PSI_P**2) == L(1) * K(1)
+
+
+# terms in lambda_1..lambda_3 and psi: psi-free ones, psi^1 (to kappa_0) and
+# psi powers of 128 and more, whose fields are wider than 8 bits
+_POINTED_TERMS = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 3), min_size=3, max_size=3),
+        st.one_of(st.integers(0, 4), st.integers(128, 300)),
+        st.integers(-5, 5).filter(bool),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_POINTED_TERMS)
+@example([([1, 0, 0], 0, 1), ([0, 0, 0], 1, 2), ([0, 2, 1], 200, -3)])
+def test_pushforward_moves_packed_terms_as_the_pairs_route_did(raw):
+    pointed = from_pairs(
+        ([*((lam(i), e) for i, e in enumerate(exps, start=1) if e), *([(PSI, m)] if m else [])], c)
+        for exps, m, c in raw
+    )
+    # in a layout of just its variables, and in the layout the classes use
+    for p in (pointed, pointed.recast(lambda_ring(3, pointed.degree()))):
+        pushed, expected = pushforward_rule(p), pairs_pushforward(p)
+        assert terms(pushed) == terms(expected)
+        assert json_text(pushed) == json_text(expected)
+        assert PSI not in pushed.variables()
+
+
+def test_unpointed_classes_are_the_pairs_pushforward_and_have_no_psi():
+    for g in range(1, 5):
+        for mu in partitions_up_to(6, max_length=g):
+            for unshifted in (False, True):
+                cycle = virtual_class(mu, g, unshifted)
+                assert cycle.class_unpointed == pairs_pushforward(cycle.class_pointed), (mu, g)
+                assert PSI not in cycle.class_unpointed.variables(), (mu, g)
 
 
 def test_pushforward_rejects_foreign_variables():
