@@ -557,7 +557,8 @@ def _parse_value(text: str) -> Fraction:
 
 def run_schur_eval(config: RunConfig, args: argparse.Namespace):
     kind, variables = args.kind, args.variables
-    values = args.values.split(",") if args.values else None
+    # an empty or blank --values is zero arguments, as _parse_flag reads --partition
+    values = None if args.values is None else args.values.split(",") if args.values.strip() else []
     mu = _parse_flag("--partition", args.partition, Partition.of)
     if (values is None) == (variables is None):
         raise DataError("choose exactly one of --values or --variables")

@@ -36,8 +36,13 @@ into the next one.  Builders choose the width from a degree bound before
 work starts (field_width); a product that would break the rule anyway is
 formed in a layout one bit wider.  Polynomials of one ring share one
 layout; two layouts meet, in sums and products, in the layout of the
-union of their variables at the larger width.  Determinants are one
-function, det; linear algebra over the integers is one kernel, Echelon.
+union of their variables at the larger width.  Terms are accumulated in
+one place, MultiPoly.sum, whose values may be pairs (a, b) that stand for
+the products a * b: addition, multiplication, the minors of det and the
+groups of a substitution are all such sums, and the result is one bit
+wider when a factor of some pair reaches the guard bit of the layout
+where all summands and factors meet.  Determinants are one function,
+det; linear algebra over the integers is one kernel, Echelon.
 """
 
 from __future__ import annotations
@@ -281,22 +286,41 @@ class MultiPoly:
         return cls({layout.units[var]: 1}, layout)
 
     @staticmethod
-    def sum(values: Iterable["MultiPoly | Scalar"]) -> "MultiPoly":
-        """The sum of the values, accumulated in one dict.
+    def sum(values: Iterable["MultiPoly | Scalar | tuple"]) -> "MultiPoly":
+        """The sum of the values, accumulated in one dict; a value may be a
+        pair (a, b), which stands for the product a * b.
 
-        Adding them one by one copies the growing partial sum at every
-        step; for k values of comparable size that costs about k/2 times
-        as much.
+        This is the one place where terms are accumulated: a + b is the
+        sum of [a, b], a * b that of [(a, b)], and the terms of each pair's
+        product go straight into the sum's dict, with no dict of their
+        own.  Adding the values one by one would copy the growing partial
+        sum at every step; for k values of comparable size that costs
+        about k/2 times as much.  The result's layout is the one where all
+        summands and factors meet, one bit wider if a factor of some pair
+        reaches the guard bit of that layout's fields, so that no product
+        carries.  A pair with a zero factor adds nothing, its layout
+        included.
         """
-        polys = [MultiPoly._wrap(value) for value in values]
-        layout = _EMPTY
-        for p in polys:
-            layout = layout.common(p.layout)
+        parts = [tuple(map(MultiPoly._wrap, v)) if type(v) is tuple else (MultiPoly._wrap(v),) for v in values]
+        parts = [part for part in parts if len(part) == 1 or all(part)]
+        layout = reduce(Layout.common, [p.layout for part in parts for p in part], _EMPTY)
+        width = layout.width
+        factors = [p for part in parts if len(part) == 2 for p in part]
+        if any(p.layout.width == width and p._or() & p.layout.guard for p in factors):  # a product could carry
+            layout = Layout.of(layout.variables, width + 1)
         acc: dict[Monomial, Scalar] = {}
         get = acc.get
-        for p in polys:
-            for mono, coeff in p.recast(layout)._terms.items():
-                acc[mono] = get(mono, 0) + coeff
+        for part in parts:
+            if len(part) == 1:
+                for mono, coeff in part[0].recast(layout)._terms.items():
+                    acc[mono] = get(mono, 0) + coeff
+                continue
+            a, b = sorted((p.recast(layout)._terms for p in part), key=len)  # the smaller factor outside
+            inner = b.items()
+            for ma, ca in a.items():
+                for mb, cb in inner:
+                    mono = ma + mb
+                    acc[mono] = get(mono, 0) + ca * cb
         return MultiPoly(acc, layout)
 
     @staticmethod
@@ -369,13 +393,7 @@ class MultiPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = MultiPoly._wrap(other)
-        layout = self.layout.common(other.layout)
-        out = dict(self.recast(layout)._terms)
-        get = out.get
-        for mono, coeff in other.recast(layout)._terms.items():
-            out[mono] = get(mono, 0) + coeff
-        return MultiPoly(out, layout)
+        return MultiPoly.sum((self, other))
 
     __radd__ = __add__
 
@@ -389,24 +407,7 @@ class MultiPoly:
         return MultiPoly._wrap(other) + (-self)
 
     def __mul__(self, other):
-        other = MultiPoly._wrap(other)
-        if not self._terms or not other._terms:
-            return MultiPoly.zero()
-        layout = self.layout.common(other.layout)
-        a, b = self.recast(layout), other.recast(layout)
-        if (a._or() | b._or()) & layout.guard:  # a field could carry: widen first
-            layout = Layout.of(layout.variables, layout.width + 1)
-            a, b = a.recast(layout), b.recast(layout)
-        if len(a._terms) > len(b._terms):  # iterate over the smaller factor
-            a, b = b, a
-        out: dict[Monomial, Scalar] = {}
-        get = out.get
-        outer, inner = a._terms.items(), b._terms.items()
-        for ma, ca in outer:
-            for mb, cb in inner:
-                mono = ma + mb
-                out[mono] = get(mono, 0) + ca * cb
-        return MultiPoly(out, layout)
+        return MultiPoly.sum([(self, other)])
 
     __rmul__ = __mul__
 
@@ -472,7 +473,7 @@ class MultiPoly:
             if e:
                 if (var, e) not in powers:
                     powers[var, e] = image**e
-                part = part * powers[var, e]
+                part = (part, powers[var, e])
             parts.append(part)
         return MultiPoly.sum(parts)
 
@@ -594,14 +595,16 @@ def det(rows: Sequence[Sequence[MultiPoly | Scalar]]) -> MultiPoly:
     MultiPoly or of Fractions, is expanded by Laplace with memoised
     minors: row i is expanded against the minors of rows i+1..n-1, each
     keyed by its set of columns, so every distinct minor is computed
-    once; zero entries and zero minors are skipped.  The minors are built
-    from the bottom row up because the bottom rows of a Kempf-Laksov
-    matrix hold its lowest-degree entries: the largest products are
-    first-row entries times (n-1)-minors, exactly those of cofactor
-    expansion along the first row.  Built from the top down instead, the
-    expansion multiplies large partial expansions of the upper rows,
-    which is 2 to 6 times slower on these matrices.  All C(n, k) minors of
-    k rows may be kept, so the cost grows like 2^n.
+    once, by one MultiPoly.sum over its pairs (+-entry, smaller minor),
+    with each entry negated once per row; zero entries and zero minors
+    are skipped.  The minors are built from the bottom row up because the
+    bottom rows of a Kempf-Laksov matrix hold its lowest-degree entries:
+    the largest products are first-row entries times (n-1)-minors,
+    exactly those of cofactor expansion along the first row.  Built from
+    the top down instead, the expansion multiplies large partial
+    expansions of the upper rows, which is 2 to 6 times slower on these
+    matrices.  All C(n, k) minors of k rows may be kept, so the cost grows
+    like 2^n.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -610,18 +613,16 @@ def det(rows: Sequence[Sequence[MultiPoly | Scalar]]) -> MultiPoly:
         return MultiPoly.constant(_bareiss(rows))
     minors: dict[int, MultiPoly | Scalar] = {0: 1}
     for row in reversed(rows):
-        larger: dict[int, MultiPoly | Scalar] = {}
+        signed = [(entry, -entry) for entry in row]
+        pairs: dict[int, list] = {}
         for cols, minor in minors.items():
             for j, entry in enumerate(row):
                 bit = 1 << j
                 if cols & bit or not entry:
                     continue
-                piece = entry * minor
-                if (cols & (bit - 1)).bit_count() & 1:
-                    piece = -piece
-                key = cols | bit
-                larger[key] = larger[key] + piece if key in larger else piece
-        minors = {cols: minor for cols, minor in larger.items() if minor}
+                sign = (cols & (bit - 1)).bit_count() & 1
+                pairs.setdefault(cols | bit, []).append((signed[j][sign], minor))
+        minors = {cols: minor for cols, summands in pairs.items() if (minor := MultiPoly.sum(summands))}
     return MultiPoly._wrap(minors.get((1 << n) - 1, 0))
 
 

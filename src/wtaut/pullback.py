@@ -80,10 +80,10 @@ def _power_sum_lambda(g: int, s: int) -> MultiPoly:
     sums = [MultiPoly.zero()]  # p_0 is never read: i < t keeps t - i >= 1
     for t in range(1, s + 1):
         lower = range(1, min(t - 1, g) + 1)
-        out = MultiPoly.sum(MultiPoly.variable(lam(i), ring) * sums[t - i] for i in lower)
+        terms = [(MultiPoly.variable(lam(i), ring), sums[t - i]) for i in lower]
         if t <= g:
-            out = out + MultiPoly.variable(lam(t), ring).scale(t)
-        sums.append(-out)
+            terms.append((t, MultiPoly.variable(lam(t), ring)))
+        sums.append(-MultiPoly.sum(terms))
     return sums[s]
 
 
@@ -132,7 +132,7 @@ def mumford_generators(g: int) -> tuple[tuple[int, MultiPoly], ...]:
     gens = []
     for k in range(1, g + 1):
         pairs = range(max(0, 2 * k - g), min(g, 2 * k) + 1)
-        gen = MultiPoly.sum((lams[i] * lams[2 * k - i]).scale((-1) ** i) for i in pairs)
+        gen = MultiPoly.sum((lams[i].scale((-1) ** i), lams[2 * k - i]) for i in pairs)
         gens.append((2 * k, gen))
     return tuple(gens)
 

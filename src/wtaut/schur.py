@@ -50,10 +50,13 @@ prod_a e_a^(d_a), a symmetric polynomial, so it is written orbit by
 orbit: its coefficient on the monomial symmetric function m_nu is the
 number of 0-1 matrices with row sums the factor indices a and column
 sums nu.  The orbit table of a product is built from the table with one
-factor e_a fewer by the pull rule
+factor e_a fewer by the push rule: the mass of each orbit mu, its
+coefficient times its orbit size, goes to sort(mu + 1_S) for each
+a-subset S of the places, and each orbit nu reached divides its mass by
+its own size (f symmetric),
 
-    [x^nu](f e_a) = sum over a-subsets S with nu - 1_S >= 0 of
-                    [x^sort(nu - 1_S)] f        (f symmetric),
+    [m_nu](f e_a) = sum_mu [m_mu] f * |orbit mu| * #{S : sort(mu + 1_S) = nu}
+                    / |orbit nu|,
 
 so only weakly decreasing nu are ever stored.  root_orbits sums the
 coefficients of the whole class per orbit and per psi power, and stops
@@ -242,7 +245,7 @@ def _matrix_entry(kind: str, g: int, r: int, k: int, ring: Layout) -> MultiPoly:
     while kind == "h" and len(series) <= k:
         b = len(series)
         lower = range(1, min(b, g) + 1)
-        series.append(-MultiPoly.sum(MultiPoly.variable(lam(i), ring) * series[b - i] for i in lower))
+        series.append(-MultiPoly.sum((MultiPoly.variable(lam(i), ring), series[b - i]) for i in lower))
     coeffs = _interval_coefficients(kind, r, k)
     return MultiPoly.sum(_entry_terms(series, coeffs, k, MultiPoly.variable(PSI, ring)))
 
@@ -329,16 +332,15 @@ def in_roots(p: MultiPoly, xs: tuple[Variable, ...]) -> MultiPoly:
 
 
 @lru_cache(maxsize=1 << 16)
-def _moves(vec: tuple[int, ...], a: int, step: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each sort(vec + step * 1_S) over a-subsets S of the places, with the
+def _moves(vec: tuple[int, ...], a: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each sort(vec + 1_S) over a-subsets S of the places, with the
     number of subsets S that give it.
 
-    vec is weakly decreasing and step is +1 or -1; for -1 only subsets
-    inside the support count.  Choosing j places of a run of n equal
+    vec is weakly decreasing.  Choosing j places of a run of n equal
     entries gives comb(n, j) subsets, and the result stays sorted when the
-    chosen places of a run are its first (step +1) or last (step -1).
-    Cached: the orbit tables of one class ask for each move about three
-    times (2,696 calls for 819 moves at (5,4,3,2), g = 6).
+    chosen places of a run are its first.  Cached: the orbit tables of one
+    class ask for each move about three times (955 calls for 297 moves at
+    (5,4,3,2), g = 6).
     """
     runs = [(v, len(list(group))) for v, group in groupby(vec)]
     out = []
@@ -349,16 +351,18 @@ def _moves(vec: tuple[int, ...], a: int, step: int) -> tuple[tuple[tuple[int, ..
                 out.append((head, ways))
             return
         v, n = runs[r]
-        top = min(n, left) if step > 0 or v else 0
-        for j in range(top + 1):
-            if step > 0:
-                piece = (v + 1,) * j + (v,) * (n - j)
-            else:
-                piece = (v,) * (n - j) + (v - 1,) * j
-            rec(r + 1, left - j, head + piece, ways * math.comb(n, j))
+        for j in range(min(n, left) + 1):
+            rec(r + 1, left - j, head + (v + 1,) * j + (v,) * (n - j), ways * math.comb(n, j))
 
     rec(0, a, (), 1)
     return tuple(out)
+
+
+@lru_cache(maxsize=1 << 16)
+def _orbit_size(nu: tuple[int, ...]) -> int:
+    """The number of distinct rearrangements of nu, g! / prod_i m_i! for
+    the multiplicities m_i of its entries."""
+    return math.factorial(len(nu)) // math.prod(math.factorial(len(list(run))) for _, run in groupby(nu))
 
 
 def _orbit_table(diffs: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], int]:
@@ -369,17 +373,18 @@ def _orbit_table(diffs: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], in
     number of 0-1 matrices whose row sums are the factor indices (a taken
     diffs_a times) and whose column sums are nu (Macdonald, Symmetric
     Functions and Hall Polynomials, I.6).  Built from the table with one
-    factor e_a fewer, a the largest index with diffs_a > 0, by the pull
-    rule
+    factor e_a fewer, a the largest index with diffs_a > 0, by the push
+    rule: the mass of f on the orbit of mu, its coefficient times the
+    orbit size, goes to each sort(mu + 1_S) once per a-subset S,
 
-        [x^nu](f e_a) = sum over a-subsets S with nu - 1_S >= 0 of
-                        [x^sort(nu - 1_S)] f,
+        mass of f e_a on nu = sum over mu of (mass of f on mu) *
+                              #{a-subsets S : sort(mu + 1_S) = nu},
 
-    which holds for symmetric f.  Every nu with a nonzero coefficient is
-    sort(mu + 1_S) for some mu of the smaller table.  memo maps exponent
-    vectors to their tables: the chain of smaller tables is walked down
-    to the first one in memo, then built back up with every step stored,
-    so no call recurses once per factor.
+    which holds for symmetric f; each new coefficient is its mass divided
+    by the orbit size of nu, exactly, as the coefficients are counts.
+    memo maps exponent vectors to their tables: the chain of smaller
+    tables is walked down to the first one in memo, then built back up
+    with every step stored, so no call recurses once per factor.
     """
     chain = []
     while diffs not in memo:
@@ -391,11 +396,12 @@ def _orbit_table(diffs: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], in
         diffs = diffs[: a - 1] + (diffs[a - 1] - 1,) + diffs[a:]
     table = memo[diffs]
     for diffs, a in reversed(chain):
-        candidates = {nu for mu in table for nu, _ in _moves(mu, a, 1)}
-        table = memo[diffs] = {
-            nu: sum(table.get(mu, 0) * ways for mu, ways in _moves(nu, a, -1))
-            for nu in candidates
-        }
+        mass: dict[tuple[int, ...], int] = {}
+        for mu, coeff in table.items():
+            weight = coeff * _orbit_size(mu)
+            for nu, ways in _moves(mu, a):
+                mass[nu] = mass.get(nu, 0) + weight * ways
+        table = memo[diffs] = {nu: m // _orbit_size(nu) for nu, m in mass.items()}
     return table
 
 

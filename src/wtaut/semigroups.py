@@ -305,14 +305,6 @@ def hprime_partition(seq: IndexSequence, genus: int) -> Partition:
     return part
 
 
-def sequence_from_hprime_partition(mu: Partition, genus: int) -> IndexSequence:
-    """Inverse of hprime_partition for partitions of length at most g."""
-    if mu.length > genus:
-        raise DataError("partition longer than the genus")
-    head = tuple(mu.part(i) + genus - i for i in range(1, genus + 1))
-    return IndexSequence(d=genus - 1, head=head)
-
-
 def is_realizable(seq: IndexSequence, genus: int) -> bool:
     """Whether some semigroup sequence dominates seq entrywise.
 

@@ -43,9 +43,9 @@ from .semigroups import (
     hprime_partition,
     is_realizable,
     semigroup_from_sequence,
-    sequence_from_hprime_partition,
     weierstrass_sequence,
 )
+from .tautring import in_staircase
 
 __all__ = [
     "CycleClass",
@@ -128,7 +128,10 @@ def virtual_class(mu: Partition, g: int, unshifted: bool = False) -> CycleClass:
     """Same formula driven by an arbitrary partition of length <= g.
 
     Flagged virtual when no semigroup sequence dominates the sequence
-    attached to mu.  unshifted=True returns the plain Schubert pullback
+    attached to mu, s_i = mu_i + g - i for i <= g with d = g - 1.  Its
+    bound s_i <= 2g - 2i is mu_i <= g - i, so the flag is read off mu
+    itself: virtual exactly when mu does not fit in the staircase
+    delta_(g-1).  unshifted=True returns the plain Schubert pullback
     kstar_schubert(mu, g), which for mu = (1) is g(g-1)/2 psi - lambda_1.
     """
     if mu.length > g:
@@ -142,7 +145,7 @@ def virtual_class(mu: Partition, g: int, unshifted: bool = False) -> CycleClass:
         partition=mu,
         class_pointed=pointed,
         class_unpointed=pushforward_rule(pointed),
-        virtual=not is_realizable(sequence_from_hprime_partition(mu, g), g),
+        virtual=not in_staircase(mu, g - 1),
     )
 
 

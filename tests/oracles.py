@@ -28,6 +28,10 @@ reached from `src/`.
 * `pairs_pushforward`: the pushforward psi^m -> kappa_(m-1) with every
   term unpacked to pairs and packed again by `from_pairs`, the route
   `pushforward_rule` took before it moved packed monomials.
+* `pull_moves`, `pull_orbit_table`: the orbit table of a product of
+  e_a(x) by the pull rule, each coefficient of f e_a gathered from the
+  table of f through the moves nu - 1_S, the route `schur._orbit_table`
+  took before it pushed each orbit's mass through the moves mu + 1_S.
 * `shifted_interval_matrix`: a Kempf-Laksov matrix whose interval values
   are all raised by a shift, the route `psi_matrix(mu, g, shift)` took
   before it raised the interval bound instead.
@@ -66,6 +70,9 @@ reached from `src/`.
 * `evaluate`: a polynomial at a point, the sum of coeff * prod v^e over
   its unpacked terms in Fractions, the reference for `substitute`.
 * `partition_contains`: Young diagram containment of two partitions.
+* `sequence_from_hprime_partition`: the index sequence of a partition,
+  the inverse of `hprime_partition`, through which `virtual_class` tested
+  its flag by `is_realizable` before it read the flag off the staircase.
 * `piecewise_hprime_partition`, `counted_dual_index_set`: the H'
   partition of a sequence by a formula piecewise around its last
   non-negative entry, and the dual index set with its virtual
@@ -80,6 +87,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 from wtaut.exactalg import PSI, U, Echelon, Layout, MultiPoly, Variable, det, field_width, kap, lam, xvar
 from wtaut.pullback import lambda_monomials, mumford_generators
@@ -463,6 +471,59 @@ def pairs_pushforward(pointed: MultiPoly) -> MultiPoly:
     return from_pairs(out)
 
 
+@lru_cache(maxsize=None)
+def pull_moves(vec: tuple[int, ...], a: int, step: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each sort(vec + step * 1_S) over a-subsets S of the places, with the
+    number of subsets S that give it; step is +1 or -1, and for -1 only
+    subsets inside the support count.  The chosen places of a run of
+    equal entries are its first (step +1) or last (step -1)."""
+    runs = [(v, len(list(group))) for v, group in groupby(vec)]
+    out = []
+
+    def rec(r: int, left: int, head: tuple[int, ...], ways: int) -> None:
+        if r == len(runs):
+            if not left:
+                out.append((head, ways))
+            return
+        v, n = runs[r]
+        top = min(n, left) if step > 0 or v else 0
+        for j in range(top + 1):
+            if step > 0:
+                piece = (v + 1,) * j + (v,) * (n - j)
+            else:
+                piece = (v,) * (n - j) + (v - 1,) * j
+            rec(r + 1, left - j, head + piece, ways * math.comb(n, j))
+
+    rec(0, a, (), 1)
+    return tuple(out)
+
+
+def pull_orbit_table(diffs: tuple[int, ...], memo: dict) -> dict[tuple[int, ...], int]:
+    """schur._orbit_table by the pull rule
+
+        [x^nu](f e_a) = sum over a-subsets S with nu - 1_S >= 0 of
+                        [x^sort(nu - 1_S)] f        (f symmetric),
+
+    over the candidates nu = sort(mu + 1_S) of the smaller table's mu,
+    a the largest index with diffs_a > 0; the same signature and memo."""
+    chain = []
+    while diffs not in memo:
+        a = max((i for i, d in enumerate(diffs, start=1) if d), default=0)
+        if not a:
+            memo[diffs] = {diffs: 1}
+            break
+        chain.append((diffs, a))
+        diffs = diffs[: a - 1] + (diffs[a - 1] - 1,) + diffs[a:]
+    table = memo[diffs]
+    for diffs, a in reversed(chain):
+        candidates = {nu for mu in table for nu, _ in pull_moves(mu, a, 1)}
+        table = memo[diffs] = {
+            nu: sum(table.get(mu, 0) * ways for mu, ways in pull_moves(nu, a, -1))
+            for nu in candidates
+        }
+    return table
+
+
 def shifted_interval_matrix(mu: Partition, g: int, variant: str, shift: int) -> list[list[MultiPoly]]:
     """The Kempf-Laksov matrix of mu at genus g in the variant, with each
     row's interval the list {shift..r-1+shift} for its bound r at g.
@@ -766,6 +827,14 @@ def evaluate(p: MultiPoly, point) -> Fraction:
 def partition_contains(outer: Partition, inner: Partition) -> bool:
     """Young diagram containment: inner fits inside outer."""
     return all(inner.part(i) <= outer.part(i) for i in range(1, inner.length + 1))
+
+
+def sequence_from_hprime_partition(mu: Partition, genus: int) -> IndexSequence:
+    """Inverse of hprime_partition for partitions of length at most g."""
+    if mu.length > genus:
+        raise DataError("partition longer than the genus")
+    head = tuple(mu.part(i) + genus - i for i in range(1, genus + 1))
+    return IndexSequence(d=genus - 1, head=head)
 
 
 def piecewise_hprime_partition(seq: IndexSequence, genus: int) -> Partition:

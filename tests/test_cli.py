@@ -299,6 +299,24 @@ def test_class_reads_an_empty_selector_as_given(capsys):
     assert "choose exactly one selector" in err
 
 
+@pytest.mark.parametrize("empty", ["", " "])
+def test_schur_eval_reads_empty_values_as_zero_arguments(capsys, empty):
+    code, out, err = _run(capsys, ["schur-eval", "--partition", "2,1", "--values", empty])
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert (payload["arguments"], payload["value"]["text"]) == ([], "0")
+    code, out, err = _run(capsys, ["schur-eval", "--kind", "factorial", "--partition", "2,1", "--values", empty])
+    assert (code, out) == (3, "")
+    assert err == "wtaut: data error: insufficient variables\n"
+    code, out, err = _run(capsys, ["schur-eval", "--partition", "", "--values", empty])
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert (payload["arguments"], payload["value"]["text"]) == ([], "1")
+    code, out, err = _run(capsys, ["schur-eval", "--partition", "2,1", "--values", empty, "--variables", "0"])
+    assert (code, out) == (3, "")
+    assert "choose exactly one of --values or --variables" in err
+
+
 @pytest.mark.parametrize(
     "values, value",
     [("0,1", "1"), ("2,3,4", "9")],

@@ -18,8 +18,10 @@ from oracles import (
     exact_div,
     from_json,
     integer_rows,
+    from_pairs,
     mono_sort_key,
     monomial,
+    pair_terms,
     pairs_mul,
     pairs_weight,
     parse_variable,
@@ -585,6 +587,68 @@ def test_a_product_that_would_carry_is_widened_not_wrapped():
         layout.pack([(xvar(1), 256)])
     with pytest.raises(ValueError):  # a narrower layout cannot hold x1^300
         high.recast(layout)
+
+
+_KERNEL_VARS = [lam(1), lam(2), PSI, xvar(1), kap(0)]
+# at and past the guard bit of an 8-bit field, and small ones
+_KERNEL_EXPONENTS = st.sampled_from([0, 1, 2, 3, 127, 128, 129, 200, 255])
+_kernel_scalars = st.integers(-3, 3) | st.fractions(Fraction(-2), Fraction(2), max_denominator=3)
+
+
+@st.composite
+def _kernel_polys(draw):
+    """Up to 3 terms in a layout of 0 to 3 variables, 8 or 9 bits wide."""
+    variables = draw(st.lists(st.sampled_from(_KERNEL_VARS), unique=True, max_size=3))
+    layout = Layout.of(variables, draw(st.sampled_from([8, 9])))
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        mono = layout.pack((v, draw(_KERNEL_EXPONENTS)) for v in layout.variables)
+        terms[mono] = draw(_kernel_scalars.filter(bool))
+    return MultiPoly(terms, layout)
+
+
+_kernel_values = st.one_of(_kernel_polys(), _kernel_scalars)
+
+
+def _meeting_layout(values):
+    """The layout of the sum by the rule of common and then widening per product:
+    the two factors meet, one bit wider if either reaches that layout's guard
+    bit, a product with a zero factor is zero in the empty layout, and the
+    summands meet in the common layout of all of them."""
+    layout = Layout.of(())
+    for value in values:
+        if isinstance(value, tuple):
+            a, b = map(MultiPoly._wrap, value)
+            if not a or not b:
+                continue
+            here = a.layout.common(b.layout)
+            if (a.recast(here)._or() | b.recast(here)._or()) & here.guard:
+                here = Layout.of(here.variables, here.width + 1)
+        else:
+            here = MultiPoly._wrap(value).layout
+        layout = layout.common(here)
+    return layout
+
+
+@given(st.lists(_kernel_values | st.tuples(_kernel_values, _kernel_values), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_sum_of_values_and_pairs_matches_the_pair_fold(values):
+    folded = {}
+    for value in values:
+        products = [((), 1)]
+        for factor in value if isinstance(value, tuple) else (value,):
+            products = [
+                (pairs_mul(mono, fmono), coeff * fcoeff)
+                for mono, coeff in products
+                for fmono, fcoeff in pair_terms(MultiPoly._wrap(factor))
+            ]
+        for mono, coeff in products:
+            folded[mono] = folded.get(mono, 0) + coeff
+    total = MultiPoly.sum(values)
+    assert dict(pair_terms(total)) == {mono: coeff for mono, coeff in folded.items() if coeff}
+    assert total == from_pairs(folded.items())
+    expected = _meeting_layout(values)
+    assert (total.layout.variables, total.layout.width) == (expected.variables, expected.width)
 
 
 def test_layouts_meet_in_the_union_of_their_variables():

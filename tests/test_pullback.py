@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import pytest
 
@@ -14,13 +15,14 @@ from oracles import (
     homogeneous_components,
     lambda_psi_monomials,
     mono_sort_key,
+    pull_orbit_table,
     recursive_lambda_monomials,
     terms,
     to_lambda_basis,
     value_x_expansion,
     weighted_degrees,
 )
-from wtaut.exactalg import MultiPoly, PSI, U, kap, lam, xvar
+from wtaut.exactalg import MultiPoly, PSI, U, det, kap, lam, xvar
 from wtaut.pullback import (
     _mumford_pivots,
     bernoulli,
@@ -32,7 +34,7 @@ from wtaut.pullback import (
     mumford_reduce,
     smooth_power_sum,
 )
-from wtaut.schur import _orbit_table, in_roots, lambda_ring, root_orbits
+from wtaut.schur import _orbit_table, in_roots, lambda_ring, psi_matrix, root_orbits
 from wtaut.semigroups import Partition, partitions_up_to
 
 PSI_P = MultiPoly.variable(PSI)
@@ -180,6 +182,18 @@ def test_orbit_table_is_the_dominant_part_of_the_full_table():
                 vec: c for vec, c in full if all(vec[i] >= vec[i + 1] for i in range(g - 1))
             }
             assert _orbit_table(diffs, {}) == dominant, (g, diffs)
+
+
+def test_root_orbits_push_and_pull_rules_agree():
+    # keys, their order and the coefficients, for the classes of both conventions
+    for g in range(1, 7):
+        for mu in partitions_up_to(8, max_length=g):
+            for shift in (0, 1):
+                value = det(psi_matrix(mu, g, shift))
+                pushed = root_orbits(value, g)
+                with mock.patch("wtaut.schur._orbit_table", pull_orbit_table):
+                    pulled = root_orbits(value, g)
+                assert list(pushed.items()) == list(pulled.items()), (mu, g, shift)
 
 
 # -- power sums -------------------------------------------------------------------

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import counted_dual_index_set, partition_contains, piecewise_hprime_partition
+from oracles import (
+    counted_dual_index_set,
+    partition_contains,
+    piecewise_hprime_partition,
+    sequence_from_hprime_partition,
+)
 from wtaut import semigroups
 from wtaut.errors import DataError, ResourceError
 from wtaut.semigroups import (
@@ -22,7 +27,6 @@ from wtaut.semigroups import (
     partitions_up_to,
     semigroup_from_sequence,
     semigroup_record,
-    sequence_from_hprime_partition,
     weierstrass_sequence,
 )
 from wtaut.tautring import HilbertReport

@@ -14,6 +14,7 @@ from oracles import (
     from_json,
     from_pairs,
     pairs_pushforward,
+    sequence_from_hprime_partition,
     terms,
     to_lambda_basis,
     weighted_degrees,
@@ -29,9 +30,11 @@ from wtaut.semigroups import (
     Partition,
     enumerate_semigroups,
     hprime_partition,
+    is_realizable,
     partitions_up_to,
     weierstrass_sequence,
 )
+from wtaut.tautring import violating_partitions
 from wtaut.wcycles import (
     intersection_nonempty,
     push_to_unpointed,
@@ -153,6 +156,22 @@ def test_virtual_class_examples():
     assert virtual_class(Partition(()), 3).class_pointed == 1
     flagged = virtual_class(Partition((3,)), 1)
     assert flagged.virtual
+
+
+def test_virtual_flag_is_the_realizability_of_the_partitions_sequence():
+    # The flag is read off mu (the staircase delta_(g-1)); the old route
+    # built mu's index sequence and tested its bounds.  The relations of
+    # tautring escape delta_g instead, so they are all flagged, but
+    # not every flagged partition is a relation.
+    for g in range(1, 9):
+        flagged = set()
+        for mu in partitions_up_to(12, max_length=g):
+            virtual = virtual_class(mu, g).virtual
+            assert virtual == (not is_realizable(sequence_from_hprime_partition(mu, g), g)), (mu, g)
+            if virtual:
+                flagged.add(mu)
+        assert set(violating_partitions(g, 12)) <= flagged
+    assert virtual_class(Partition((2,)), 2).virtual and Partition((2,)) not in violating_partitions(2, 2)
 
 
 def test_virtual_class_rejects_long_partitions():
