@@ -9,12 +9,10 @@ bounds for tautological rings, all in exact rational arithmetic.
 from .exactalg import (
     MultiPoly,
     PSI,
-    U,
     Variable,
     det,
     kap,
     lam,
-    xvar,
     zvar,
 )
 from .errors import DataError, ResourceError
@@ -29,16 +27,9 @@ from .pullback import (
 )
 from .schur import factorial_schur, in_roots, psi_matrix, root_orbits, shifted_schur
 from .semigroups import (
-    IndexSequence,
     NumericalSemigroup,
     Partition,
-    dual_index_set,
     enumerate_semigroups,
-    hprime_partition,
-    is_realizable,
-    partition_from_sequence,
-    semigroup_from_sequence,
-    weierstrass_sequence,
 )
 from .tautring import (
     HilbertReport,
@@ -49,7 +40,6 @@ from .tautring import (
 )
 from .wcycles import (
     CycleClass,
-    intersection_nonempty,
     push_to_unpointed,
     virtual_class,
     weierstrass_class,

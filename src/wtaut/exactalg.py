@@ -62,10 +62,8 @@ __all__ = [
     "det",
     "lam",
     "kap",
-    "xvar",
     "zvar",
     "PSI",
-    "U",
     "Echelon",
 ]
 
@@ -127,16 +125,11 @@ def kap(j: int) -> Variable:
     return Variable("kappa", j)
 
 
-def xvar(i: int) -> Variable:
-    return Variable("x", i)
-
-
 def zvar(i: int) -> Variable:
     return Variable("z", i)
 
 
 PSI = Variable("psi")
-U = Variable("u")
 
 
 # A monomial is an int packed by the Layout of its polynomial: the

@@ -1,25 +1,21 @@
-"""Numerical semigroups, gap sequences, and Schubert index combinatorics.
+"""Numerical semigroups, their gap lists, and partitions.
 
 A numerical semigroup of genus g is a cofinite additive subsemigroup of
-the non-negative integers with exactly g gaps.  Each semigroup has a
-strictly decreasing index sequence s_1 > s_2 > ... with virtual
-cardinality g - 1 (the gaps shifted down by one, padded with the tail
-s_i = g - 1 - i).  Seen as a set of integers (its Maya diagram), a
-sequence of virtual cardinality d has the partition mu_i = s_i + i - d,
-trailing zeros dropped (partition_from_sequence); that is the one rule
-from sequences to partitions.  The semigroups are recorded under two
-Grassmannian component conventions:
+the non-negative integers with exactly g gaps a_1 < ... < a_g, and every
+datum of it is read off that list.  Its index sequence is
+s_i = a_(g+1-i) - 1 for i <= g, with the tail s_i = g - 1 - i beyond.
+The semigroups are recorded under two Grassmannian component
+conventions, both partitions of length at most g:
 
-* partition_from_sequence of the sequence itself, of virtual cardinality
-  g - 1;
-* hprime_partition, the component of index g, where -1 never occurs:
-  partition_from_sequence of the sequence with every negative entry
-  raised by one, of virtual cardinality g.
+* index g - 1: (a_g - g + 1, ..., a_2 - 1, a_1), every part positive;
+* index g, where -1 is never in the sequence: (a_g - g, ..., a_1 - 1) with
+  zeros dropped, NumericalSemigroup.partition.  The parts weakly
+  decrease because a_(j+1) > a_j, and they are non-negative because
+  a_j >= j.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from typing import Iterable, Iterator, Optional
 
@@ -28,14 +24,7 @@ from .errors import DataError, ResourceError
 __all__ = [
     "Partition",
     "NumericalSemigroup",
-    "IndexSequence",
     "enumerate_semigroups",
-    "weierstrass_sequence",
-    "semigroup_from_sequence",
-    "partition_from_sequence",
-    "hprime_partition",
-    "is_realizable",
-    "dual_index_set",
     "partitions_of",
     "partitions_up_to",
     "semigroup_record",
@@ -142,6 +131,12 @@ class NumericalSemigroup(namedtuple("NumericalSemigroup", "genus gaps")):
         return self.gaps[-1] if self.gaps else -1
 
     @property
+    def partition(self) -> Partition:
+        """(a_g - g, ..., a_1 - 1) with zeros dropped: the partition of
+        the cycle of points with this semigroup (index-g convention)."""
+        return Partition.of(a - j for j, a in reversed(list(enumerate(self.gaps, 1))))
+
+    @property
     def multiplicity(self) -> int:
         """Smallest nonzero element."""
         m = 1
@@ -170,62 +165,25 @@ class NumericalSemigroup(namedtuple("NumericalSemigroup", "genus gaps")):
 
 
 def _closure_witness(gaps: set[int]) -> Optional[tuple[int, int]]:
-    """Pair of non-gaps whose sum is a gap, or None if closed.
+    """First pair x <= y of non-gaps, in lexicographic order, whose sum is
+    a gap, or None if closed.
 
-    Sums above the largest gap are always non-gaps, so checking
-    x + y <= max(gaps) is a complete test.
+    Sums above the largest gap are always non-gaps, so x <= top / 2.  For
+    each non-gap x the first y is z - x for the smallest gap z >= 2x with
+    z - x a non-gap.  No list up to the largest gap is built, and the
+    walk is short: closed gaps have top <= 2g - 1, and otherwise at most
+    g values of x are gaps and at most g more have top - x a gap, so a
+    witness turns up by x = 2g + 1.
     """
-    if not gaps:
-        return None
-    top = max(gaps)
-    nongaps = [n for n in range(1, top + 1) if n not in gaps]
-    for x, y in itertools.combinations_with_replacement(nongaps, 2):
-        if x + y <= top and (x + y) in gaps:
-            return (x, y)
+    ordered = sorted(gaps)
+    top = ordered[-1] if ordered else 0
+    for x in range(1, top // 2 + 1):
+        if x in gaps:
+            continue
+        for z in ordered:
+            if z >= 2 * x and z - x not in gaps:
+                return (x, z - x)
     return None
-
-
-class IndexSequence(namedtuple("IndexSequence", "d head")):
-    """Strictly decreasing integer sequence with eventual tail s_i = d - i.
-
-    Only the exceptional head is stored; d is the virtual cardinality of
-    the realized set.  The head is kept minimal: a trailing entry equal
-    to the tail value at its position is absorbed into the tail.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, d: int, head: Iterable[int] = ()) -> "IndexSequence":
-        head = tuple(int(s) for s in head)
-        # normalize: drop trailing entries that already obey the tail rule
-        while head and head[-1] == d - len(head):
-            head = head[:-1]
-        if any(head[i] <= head[i + 1] for i in range(len(head) - 1)):
-            raise DataError("index sequence must be strictly decreasing")
-        if head and head[-1] <= d - (len(head) + 1):
-            raise DataError("head does not decrease into the tail")
-        return super().__new__(cls, d, head)
-
-    @property
-    def head_length(self) -> int:
-        return len(self.head)
-
-    def s(self, i: int) -> int:
-        """1-based entry, tail rule beyond the head."""
-        if i < 1:
-            raise IndexError("entries are 1-based")
-        if i <= len(self.head):
-            return self.head[i - 1]
-        return self.d - i
-
-    def contains(self, n: int) -> bool:
-        return n in self.head or n <= self.d - (len(self.head) + 1)
-
-    def entries(self, count: int) -> tuple[int, ...]:
-        return tuple(self.s(i) for i in range(1, count + 1))
-
-    def __repr__(self) -> str:
-        return f"IndexSequence(d={self.d}, head={list(self.head)})"
 
 
 def enumerate_semigroups(genus: int, max_genus: int = DEFAULT_MAX_GENUS) -> list[NumericalSemigroup]:
@@ -252,96 +210,13 @@ def enumerate_semigroups(genus: int, max_genus: int = DEFAULT_MAX_GENUS) -> list
     return sorted(level, key=lambda h: h.gaps)
 
 
-def weierstrass_sequence(semigroup: NumericalSemigroup) -> IndexSequence:
-    """Index sequence of a semigroup: s_i = a_{g-i+1} - 1, tail g - 1 - i."""
-    g = semigroup.genus
-    head = tuple(semigroup.gaps[g - i] - 1 for i in range(1, g + 1))
-    return IndexSequence(d=g - 1, head=head)
-
-
-def semigroup_from_sequence(seq: IndexSequence) -> Optional[NumericalSemigroup]:
-    """Invert weierstrass_sequence: the set of n with n - 1 not in the sequence.
-
-    Returns None when that set is not a numerical semigroup (not contained
-    in the non-negative integers, missing 0, or not additively closed).
-    """
-    # every integer <= -2 must lie in the sequence, else a negative number
-    # would be a member of the candidate set; -1 must not, else 0 is a gap
-    low = seq.d - (seq.head_length + 1)
-    if seq.contains(-1) or not all(seq.contains(n) for n in range(low, -1)):
-        return None
-    gaps = [n for n in range(1, max(seq.head, default=0) + 2) if seq.contains(n - 1)]
-    try:
-        return NumericalSemigroup.from_gaps(gaps)
-    except DataError:  # not additively closed
-        return None
-
-
-def partition_from_sequence(seq: IndexSequence) -> Partition:
-    """mu_i = s_i + i - d with trailing zeros dropped.
-
-    A strictly decreasing sequence with tail d - i has s_i >= d - i, so
-    every mu_i is non-negative, and the mu_i weakly decrease.
-    """
-    return Partition.of(s + i - seq.d for i, s in enumerate(seq.head, start=1))
-
-
-def hprime_partition(seq: IndexSequence, genus: int) -> Partition:
-    """Partition of a genus-g sequence under the index-g component convention.
-
-    Requires the tail rule s_i = g - 1 - i and -1 not in the sequence.
-    Raising every negative entry by one closes the gap at -1 and gives a
-    sequence of virtual cardinality g, whose partition_from_sequence this
-    is.  The result has length at most g.
-    """
-    if seq.d != genus - 1:
-        raise DataError("sequence is not in the genus-g component")
-    if seq.contains(-1):
-        raise DataError("sequence not in H'")
-    raised = [s + (s < 0) for s in seq.entries(max(seq.head_length, genus))]
-    part = partition_from_sequence(IndexSequence(genus, raised))
-    if part.length > genus:
-        raise DataError("partition length exceeds the genus")
-    return part
-
-
-def is_realizable(seq: IndexSequence, genus: int) -> bool:
-    """Whether some semigroup sequence dominates seq entrywise.
-
-    Equivalent bound test: s_i <= 2g - 2i for i <= g and
-    s_i <= g - i - 1 beyond.
-    """
-    horizon = max(seq.head_length, genus)
-    for i in range(1, horizon + 1):
-        bound = 2 * genus - 2 * i if i <= genus else genus - i - 1
-        if seq.s(i) > bound:
-            return False
-    # beyond the head the tail rule gives s_i = d - i <= g - i - 1
-    # exactly when d <= g - 1
-    return seq.d <= genus - 1
-
-
-def dual_index_set(seq: IndexSequence) -> IndexSequence:
-    """The index set {m : -1 - m not in seq}, as an IndexSequence.
-
-    For the sequence of a semigroup H this is -H; the operation is an
-    involution.
-    """
-    # m > hi implies -1 - m lies in the tail of seq, so m is excluded;
-    # m < lo implies -1 - m exceeds every entry of seq, so m belongs.
-    # Reflection m -> -1 - m negates the charge (the virtual cardinality).
-    hi = seq.head_length - seq.d
-    lo = min(-2 - max(seq.head, default=seq.d - seq.head_length - 1), -1)
-    return IndexSequence(-seq.d, [m for m in range(hi, lo - 1, -1) if not seq.contains(-1 - m)])
-
-
 def semigroup_record(semigroup: NumericalSemigroup) -> dict:
     """JSON-ready record with the sequence head and both partitions."""
-    seq = weierstrass_sequence(semigroup)
+    gaps = semigroup.gaps
     return {
         "genus": semigroup.genus,
-        "gaps": list(semigroup.gaps),
-        "sequence_head": list(seq.head),
-        "partition_gr_gm1": list(partition_from_sequence(seq)),
-        "partition_hprime": list(hprime_partition(seq, semigroup.genus)),
+        "gaps": list(gaps),
+        "sequence_head": [a - 1 for a in reversed(gaps)],
+        "partition_gr_gm1": [a - j + 1 for j, a in reversed(list(enumerate(gaps, 1)))],
+        "partition_hprime": list(semigroup.partition),
     }

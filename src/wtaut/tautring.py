@@ -7,8 +7,8 @@ weights i and 1.  Two ideals sandwich the (unknown) tautological ring R:
   partitions (those whose index sequence cannot be dominated by a
   semigroup sequence), giving an upper bound h_d(A/I) >= h_d(R);
 * I_ev is the kernel of the evaluation at all monomial fixed points,
-  lambda_i -> e_i(s_1 + 1, ..., s_g + 1) psi^i per semigroup, giving a
-  lower bound h_d(A/I_ev) <= h_d(R).
+  lambda_i -> e_i(a_1, ..., a_g) psi^i for the gaps a_1 < ... < a_g of
+  each semigroup, giving a lower bound h_d(A/I_ev) <= h_d(R).
 
 The upper bound has a closed form, a count of partitions inside the
 staircase (see `hilbert_quotient_upper`).  The lower bound is the rank
@@ -28,14 +28,7 @@ from .errors import DataError
 from .exactalg import Echelon, MultiPoly
 from .pullback import kstar_schubert, lambda_monomials
 from .schur import elementary_of_values, lambda_ring
-from .semigroups import (
-    DEFAULT_MAX_GENUS,
-    NumericalSemigroup,
-    Partition,
-    enumerate_semigroups,
-    partitions_up_to,
-    weierstrass_sequence,
-)
+from .semigroups import DEFAULT_MAX_GENUS, Partition, enumerate_semigroups, partitions_up_to
 
 __all__ = [
     "HilbertReport",
@@ -113,22 +106,13 @@ def hilbert_quotient_upper(g: int, cutoff: int) -> list[int]:
     return [sum(1 for w in weights if w <= d) for d in range(cutoff + 1)]
 
 
-def _fixed_point_values(semigroup: NumericalSemigroup) -> list[int]:
-    """e_0..e_g of s_1 + 1, ..., s_g + 1.
-
-    lambda_i evaluates to e_i psi^i at the monomial fixed point of the
-    semigroup.
-    """
-    seq = weierstrass_sequence(semigroup)
-    g = semigroup.genus
-    return elementary_of_values([seq.s(i) + 1 for i in range(1, g + 1)], g)
-
-
 def hilbert_quotient_lower(g: int, cutoff: int, max_genus: int = DEFAULT_MAX_GENUS) -> list[int]:
     """Rank of the fixed-point evaluation on each degree slice.
 
-    A monomial lambda^m psi^(d - |m|) evaluates to prod_a e_a^(m_a)
-    psi^d at every fixed point, so psi changes no coefficient: h_d is
+    At the monomial fixed point of a semigroup with gaps a_1 < ... < a_g,
+    lambda_i evaluates to e_i(a_1, ..., a_g) psi^i, so a monomial
+    lambda^m psi^(d - |m|) evaluates to prod_i e_i^(m_i) psi^d at every
+    fixed point, and psi changes no coefficient: h_d is
     the rank of the evaluation on the lambda-monomials of weight <= d.
     Row rank equals column rank, so each lambda-monomial is one integer
     row of its values at the N_g fixed points, the rows are added to one
@@ -145,7 +129,7 @@ def hilbert_quotient_lower(g: int, cutoff: int, max_genus: int = DEFAULT_MAX_GEN
     multiple of it: such a multiple is, on the points, a combination of
     smaller monomials, all in the span already.  So it gets no row.
     """
-    tables = [_fixed_point_values(h) for h in enumerate_semigroups(g, max_genus)]
+    tables = [elementary_of_values(h.gaps, g) for h in enumerate_semigroups(g, max_genus)]
     ring = lambda_ring(g, cutoff)
     echelon = Echelon()
     dependent: list[int] = []

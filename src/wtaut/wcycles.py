@@ -1,7 +1,8 @@
 """Weierstrass cycle classes on pointed moduli and their pushforwards.
 
-The class of the cycle attached to a semigroup H of genus g is driven by
-the partition mu of its index sequence (index-g component convention):
+The class of the cycle attached to a semigroup H of genus g with gaps
+a_1 < ... < a_g is driven by its partition mu = (a_g - g, ..., a_1 - 1),
+zeros dropped (NumericalSemigroup.partition):
 
     [W_H] = u^|mu| * s*_mu(z_1..z_g),   z_i = (x_i + (i - g - 1) u) / u,
 
@@ -36,15 +37,7 @@ from typing import NamedTuple, Optional
 from .errors import DataError
 from .exactalg import Layout, MultiPoly, PSI, det, kap
 from .schur import psi_matrix
-from .semigroups import (
-    IndexSequence,
-    NumericalSemigroup,
-    Partition,
-    hprime_partition,
-    is_realizable,
-    semigroup_from_sequence,
-    weierstrass_sequence,
-)
+from .semigroups import NumericalSemigroup, Partition
 from .tautring import in_staircase
 
 __all__ = [
@@ -52,7 +45,6 @@ __all__ = [
     "weierstrass_class",
     "virtual_class",
     "push_to_unpointed",
-    "intersection_nonempty",
     "pushforward_rule",
 ]
 
@@ -112,16 +104,16 @@ def pushforward_rule(pointed: MultiPoly) -> MultiPoly:
 def weierstrass_class(semigroup: NumericalSemigroup, unshifted: bool = False) -> CycleClass:
     """Cycle class of the locus of points with the given semigroup.
 
-    This is virtual_class of the partition of its index sequence with the
-    semigroup attached; the semigroup's own sequence realizes that
-    partition, so the class is never flagged virtual.  unshifted=True
-    returns the plain Schubert pullback kstar_schubert(mu, g) instead; for
-    mu = (1) that is g(g-1)/2 psi - lambda_1 rather than g(g+1)/2 psi -
-    lambda_1.
+    This is virtual_class of semigroup.partition, (a_g - g, ..., a_1 - 1)
+    with zeros dropped, with the semigroup attached.  Its parts obey
+    a_j - j <= j - 1, since each of the a_j - j non-gaps x below a_j
+    gives a gap a_j - x below it, so mu fits in the staircase
+    delta_(g-1) and the class is never flagged virtual.  unshifted=True
+    returns the plain Schubert pullback kstar_schubert(mu, g) instead;
+    for mu = (1) that is g(g-1)/2 psi - lambda_1 rather than
+    g(g+1)/2 psi - lambda_1.
     """
-    g = semigroup.genus
-    mu = hprime_partition(weierstrass_sequence(semigroup), g)
-    return virtual_class(mu, g, unshifted)._replace(semigroup=semigroup)
+    return virtual_class(semigroup.partition, semigroup.genus, unshifted)._replace(semigroup=semigroup)
 
 
 def virtual_class(mu: Partition, g: int, unshifted: bool = False) -> CycleClass:
@@ -156,15 +148,3 @@ def push_to_unpointed(cycle: CycleClass, substitute_kappa0: bool = False) -> Mul
         out = out.substitute({kap(0): MultiPoly.constant(2 * cycle.genus - 2)})
     return out
 
-
-def intersection_nonempty(seq: IndexSequence, g: int, closed: bool) -> bool:
-    """Cell-intersection criterion for the locus of curves with disks.
-
-    closed=False tests the open cell: the complement set must be a
-    numerical semigroup of genus g.  closed=True tests the cycle closure
-    via the entrywise bounds (some semigroup sequence dominates seq).
-    """
-    if closed:
-        return is_realizable(seq, g)
-    semigroup = semigroup_from_sequence(seq)
-    return semigroup is not None and semigroup.genus == g

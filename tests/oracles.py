@@ -70,6 +70,16 @@ reached from `src/`.
 * `evaluate`: a polynomial at a point, the sum of coeff * prod v^e over
   its unpacked terms in Fractions, the reference for `substitute`.
 * `partition_contains`: Young diagram containment of two partitions.
+* `IndexSequence`, `weierstrass_sequence`, `semigroup_from_sequence`,
+  `partition_from_sequence`, `hprime_partition`, `is_realizable`,
+  `dual_index_set`, `intersection_nonempty`: a semigroup as its index
+  sequence s_i = a_(g+1-i) - 1 (a Maya diagram with a virtual
+  cardinality and a normalised head), its inverse, its partitions by the
+  one Maya-diagram rule mu_i = s_i + i - d, the entrywise realizability
+  bound, the dual index set and the cell-intersection criteria, the
+  route `semigroups`, `wcycles` and `tautring` took before they read
+  every datum off the gap list (`NumericalSemigroup.partition`,
+  `semigroup_record`, e_i of the gaps at the fixed points).
 * `sequence_from_hprime_partition`: the index sequence of a partition,
   the inverse of `hprime_partition`, through which `virtual_class` tested
   its flag by `is_realizable` before it read the flag off the staircase.
@@ -78,6 +88,15 @@ reached from `src/`.
   non-negative entry, and the dual index set with its virtual
   cardinality counted over a window, the routes `hprime_partition` and
   `dual_index_set` took before both came from the one Maya-diagram rule.
+* `listed_closure_witness`: the first pair of non-gaps whose sum is a
+  gap, found by listing every non-gap up to the largest gap, the route
+  `semigroups._closure_witness` took before it walked the small non-gaps
+  against the gap list.
+* `recurrence_bernoulli`: B_0..B_n by the binomial recurrence in
+  Fractions, the route `pullback.bernoulli` took before it used tangent
+  numbers.
+* `xvar`, `U`: the variables x_i and u, which only tests name; the x
+  and u families stay in `Variable`.
 """
 
 from __future__ import annotations
@@ -85,16 +104,23 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import combinations_with_replacement, groupby
 
-from wtaut.exactalg import PSI, U, Echelon, Layout, MultiPoly, Variable, det, field_width, kap, lam, xvar
+from wtaut.exactalg import PSI, Echelon, Layout, MultiPoly, Variable, det, field_width, kap, lam
 from wtaut.pullback import lambda_monomials, mumford_generators
 from wtaut.schur import _shape, complete_of_values, elementary_of_values, lambda_ring
 from wtaut.errors import DataError
-from wtaut.semigroups import IndexSequence, NumericalSemigroup, Partition, enumerate_semigroups
-from wtaut.tautring import _fixed_point_values
+from wtaut.semigroups import NumericalSemigroup, Partition, enumerate_semigroups
+
+
+def xvar(i: int) -> Variable:
+    return Variable("x", i)
+
+
+U = Variable("u")
 
 
 # -- monomials as sorted tuples of (variable, exponent) pairs -----------------
@@ -424,7 +450,7 @@ def lower_bound_by_degree(g: int, cutoff: int) -> list[int]:
     One row per semigroup, one column per lambda-monomial of weight
     <= d, holding its value prod_a e_a^(m_a) at the fixed point.
     """
-    tables = [_fixed_point_values(h) for h in enumerate_semigroups(g)]
+    tables = [elementary_of_values(h.gaps, h.genus) for h in enumerate_semigroups(g)]
     rows: list[list[int]] = [[] for _ in tables]
     dims = []
     for d in range(cutoff + 1):
@@ -801,14 +827,14 @@ def homogeneous_components(p: MultiPoly) -> list[MultiPoly]:
 def ev_homomorphism(p: MultiPoly, semigroup: NumericalSemigroup) -> MultiPoly:
     """Evaluation at the monomial fixed point of a semigroup.
 
-    The substitution lambda_i -> e_i(s_1 + 1, ..., s_g + 1) psi^i is a
-    ring homomorphism onto Q[psi].
+    The substitution lambda_i -> e_i(a_1, ..., a_g) psi^i, a_1..a_g the
+    gaps, is a ring homomorphism onto Q[psi].
     """
     for v in p.variables():
         if v.family not in ("lambda", "psi"):
             raise ValueError("ev expects a polynomial in lambda and psi")
     psi = MultiPoly.variable(PSI)
-    e_values = _fixed_point_values(semigroup)
+    e_values = elementary_of_values(semigroup.gaps, semigroup.genus)
     return p.substitute({lam(i): (psi**i).scale(e_values[i]) for i in range(1, len(e_values))})
 
 
@@ -827,6 +853,161 @@ def evaluate(p: MultiPoly, point) -> Fraction:
 def partition_contains(outer: Partition, inner: Partition) -> bool:
     """Young diagram containment: inner fits inside outer."""
     return all(inner.part(i) <= outer.part(i) for i in range(1, inner.length + 1))
+
+
+# -- index sequences: semigroups as Maya diagrams --------------------------
+
+
+class IndexSequence(namedtuple("IndexSequence", "d head")):
+    """Strictly decreasing integer sequence with eventual tail s_i = d - i.
+
+    Only the exceptional head is stored; d is the virtual cardinality of
+    the realized set.  The head is kept minimal: a trailing entry equal
+    to the tail value at its position is absorbed into the tail.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, head=()) -> "IndexSequence":
+        head = tuple(int(s) for s in head)
+        # normalize: drop trailing entries that already obey the tail rule
+        while head and head[-1] == d - len(head):
+            head = head[:-1]
+        if any(head[i] <= head[i + 1] for i in range(len(head) - 1)):
+            raise DataError("index sequence must be strictly decreasing")
+        if head and head[-1] <= d - (len(head) + 1):
+            raise DataError("head does not decrease into the tail")
+        return super().__new__(cls, d, head)
+
+    @property
+    def head_length(self) -> int:
+        return len(self.head)
+
+    def s(self, i: int) -> int:
+        """1-based entry, tail rule beyond the head."""
+        if i < 1:
+            raise IndexError("entries are 1-based")
+        if i <= len(self.head):
+            return self.head[i - 1]
+        return self.d - i
+
+    def contains(self, n: int) -> bool:
+        return n in self.head or n <= self.d - (len(self.head) + 1)
+
+    def entries(self, count: int) -> tuple[int, ...]:
+        return tuple(self.s(i) for i in range(1, count + 1))
+
+    def __repr__(self) -> str:
+        return f"IndexSequence(d={self.d}, head={list(self.head)})"
+
+
+def weierstrass_sequence(semigroup: NumericalSemigroup) -> IndexSequence:
+    """Index sequence of a semigroup: s_i = a_{g-i+1} - 1, tail g - 1 - i."""
+    g = semigroup.genus
+    head = tuple(semigroup.gaps[g - i] - 1 for i in range(1, g + 1))
+    return IndexSequence(d=g - 1, head=head)
+
+
+def semigroup_from_sequence(seq: IndexSequence):
+    """Invert weierstrass_sequence: the set of n with n - 1 not in the sequence.
+
+    Returns None when that set is not a numerical semigroup (not contained
+    in the non-negative integers, missing 0, or not additively closed).
+    """
+    # every integer <= -2 must lie in the sequence, else a negative number
+    # would be a member of the candidate set; -1 must not, else 0 is a gap
+    low = seq.d - (seq.head_length + 1)
+    if seq.contains(-1) or not all(seq.contains(n) for n in range(low, -1)):
+        return None
+    gaps = [n for n in range(1, max(seq.head, default=0) + 2) if seq.contains(n - 1)]
+    try:
+        return NumericalSemigroup.from_gaps(gaps)
+    except DataError:  # not additively closed
+        return None
+
+
+def partition_from_sequence(seq: IndexSequence) -> Partition:
+    """mu_i = s_i + i - d with trailing zeros dropped.
+
+    A strictly decreasing sequence with tail d - i has s_i >= d - i, so
+    every mu_i is non-negative, and the mu_i weakly decrease.
+    """
+    return Partition.of(s + i - seq.d for i, s in enumerate(seq.head, start=1))
+
+
+def hprime_partition(seq: IndexSequence, genus: int) -> Partition:
+    """Partition of a genus-g sequence under the index-g component convention.
+
+    Requires the tail rule s_i = g - 1 - i and -1 not in the sequence.
+    Raising every negative entry by one closes the gap at -1 and gives a
+    sequence of virtual cardinality g, whose partition_from_sequence this
+    is.  The result has length at most g.
+    """
+    if seq.d != genus - 1:
+        raise DataError("sequence is not in the genus-g component")
+    if seq.contains(-1):
+        raise DataError("sequence not in H'")
+    raised = [s + (s < 0) for s in seq.entries(max(seq.head_length, genus))]
+    part = partition_from_sequence(IndexSequence(genus, raised))
+    if part.length > genus:
+        raise DataError("partition length exceeds the genus")
+    return part
+
+
+def is_realizable(seq: IndexSequence, genus: int) -> bool:
+    """Whether some semigroup sequence dominates seq entrywise.
+
+    Equivalent bound test: s_i <= 2g - 2i for i <= g and
+    s_i <= g - i - 1 beyond.
+    """
+    horizon = max(seq.head_length, genus)
+    for i in range(1, horizon + 1):
+        bound = 2 * genus - 2 * i if i <= genus else genus - i - 1
+        if seq.s(i) > bound:
+            return False
+    # beyond the head the tail rule gives s_i = d - i <= g - i - 1
+    # exactly when d <= g - 1
+    return seq.d <= genus - 1
+
+
+def dual_index_set(seq: IndexSequence) -> IndexSequence:
+    """The index set {m : -1 - m not in seq}, as an IndexSequence.
+
+    For the sequence of a semigroup H this is -H; the operation is an
+    involution.
+    """
+    # m > hi implies -1 - m lies in the tail of seq, so m is excluded;
+    # m < lo implies -1 - m exceeds every entry of seq, so m belongs.
+    # Reflection m -> -1 - m negates the charge (the virtual cardinality).
+    hi = seq.head_length - seq.d
+    lo = min(-2 - max(seq.head, default=seq.d - seq.head_length - 1), -1)
+    return IndexSequence(-seq.d, [m for m in range(hi, lo - 1, -1) if not seq.contains(-1 - m)])
+
+
+def intersection_nonempty(seq: IndexSequence, g: int, closed: bool) -> bool:
+    """Cell-intersection criterion for the locus of curves with disks.
+
+    closed=False tests the open cell: the complement set must be a
+    numerical semigroup of genus g.  closed=True tests the cycle closure
+    via the entrywise bounds (some semigroup sequence dominates seq).
+    """
+    if closed:
+        return is_realizable(seq, g)
+    semigroup = semigroup_from_sequence(seq)
+    return semigroup is not None and semigroup.genus == g
+
+
+def listed_closure_witness(gaps: set[int]):
+    """semigroups._closure_witness by listing every non-gap up to the
+    largest gap and testing the pairs in lexicographic order."""
+    if not gaps:
+        return None
+    top = max(gaps)
+    nongaps = [n for n in range(1, top + 1) if n not in gaps]
+    for x, y in combinations_with_replacement(nongaps, 2):
+        if x + y <= top and (x + y) in gaps:
+            return (x, y)
+    return None
 
 
 def sequence_from_hprime_partition(mu: Partition, genus: int) -> IndexSequence:
@@ -876,3 +1057,22 @@ def counted_dual_index_set(seq: IndexSequence) -> IndexSequence:
     missing_negatives += sum(1 for m in range(lo, min(hi, -1) + 1) if m not in member_set)
     d = positives - missing_negatives
     return IndexSequence(d=d, head=tuple(members))
+
+
+# -- Bernoulli numbers ---------------------------------------------------------
+
+
+def recurrence_bernoulli(n: int) -> list[Fraction]:
+    """B_0..B_n (B_1 = -1/2 convention) by the binomial recurrence
+
+        sum_{j<=m} C(m+1, j) B_j = 0   (m >= 1),
+
+    in Fractions, the even numbers built bottom-up; B_j = 0 for odd j >= 3.
+    """
+    evens = [Fraction(1)]  # B_0, B_2, B_4, ...
+    for m in range(2, n + 1, 2):
+        acc = Fraction(1 - m, 2)  # the j = 0 and j = 1 terms, 1 + (m + 1) B_1
+        for i in range(1, m // 2):
+            acc += math.comb(m + 1, 2 * i) * evens[i]
+        evens.append(-acc / (m + 1))
+    return [evens[j // 2] if j % 2 == 0 else Fraction(-1 if j == 1 else 0, 2) for j in range(n + 1)]

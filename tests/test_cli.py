@@ -29,7 +29,8 @@ import wtaut.cli
 import wtaut.schur
 import wtaut.tautring
 from wtaut.cli import json_text, main
-from wtaut.exactalg import PSI, U, MultiPoly, kap, lam, xvar, zvar
+from oracles import U, xvar
+from wtaut.exactalg import PSI, MultiPoly, kap, lam, zvar
 from wtaut.schur import factorial_schur
 from wtaut.semigroups import Partition
 
@@ -297,6 +298,19 @@ def test_class_reads_an_empty_selector_as_given(capsys):
     code, out, err = _run(capsys, ["class", "--genus", "2", "--gaps", "1,3", "--partition", "1"])
     assert (code, out) == (3, "")
     assert "choose exactly one selector" in err
+
+
+def test_class_refuses_a_huge_gap_without_listing_the_integers_below_it(capsys):
+    # the closure check walks the small non-gaps against the gap list; a
+    # list of every non-gap below 10^12 would not fit in memory
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["class", "--genus", "3", "--gaps", "1,2,1000000000000"])
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert err == (
+        "wtaut: data error: bad --gaps '1,2,1000000000000': "
+        "closure violation: 3+999999999997=1000000000000 is a gap\n"
+    )
 
 
 @pytest.mark.parametrize("empty", ["", " "])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import (
+    U,
     coefficient,
     evaluate,
     exact_div,
@@ -27,19 +28,18 @@ from oracles import (
     parse_variable,
     terms,
     to_json,
+    xvar,
 )
 from wtaut.cli import json_text
 from wtaut.exactalg import (
     Layout,
     MultiPoly,
     PSI,
-    U,
     Echelon,
     Variable,
     det,
     kap,
     lam,
-    xvar,
     zvar,
 )
 

@@ -16,13 +16,16 @@ from oracles import (
     lambda_psi_monomials,
     mono_sort_key,
     pull_orbit_table,
+    recurrence_bernoulli,
     recursive_lambda_monomials,
+    U,
     terms,
     to_lambda_basis,
     value_x_expansion,
     weighted_degrees,
+    xvar,
 )
-from wtaut.exactalg import MultiPoly, PSI, U, det, kap, lam, xvar
+from wtaut.exactalg import MultiPoly, PSI, det, kap, lam
 from wtaut.pullback import (
     _mumford_pivots,
     bernoulli,
@@ -431,6 +434,11 @@ def test_bernoulli_against_akiyama_tanigawa():
 
     for n in range(0, 61):
         assert bernoulli(n) == oracle(n)
+
+
+def test_bernoulli_matches_the_recurrence_oracle():
+    # tangent numbers against the binomial recurrence in Fractions
+    assert [bernoulli(n) for n in range(301)] == recurrence_bernoulli(300)
 
 
 # -- smooth power sums ----------------------------------------------------------------

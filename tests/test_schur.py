@@ -18,11 +18,13 @@ from oracles import (
     partition_contains,
     ratio_factorial_schur,
     ratio_shifted_schur,
+    U,
     shifted_interval_matrix,
     to_lambda_basis,
+    xvar,
 )
 from wtaut import schur
-from wtaut.exactalg import MultiPoly, PSI, U, det, xvar, zvar
+from wtaut.exactalg import MultiPoly, PSI, det, zvar
 from wtaut.schur import (
     _matrix_entry,
     _shape,

@@ -8,26 +8,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    IndexSequence,
     counted_dual_index_set,
+    dual_index_set,
+    hprime_partition,
+    is_realizable,
+    listed_closure_witness,
     partition_contains,
+    partition_from_sequence,
     piecewise_hprime_partition,
+    semigroup_from_sequence,
     sequence_from_hprime_partition,
+    weierstrass_sequence,
 )
 from wtaut import semigroups
 from wtaut.errors import DataError, ResourceError
+from wtaut.schur import elementary_of_values
 from wtaut.semigroups import (
-    IndexSequence,
     NumericalSemigroup,
     Partition,
-    dual_index_set,
     enumerate_semigroups,
-    hprime_partition,
-    is_realizable,
-    partition_from_sequence,
     partitions_up_to,
-    semigroup_from_sequence,
     semigroup_record,
-    weierstrass_sequence,
 )
 from wtaut.tautring import HilbertReport
 
@@ -137,6 +139,16 @@ def test_restoring_an_invalid_value_runs_its_checks(cls, fields, error):
 def test_gap_list_closure_witness_message():
     with pytest.raises(DataError, match=r"closure violation: 2\+2=4 is a gap"):
         NumericalSemigroup.from_gaps([1, 4])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sets(st.integers(1, 60), max_size=14))
+@example(set())
+@example({1, 4})
+@example({1, 2, 3, 5, 7, 9})  # closed: the semigroup <4, 6, 11, 13>
+@example({2, 3, 60})
+def test_closure_witness_matches_the_listed_oracle(gaps):
+    assert semigroups._closure_witness(gaps) == listed_closure_witness(gaps)
 
 
 def test_semigroup_helpers():
@@ -405,6 +417,28 @@ def test_dual_is_involution_on_random_semigroups():
 
 
 # -- records ---------------------------------------------------------------------
+
+
+def test_gap_list_data_match_the_index_sequence_route():
+    """The partition, the record and the fixed-point values, read off the
+    gaps, equal the Maya-diagram route through the index sequence, for
+    all 1,413 semigroups of genus 0..12."""
+    count = 0
+    for g in range(13):
+        for h in enumerate_semigroups(g):
+            seq = weierstrass_sequence(h)
+            assert h.partition == hprime_partition(seq, g)
+            assert semigroup_record(h) == {
+                "genus": g,
+                "gaps": list(h.gaps),
+                "sequence_head": list(seq.head),
+                "partition_gr_gm1": list(partition_from_sequence(seq)),
+                "partition_hprime": list(hprime_partition(seq, g)),
+            }
+            shifted = [seq.s(i) + 1 for i in range(1, g + 1)]
+            assert elementary_of_values(h.gaps, g) == elementary_of_values(shifted, g)
+            count += 1
+    assert count == 1413
 
 
 def test_semigroup_record_shape():

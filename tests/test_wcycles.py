@@ -8,35 +8,32 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    U,
+    IndexSequence,
     ParamSequence,
     double_schur,
     ev_homomorphism,
     from_json,
     from_pairs,
+    hprime_partition,
+    intersection_nonempty,
+    is_realizable,
     pairs_pushforward,
     sequence_from_hprime_partition,
     terms,
     to_lambda_basis,
+    weierstrass_sequence,
     weighted_degrees,
+    xvar,
 )
 from wtaut.cli import json_text
 from wtaut.errors import DataError
-from wtaut.exactalg import MultiPoly, PSI, U, kap, lam, xvar
+from wtaut.exactalg import MultiPoly, PSI, kap, lam
 from wtaut.pullback import kstar_power_sum, kstar_schubert
 from wtaut.schur import lambda_ring
-from wtaut.semigroups import (
-    IndexSequence,
-    NumericalSemigroup,
-    Partition,
-    enumerate_semigroups,
-    hprime_partition,
-    is_realizable,
-    partitions_up_to,
-    weierstrass_sequence,
-)
+from wtaut.semigroups import NumericalSemigroup, Partition, enumerate_semigroups, partitions_up_to
 from wtaut.tautring import violating_partitions
 from wtaut.wcycles import (
-    intersection_nonempty,
     push_to_unpointed,
     pushforward_rule,
     virtual_class,
