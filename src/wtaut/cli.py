@@ -32,6 +32,7 @@ import argparse
 import contextlib
 import io
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -87,6 +88,9 @@ KAPPA_INDEX_NOTE = (
 EVEN_SIGN_NOTE = (
     "even power sums use the derived negative sign; pass --paper-sign for the published form"
 )
+# every class holds up to a nonzero constant factor: the record, the warning and
+# the CSV meta of class say so
+NORMALIZATION = "up-to-constant"
 UNSHIFTED_NOTE = "unshifted evaluation differs from the divisor-normalized convention"
 LOWER_RING_NOTE = (
     "lower bound is computed in Q[lambda_1..lambda_g, psi]; psi is kept in the quotient"
@@ -99,6 +103,11 @@ CONFIG_KEYS = ("genus", "max_degree", "mode", "format", "output",
                "unshifted", "paper_sign", "kappa0_substitute")
 # The words a config file may give a bool, in any case.
 BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _mode(text: str) -> str:
+    """The mode text names, in the case of its choices: CM and smooth in any case."""
+    return text.upper().replace("SMOOTH", "smooth")
 
 
 class RunConfig(NamedTuple):
@@ -253,7 +262,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if low < 0:
         raise UsageError("genus must be non-negative")
     config = config._replace(
-        mode=config.mode.upper().replace("SMOOTH", "smooth"),
+        mode=_mode(config.mode),
         genera=range(low, high + 1),
         max_genus=max_genus,
         source_date=_source_date(),
@@ -412,25 +421,33 @@ def run_class(config: RunConfig, args: argparse.Namespace):
     partition = None if parts is None else _parse_flag("--partition", parts, Partition.of)
     if (semigroup is None) == (partition is None):
         raise DataError("choose exactly one selector: --gaps or --partition")
-    payload = []
-    warnings = ["normalization: up-to-constant"]
+    if semigroup is not None:
+        for g in config.genera:
+            if g != semigroup.genus:
+                raise DataError(f"gap list has genus {semigroup.genus}, not the requested {g}")
+    warnings = [f"normalization: {NORMALIZATION}"]
     if config.unshifted:
         warnings.append(UNSHIFTED_NOTE)
+    payload = []
     for g in config.genera:
         if semigroup is not None:
-            if semigroup.genus != g:
-                raise DataError(
-                    f"gap list has genus {semigroup.genus}, not the requested {g}"
-                )
             cycle = weierstrass_class(semigroup, unshifted=config.unshifted)
         else:
             cycle = virtual_class(partition, g, unshifted=config.unshifted)
-        record = cycle.record()
-        record["class_unpointed"] = push_to_unpointed(
-            cycle, substitute_kappa0=config.kappa0_substitute
+        payload.append(
+            {
+                "genus": g,
+                "gaps": None if semigroup is None else list(semigroup.gaps),
+                "partition": list(cycle.partition),
+                "codim": cycle.partition.weight,
+                "class_pointed": cycle.class_pointed,
+                "class_unpointed": push_to_unpointed(
+                    cycle, substitute_kappa0=config.kappa0_substitute
+                ),
+                "virtual": cycle.virtual,
+                "normalization": NORMALIZATION,
+            }
         )
-        record["genus"] = g
-        payload.append(record)
     rows = (
         [
             str(rec["genus"]),
@@ -443,7 +460,7 @@ def run_class(config: RunConfig, args: argparse.Namespace):
         for rec in payload
     )
     headers = ["genus", "gaps", "partition", "codim", "pointed class", "unpointed class"]
-    return payload, warnings, (headers, rows, {"normalization": "up-to-constant"})
+    return payload, warnings, (headers, rows, {"normalization": NORMALIZATION})
 
 
 def run_pullback(config: RunConfig, args: argparse.Namespace):
@@ -518,7 +535,10 @@ def run_hilbert(config: RunConfig, args: argparse.Namespace):
             {
                 "genus": g,
                 "max_degree": config.max_degree,
-                "rows": report.rows(),
+                "rows": [
+                    {"degree": d, "lower": lower, "upper": upper}
+                    for d, (lower, upper) in enumerate(zip(report.lower, report.upper))
+                ],
                 "generator_counts": list(report.generator_counts),
             }
         )
@@ -604,11 +624,21 @@ def _emit(envelope: dict, config: RunConfig, table) -> None:
 
 
 def _write_output(target: Path, text: str) -> None:
-    """Replace target whole by text, with the mode the umask gives a new file."""
+    """Write text to target.
+
+    A missing target or a regular file is replaced whole by a rename, with
+    the mode the umask gives a new file.  Anything else is opened and
+    written in place: a symlink keeps pointing at its target, which gets
+    the text, and a FIFO or a device gets the bytes.
+    """
     umask = os.umask(0)
     os.umask(umask)
     tmp = None
     try:
+        if os.path.lexists(target) and not stat.S_ISREG(os.lstat(target).st_mode):
+            with open(target, "w") as fh:
+                fh.write(text)
+            return
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".wtaut-")
         with os.fdopen(fd, "w") as fh:
@@ -641,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--genus", help="genus or range A-B")
         sub.add_argument("--format", choices=FORMATS)
         sub.add_argument("--output", help="write to this path (atomically)")
-        sub.add_argument("--mode", choices=("CM", "smooth"))
+        sub.add_argument("--mode", type=_mode, choices=("CM", "smooth"))
         return sub
 
     add("semigroups", run_semigroups, "enumerate numerical semigroups")

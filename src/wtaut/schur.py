@@ -165,7 +165,8 @@ def complete_of_values(values: Sequence[Value], top: int) -> list[Value]:
 def _variant(mu: Partition, g: int, numeric: bool) -> str:
     """The Kempf-Laksov variant expanded for mu at genus g.
 
-    A numeric determinant costs about 2^rows, so it takes the variant
+    A numeric determinant is a matrix of ints, eliminated fraction-free
+    in about rows^3 products (exactalg.det), so it takes the variant
     with fewer rows: l(mu) for "psi", mu_1 for "psi_prime".  A polynomial
     one costs with the size of its entries as well, so it takes the
     sparse "psi_prime" unless mu is wide, mu_1 > min(g, 2 l(mu)).  That

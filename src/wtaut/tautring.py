@@ -42,19 +42,18 @@ __all__ = [
 
 
 class HilbertReport(NamedTuple):
-    """Per-degree sandwich h_d(A/I_ev) <= h_d(R) <= h_d(A/I)."""
+    """Per-degree sandwich h_d(A/I_ev) <= h_d(R) <= h_d(A/I) for d = 0..cutoff.
+
+    lower[d] and upper[d] are the two bounds in degree d, and
+    generator_counts[d] is the number of relation generators of weight d.
+    The CLI writes the hilbert rows from these.
+    """
 
     genus: int
     cutoff: int
     lower: tuple[int, ...]
     upper: tuple[int, ...]
     generator_counts: tuple[int, ...] = ()
-
-    def rows(self) -> list[dict]:
-        return [
-            {"degree": d, "lower": self.lower[d], "upper": self.upper[d]}
-            for d in range(self.cutoff + 1)
-        ]
 
 
 def in_staircase(mu: Partition, g: int) -> bool:

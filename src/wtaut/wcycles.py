@@ -29,10 +29,15 @@ offset), and for mu = (1) it is g(g-1)/2 psi - lambda_1.
 Pushing forward along the forgetful map sends lambda-monomial times
 psi^m to the same lambda-monomial times kappa_(m-1), dropping the degree
 by one.
+
+Every class here holds up to a nonzero constant factor.  A CycleClass
+holds the mathematics only: genus, partition, the two classes and the
+virtual flag.  The CLI writes the record of a class, with its gaps, its
+codim |mu| and its normalization.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import DataError
 from .exactalg import Layout, MultiPoly, PSI, det, kap
@@ -50,31 +55,18 @@ __all__ = [
 
 
 class CycleClass(NamedTuple):
-    """Cycle class data; formulas hold up to a nonzero constant factor."""
+    """A cycle class of genus g and partition mu, pointed and pushed forward.
+
+    Both classes hold up to a nonzero constant factor.  virtual flags a
+    mu outside the staircase delta_(g-1), whose sequence no semigroup
+    sequence dominates (see virtual_class).
+    """
 
     genus: int
-    semigroup: Optional[NumericalSemigroup]
     partition: Partition
     class_pointed: MultiPoly
     class_unpointed: MultiPoly
     virtual: bool
-    normalization: str = "up-to-constant"
-
-    @property
-    def codimension(self) -> int:
-        return self.partition.weight
-
-    def record(self) -> dict:
-        """Record for the JSON writer, which expands the two classes."""
-        return {
-            "gaps": list(self.semigroup.gaps) if self.semigroup else None,
-            "partition": list(self.partition),
-            "codim": self.codimension,
-            "class_pointed": self.class_pointed,
-            "class_unpointed": self.class_unpointed,
-            "virtual": self.virtual,
-            "normalization": self.normalization,
-        }
 
 
 def pushforward_rule(pointed: MultiPoly) -> MultiPoly:
@@ -105,7 +97,7 @@ def weierstrass_class(semigroup: NumericalSemigroup, unshifted: bool = False) ->
     """Cycle class of the locus of points with the given semigroup.
 
     This is virtual_class of semigroup.partition, (a_g - g, ..., a_1 - 1)
-    with zeros dropped, with the semigroup attached.  Its parts obey
+    with zeros dropped; no semigroup is attached.  Its parts obey
     a_j - j <= j - 1, since each of the a_j - j non-gaps x below a_j
     gives a gap a_j - x below it, so mu fits in the staircase
     delta_(g-1) and the class is never flagged virtual.  unshifted=True
@@ -113,7 +105,7 @@ def weierstrass_class(semigroup: NumericalSemigroup, unshifted: bool = False) ->
     for mu = (1) that is g(g-1)/2 psi - lambda_1 rather than
     g(g+1)/2 psi - lambda_1.
     """
-    return virtual_class(semigroup.partition, semigroup.genus, unshifted)._replace(semigroup=semigroup)
+    return virtual_class(semigroup.partition, semigroup.genus, unshifted)
 
 
 def virtual_class(mu: Partition, g: int, unshifted: bool = False) -> CycleClass:
@@ -133,7 +125,6 @@ def virtual_class(mu: Partition, g: int, unshifted: bool = False) -> CycleClass:
     pointed = det(psi_matrix(mu, g, shift=0 if unshifted else 1))
     return CycleClass(
         genus=g,
-        semigroup=None,
         partition=mu,
         class_pointed=pointed,
         class_unpointed=pushforward_rule(pointed),

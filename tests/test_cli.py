@@ -8,6 +8,7 @@ holds the writer to `json.dumps` of the polynomial records in
 `oracles.py` at any nesting depth.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -16,12 +17,14 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -458,6 +461,42 @@ def test_output_replaces_the_target_whole(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.json", "out.json"]
 
 
+def test_output_into_a_fifo_feeds_its_reader(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    argv = ["semigroups", "--genus", "1"]
+    _, expected, _ = _run(capsys, argv)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    # opened first, and without blocking, so that a writer that replaces the
+    # FIFO leaves this read empty instead of hanging
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code, out, err = _run(capsys, [*argv, "--output", str(fifo)])
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 0, err
+    assert out == ""
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert data.decode() == expected
+
+
+def test_output_through_a_symlink_writes_its_target(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    argv = ["semigroups", "--genus", "1"]
+    _, expected, _ = _run(capsys, argv)
+    real = tmp_path / "real.json"
+    real.write_text("stale\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    code, out, err = _run(capsys, [*argv, "--output", str(link)])
+    assert code == 0, err
+    assert out == ""
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_text() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
 def test_bad_format_in_config_file_is_rejected_before_work(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the computation ran")
@@ -556,6 +595,36 @@ def test_config_file_bool_words_in_any_case(capsys, tmp_path, word, value):
     assert json.loads(out)["config"]["unshifted"] is value
 
 
+def _exit_code_and_stdout(argv):
+    """main(argv)'s exit code and stdout, a usage error's SystemExit included."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _case_variants(word):
+    return st.tuples(*(st.sampled_from([c.lower(), c.upper()]) for c in word)).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_case_variants("CM"), _case_variants("smooth"), st.text("cmsothCMSOTHx", max_size=8)))
+@example("cm")
+@example("Smooth")
+def test_mode_flag_and_config_file_agree_on_every_spelling(word):
+    argv = ["semigroups", "--genus", "1"]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, SOURCE_DATE_EPOCH="0"):
+        config = Path(tmp) / "run.cfg"
+        config.write_text(f"mode={word}\n")
+        flag_code, flag_out = _exit_code_and_stdout([*argv, "--mode", word])
+        file_code, file_out = _exit_code_and_stdout(["--config", str(config), *argv])
+    assert (flag_code == 0) == (file_code == 0), (flag_code, file_code)
+    assert flag_out == file_out
+
+
 @pytest.mark.parametrize(
     "text, argv",
     [
@@ -579,6 +648,20 @@ def test_bad_config_value_names_key_value_and_file(capsys, tmp_path, monkeypatch
     assert code == 3
     assert out == ""
     assert err.startswith(f"wtaut: data error: bad {key.replace('-', '_')} {value!r} in {config}: ")
+
+
+@pytest.mark.parametrize("genus, requested", [("3-4", 4), ("2-3", 2), ("4-5", 4)])
+def test_gap_list_genus_is_checked_against_the_whole_range_before_work(
+    capsys, monkeypatch, genus, requested
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the computation ran")
+
+    monkeypatch.setattr(wtaut.cli, "weierstrass_class", refuse)
+    code, out, err = _run(capsys, ["class", "--genus", genus, "--gaps", "1,2,3"])
+    assert code == 3
+    assert out == ""
+    assert err == f"wtaut: data error: gap list has genus 3, not the requested {requested}\n"
 
 
 @pytest.mark.parametrize(
