@@ -629,7 +629,8 @@ def _write_output(target: Path, text: str) -> None:
     A missing target or a regular file is replaced whole by a rename, with
     the mode the umask gives a new file.  Anything else is opened and
     written in place: a symlink keeps pointing at its target, which gets
-    the text, and a FIFO or a device gets the bytes.
+    the text, and a FIFO or a device gets the bytes.  A reader that closes
+    early raises BrokenPipeError, which main treats as on stdout.
     """
     umask = os.umask(0)
     os.umask(umask)
@@ -645,6 +646,8 @@ def _write_output(target: Path, text: str) -> None:
             os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, target)
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         if tmp is not None:
             with contextlib.suppress(OSError):
@@ -670,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "schur-eval":  # the genus plays no part in Schur evaluation
             sub.add_argument("--genus", help="genus or range A-B")
         sub.add_argument("--format", choices=FORMATS)
-        sub.add_argument("--output", help="write to this path (atomically)")
+        sub.add_argument("--output", help="write to this path; a regular file is replaced atomically")
         sub.add_argument("--mode", type=_mode, choices=("CM", "smooth"))
         return sub
 

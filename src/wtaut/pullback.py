@@ -46,7 +46,6 @@ __all__ = [
     "kstar_schubert",
     "kstar_power_sum",
     "kstar_power_sum_roots",
-    "mumford_generators",
     "mumford_reduce",
     "smooth_power_sum",
     "bernoulli",
@@ -118,24 +117,7 @@ def kstar_power_sum_roots(s: int, g: int) -> dict:
 # -- Mumford quotient -------------------------------------------------------
 
 
-def mumford_generators(g: int) -> tuple[tuple[int, MultiPoly], ...]:
-    """Relations from the vanishing of c(E) c(E*) - 1 in even degrees,
-    as (degree, generator) pairs.
-
-    The degree-2k part of c(E) c(E*) is sum_{i+j=2k} (-1)^i lambda_i
-    lambda_j with lambda_0 = 1, for k = 1..g; the odd parts cancel under
-    i <-> j.  Every generator lies in Q[lambda].
-    """
-    ring = lambda_ring(g, 2 * g)
-    lams = [MultiPoly.one()] + [MultiPoly.variable(lam(a), ring) for a in range(1, g + 1)]
-    gens = []
-    for k in range(1, g + 1):
-        pairs = range(max(0, 2 * k - g), min(g, 2 * k) + 1)
-        gen = MultiPoly.sum((lams[i].scale((-1) ** i), lams[2 * k - i]) for i in pairs)
-        gens.append((2 * k, gen))
-    return tuple(gens)
-
-
+@lru_cache(maxsize=None)
 def lambda_monomials(g: int, weight: int, ring: Layout) -> list[Monomial]:
     """Every monomial in lambda_1..lambda_g of the given weight, packed in
     ring, a layout with fields for them wide enough for weight, in
@@ -143,6 +125,8 @@ def lambda_monomials(g: int, weight: int, ring: Layout) -> list[Monomial]:
 
     They are the partitions of weight with parts <= g, a part i standing
     for a factor lambda_i; canonical order is descending int order.
+    The list is cached and shared by every caller, which must not
+    change it.
     """
     units = [0, *(ring.units[lam(i)] for i in range(1, g + 1))]
     monos = [sum(units[i] for i in parts) for parts in partitions_of(weight, g, weight)]
@@ -154,17 +138,26 @@ def _mumford_pivots(g: int, weight: int, ring: Layout):
     """Row-echelon basis of the weight slice J_w of the lambda-only
     Mumford ideal J, its monomials packed in ring.
 
+    J is generated by the even parts of c(E) c(E*) - 1, for k = 1..g,
+
+        gen_k = sum_{i+j=2k} (-1)^i lambda_i lambda_j,   lambda_0 = 1,
+
+    while the odd parts cancel under i <-> j.  The pairs i and 2k - i
+    meet in one monomial, so gen_k has coefficient 2 (-1)^i on
+    lambda_i lambda_(2k-i) for i < k and (-1)^k on lambda_k^2.  Each
+    row m * gen_k is written from those packed monomials directly.
+
     Returns (lambda_monomials(g, weight, ring), the exactalg.Echelon of
-    the integer rows m * generator).
+    the integer rows m * gen_k).
     """
     basis = lambda_monomials(g, weight, ring)
     column = {m: i for i, m in enumerate(basis)}
+    units = [0, *(ring.units[lam(i)] for i in range(1, g + 1))]
     echelon = Echelon()
-    for gen_degree, gen in mumford_generators(g):
-        if gen_degree > weight:
-            break
-        terms = gen.recast(ring).items()
-        for m in lambda_monomials(g, weight - gen_degree, ring):
+    for k in range(1, min(g, weight // 2) + 1):
+        terms = [(units[i] + units[2 * k - i], 2 * (-1) ** i) for i in range(max(0, 2 * k - g), k)]
+        terms.append((2 * units[k], (-1) ** k))
+        for m in lambda_monomials(g, weight - 2 * k, ring):
             row = [0] * len(basis)
             for mono, c in terms:
                 row[column[m + mono]] = c

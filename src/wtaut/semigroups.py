@@ -23,6 +23,7 @@ from .errors import DataError, ResourceError
 
 __all__ = [
     "Partition",
+    "in_staircase",
     "NumericalSemigroup",
     "enumerate_semigroups",
     "partitions_of",
@@ -72,6 +73,15 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition{tuple(self)}"
+
+
+def in_staircase(mu: Partition, g: int) -> bool:
+    """Whether mu fits in the staircase delta_g = (g, g-1, ..., 1).
+
+    That is mu_i <= g - i + 1 for every i; partitions longer than g
+    never fit.
+    """
+    return all(p <= g - i for i, p in enumerate(mu))
 
 
 def partitions_of(weight: int, cap: int, length: int) -> Iterator[tuple[int, ...]]:

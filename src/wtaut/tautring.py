@@ -28,14 +28,13 @@ from .errors import DataError
 from .exactalg import Echelon, MultiPoly
 from .pullback import kstar_schubert, lambda_monomials
 from .schur import elementary_of_values, lambda_ring
-from .semigroups import DEFAULT_MAX_GENUS, Partition, enumerate_semigroups, partitions_up_to
+from .semigroups import DEFAULT_MAX_GENUS, Partition, enumerate_semigroups, in_staircase, partitions_up_to
 
 __all__ = [
     "HilbertReport",
     "relation_generators",
     "hilbert_quotient_upper",
     "hilbert_quotient_lower",
-    "in_staircase",
     "sandwich_report",
     "violating_partitions",
 ]
@@ -54,15 +53,6 @@ class HilbertReport(NamedTuple):
     lower: tuple[int, ...]
     upper: tuple[int, ...]
     generator_counts: tuple[int, ...] = ()
-
-
-def in_staircase(mu: Partition, g: int) -> bool:
-    """Whether mu fits in the staircase delta_g = (g, g-1, ..., 1).
-
-    That is mu_i <= g - i + 1 for every i; partitions longer than g
-    never fit.
-    """
-    return all(p <= g - i for i, p in enumerate(mu))
 
 
 def violating_partitions(g: int, max_weight: int) -> list[Partition]:

@@ -42,8 +42,7 @@ from typing import NamedTuple
 from .errors import DataError
 from .exactalg import Layout, MultiPoly, PSI, det, kap
 from .schur import psi_matrix
-from .semigroups import NumericalSemigroup, Partition
-from .tautring import in_staircase
+from .semigroups import NumericalSemigroup, Partition, in_staircase
 
 __all__ = [
     "CycleClass",

@@ -18,6 +18,10 @@ reached from `src/`.
   eliminating whole (lambda, psi) degree slices, the route
   `mumford_reduce` took before it reduced psi-block by psi-block over
   the lambda-only ideal.
+* `mumford_generators`: the Mumford relations as polynomials, the even
+  parts of c(E) c(E*) - 1 summed over the pairs (i, 2k - i), the route
+  `pullback._mumford_pivots` took before it wrote each row from the
+  relations' coefficients.
 * `lower_bound_by_degree`: the fixed-point lower Hilbert bound ranked
   from scratch at every degree, one row per semigroup, the route
   `hilbert_quotient_lower` took before it grew one echelon of
@@ -110,7 +114,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 
 from wtaut.exactalg import PSI, Echelon, Layout, MultiPoly, Variable, det, field_width, kap, lam
-from wtaut.pullback import lambda_monomials, mumford_generators
+from wtaut.pullback import lambda_monomials
 from wtaut.schur import _shape, complete_of_values, elementary_of_values, lambda_ring
 from wtaut.errors import DataError
 from wtaut.semigroups import NumericalSemigroup, Partition, enumerate_semigroups
@@ -404,6 +408,24 @@ def integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
         scale = math.lcm(*(Fraction(c).denominator for c in row))
         out.append([int(c * scale) for c in row])
     return out
+
+
+def mumford_generators(g: int) -> tuple[tuple[int, MultiPoly], ...]:
+    """Relations from the vanishing of c(E) c(E*) - 1 in even degrees,
+    as (degree, generator) pairs.
+
+    The degree-2k part of c(E) c(E*) is sum_{i+j=2k} (-1)^i lambda_i
+    lambda_j with lambda_0 = 1, for k = 1..g; the odd parts cancel under
+    i <-> j.  Every generator lies in Q[lambda].
+    """
+    ring = lambda_ring(g, 2 * g)
+    lams = [MultiPoly.one()] + [MultiPoly.variable(lam(a), ring) for a in range(1, g + 1)]
+    gens = []
+    for k in range(1, g + 1):
+        pairs = range(max(0, 2 * k - g), min(g, 2 * k) + 1)
+        gen = MultiPoly.sum((lams[i].scale((-1) ** i), lams[2 * k - i]) for i in pairs)
+        gens.append((2 * k, gen))
+    return tuple(gens)
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import os
+import select
 import stat
 import subprocess
 import sys
@@ -479,6 +480,34 @@ def test_output_into_a_fifo_feeds_its_reader(capsys, tmp_path, monkeypatch):
     assert out == ""
     assert stat.S_ISFIFO(fifo.lstat().st_mode)
     assert data.decode() == expected
+
+
+def test_output_into_a_fifo_whose_reader_closes_early_exits_0(capsys, tmp_path, monkeypatch):
+    # as `... | head -c 10` on stdout: the writer stops, nothing is reported
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    argv = ["semigroups", "--genus", "0-9"]
+    _, expected, _ = _run(capsys, argv)
+    assert len(expected) > 1 << 16  # more than a pipe buffer holds, so the write meets the close
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    env = dict(os.environ, PYTHONPATH=str(Path(wtaut.cli.__file__).parents[1]))
+    writer = subprocess.Popen(
+        [sys.executable, "-m", "wtaut.cli", *argv, "--output", str(fifo)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    data = b""
+    try:
+        while len(data) < 10 and select.select([reader], [], [], 60)[0]:
+            chunk = os.read(reader, 10 - len(data))
+            if not chunk:
+                break
+            data += chunk
+    finally:
+        os.close(reader)
+        out, err = writer.communicate(timeout=60)
+    assert (writer.returncode, out, err) == (0, "", "")
+    assert data.decode() == expected[:10]
 
 
 def test_output_through_a_symlink_writes_its_target(capsys, tmp_path, monkeypatch):

@@ -15,6 +15,7 @@ from oracles import (
     homogeneous_components,
     lambda_psi_monomials,
     mono_sort_key,
+    mumford_generators,
     pull_orbit_table,
     recurrence_bernoulli,
     recursive_lambda_monomials,
@@ -33,7 +34,6 @@ from wtaut.pullback import (
     kstar_power_sum_roots,
     kstar_schubert,
     lambda_monomials,
-    mumford_generators,
     mumford_reduce,
     smooth_power_sum,
 )
