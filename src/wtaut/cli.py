@@ -2,7 +2,9 @@
 
 Subcommands: semigroups, class, pullback, psum, relations, hilbert,
 schur-eval.  Exit codes: 0 success, 2 usage, 3 data, 4 resource.  The
-genus safety cap honours the WTAUT_MAX_GENUS environment variable.  A
+genus cap, DEFAULT_MAX_GENUS or the WTAUT_MAX_GENUS environment variable,
+is the CLI's alone: the library caps no genus, and build_config refuses
+a genus above the cap for every subcommand before any work.  A
 key=value config file (--config) may set only the keys in CONFIG_KEYS:
 genus, max_degree, mode, format, output, unshifted, paper_sign and
 kappa0_substitute, with a dash allowed for the underscore.  Explicit
@@ -48,16 +50,16 @@ from .pullback import (
     kstar_power_sum, kstar_power_sum_roots, kstar_schubert, mumford_reduce, smooth_power_sum,
 )
 from .schur import factorial_schur, generic_arguments, root_orbits, shifted_schur
-from .semigroups import (
-    DEFAULT_MAX_GENUS,
-    NumericalSemigroup,
-    Partition,
-    enumerate_semigroups,
-    semigroup_record,
-)
+from .semigroups import NumericalSemigroup, Partition, enumerate_semigroups, semigroup_record
 from .tautring import relation_generators, sandwich_report
 from .wcycles import push_to_unpointed, virtual_class, weierstrass_class
 
+# The genus cap unless WTAUT_MAX_GENUS sets another, the only one: build_config
+# checks it for every subcommand before any work.  It is 12 because no cost
+# bound covers more yet: at genus 12, hilbert at degree 16 takes about 6 s and
+# the hyperelliptic class 78.6 s and 752 MB for its determinant alone (Python
+# 3.11, one core).
+DEFAULT_MAX_GENUS = 12
 # hilbert's cost is the fixed-point lower bound, one echelon of lambda-monomial
 # rows over all semigroups of the genus: as CLI runs at degree 16 it takes
 # about 0.1-0.2 s at genus 4 and 8, 0.6-0.7 s at genus 10, 2 s at genus 11
@@ -127,7 +129,6 @@ class RunConfig(NamedTuple):
     paper_sign: bool = False
     kappa0_substitute: bool = False
     genera: range = range(0)
-    max_genus: int = DEFAULT_MAX_GENUS
     source_date: time.struct_time | None = None
 
     def echo(self) -> dict:
@@ -264,7 +265,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     config = config._replace(
         mode=_mode(config.mode),
         genera=range(low, high + 1),
-        max_genus=max_genus,
         source_date=_source_date(),
     )
     if config.mode not in ("CM", "smooth"):
@@ -403,7 +403,7 @@ def _set_cell(values) -> str:
 def run_semigroups(config: RunConfig, args: argparse.Namespace):
     payload = []
     for g in config.genera:
-        records = [semigroup_record(h) for h in enumerate_semigroups(g, config.max_genus)]
+        records = [semigroup_record(h) for h in enumerate_semigroups(g)]
         payload.append({"genus": g, "count": len(records), "semigroups": records})
     rows = (
         [str(rec["genus"]), _set_cell(rec["gaps"]), " ".join(map(str, rec["sequence_head"])),
@@ -530,7 +530,7 @@ def run_relations(config: RunConfig, args: argparse.Namespace):
 def run_hilbert(config: RunConfig, args: argparse.Namespace):
     payload = []
     for g in config.genera:
-        report = sandwich_report(g, config.max_degree, config.max_genus)
+        report = sandwich_report(g, config.max_degree)
         payload.append(
             {
                 "genus": g,

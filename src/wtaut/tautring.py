@@ -28,7 +28,7 @@ from .errors import DataError
 from .exactalg import Echelon, MultiPoly
 from .pullback import kstar_schubert, lambda_monomials
 from .schur import elementary_of_values, lambda_ring
-from .semigroups import DEFAULT_MAX_GENUS, Partition, enumerate_semigroups, in_staircase, partitions_up_to
+from .semigroups import Partition, enumerate_semigroups, in_staircase, partitions_up_to
 
 __all__ = [
     "HilbertReport",
@@ -45,14 +45,13 @@ class HilbertReport(NamedTuple):
 
     lower[d] and upper[d] are the two bounds in degree d, and
     generator_counts[d] is the number of relation generators of weight d.
-    The CLI writes the hilbert rows from these.
+    The CLI writes the hilbert rows from these; the genus and the cutoff
+    are the caller's.
     """
 
-    genus: int
-    cutoff: int
     lower: tuple[int, ...]
     upper: tuple[int, ...]
-    generator_counts: tuple[int, ...] = ()
+    generator_counts: tuple[int, ...]
 
 
 def violating_partitions(g: int, max_weight: int) -> list[Partition]:
@@ -95,7 +94,7 @@ def hilbert_quotient_upper(g: int, cutoff: int) -> list[int]:
     return [sum(1 for w in weights if w <= d) for d in range(cutoff + 1)]
 
 
-def hilbert_quotient_lower(g: int, cutoff: int, max_genus: int = DEFAULT_MAX_GENUS) -> list[int]:
+def hilbert_quotient_lower(g: int, cutoff: int) -> list[int]:
     """Rank of the fixed-point evaluation on each degree slice.
 
     At the monomial fixed point of a semigroup with gaps a_1 < ... < a_g,
@@ -118,7 +117,7 @@ def hilbert_quotient_lower(g: int, cutoff: int, max_genus: int = DEFAULT_MAX_GEN
     multiple of it: such a multiple is, on the points, a combination of
     smaller monomials, all in the span already.  So it gets no row.
     """
-    tables = [elementary_of_values(h.gaps, g) for h in enumerate_semigroups(g, max_genus)]
+    tables = [elementary_of_values(h.gaps, g) for h in enumerate_semigroups(g)]
     ring = lambda_ring(g, cutoff)
     echelon = Echelon()
     dependent: list[int] = []
@@ -138,12 +137,9 @@ def hilbert_quotient_lower(g: int, cutoff: int, max_genus: int = DEFAULT_MAX_GEN
     return dims
 
 
-def sandwich_report(g: int, cutoff: int, max_genus: int = DEFAULT_MAX_GENUS) -> HilbertReport:
-    """Pair the lower and upper Hilbert functions; lower <= upper must hold.
-
-    max_genus is the genus cap passed on to the semigroup enumeration.
-    """
-    lower = hilbert_quotient_lower(g, cutoff, max_genus)
+def sandwich_report(g: int, cutoff: int) -> HilbertReport:
+    """Pair the lower and upper Hilbert functions; lower <= upper must hold."""
+    lower = hilbert_quotient_lower(g, cutoff)
     upper = hilbert_quotient_upper(g, cutoff)
     for d in range(cutoff + 1):
         if lower[d] > upper[d]:
@@ -152,10 +148,4 @@ def sandwich_report(g: int, cutoff: int, max_genus: int = DEFAULT_MAX_GENUS) -> 
             )
     weights = [mu.weight for mu in violating_partitions(g, cutoff)]
     counts = [weights.count(d) for d in range(cutoff + 1)]
-    return HilbertReport(
-        genus=g,
-        cutoff=cutoff,
-        lower=tuple(lower),
-        upper=tuple(upper),
-        generator_counts=tuple(counts),
-    )
+    return HilbertReport(tuple(lower), tuple(upper), tuple(counts))

@@ -71,6 +71,9 @@ reached from `src/`.
   a polynomial's terms, and its split into homogeneous parts.
 * `ev_homomorphism`: a lambda-psi class evaluated at the monomial fixed
   point of a semigroup, by substitution.
+* `fixed_point_value`: the number a homogeneous lambda-psi class takes
+  at the monomial fixed point of a gap list, with psi -> 1.
+* `hook_product`: the product of the hook lengths of a partition.
 * `evaluate`: a polynomial at a point, the sum of coeff * prod v^e over
   its unpacked terms in Fractions, the reference for `substitute`.
 * `partition_contains`: Young diagram containment of two partitions.
@@ -858,6 +861,29 @@ def ev_homomorphism(p: MultiPoly, semigroup: NumericalSemigroup) -> MultiPoly:
     psi = MultiPoly.variable(PSI)
     e_values = elementary_of_values(semigroup.gaps, semigroup.genus)
     return p.substitute({lam(i): (psi**i).scale(e_values[i]) for i in range(1, len(e_values))})
+
+
+def fixed_point_value(p: MultiPoly, gaps) -> int | Fraction:
+    """p at lambda_i -> e_i(gaps) and psi -> 1.
+
+    For a homogeneous class this is the coefficient of the one power of
+    psi that ev_homomorphism leaves, so it is zero exactly when that is.
+    The values are ints, so the sum is taken in ints: `evaluate`, in
+    Fractions, takes about four times as long.
+    """
+    e_values = elementary_of_values(gaps, len(gaps))
+    point = {lam(i): e_values[i] for i in range(1, len(e_values))}
+    point[PSI] = 1
+    unpack = p.layout.unpack
+    return sum(coeff * math.prod(point[v] ** e for v, e in unpack(mono)) for mono, coeff in p.items())
+
+
+def hook_product(mu: Partition) -> int:
+    """prod over the cells (i, j) of mu of the hook length mu_i - j + mu'_j - i + 1."""
+    conj = mu.conjugate()
+    return math.prod(
+        mu[i] - j + conj[j] - i - 1 for i in range(mu.length) for j in range(mu[i])
+    )
 
 
 def evaluate(p: MultiPoly, point) -> Fraction:

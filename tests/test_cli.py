@@ -379,7 +379,7 @@ def test_sandwich_violation_is_a_data_error(capsys, monkeypatch):
     monkeypatch.setattr(
         wtaut.tautring,
         "hilbert_quotient_lower",
-        lambda g, cutoff, max_genus: [10**6] * (cutoff + 1),
+        lambda g, cutoff: [10**6] * (cutoff + 1),
     )
     code, out, err = _run(capsys, ["hilbert", "--genus", "2", "--max-degree", "4"])
     assert code == 3

@@ -10,12 +10,14 @@ from oracles import (
     complete_in_x,
     double_schur,
     elementary_in_x,
+    fixed_point_value,
     from_pairs,
     full_slice_reduce,
     homogeneous_components,
     lambda_psi_monomials,
     mono_sort_key,
     mumford_generators,
+    partition_contains,
     pull_orbit_table,
     recurrence_bernoulli,
     recursive_lambda_monomials,
@@ -38,7 +40,7 @@ from wtaut.pullback import (
     smooth_power_sum,
 )
 from wtaut.schur import _orbit_table, in_roots, lambda_ring, psi_matrix, root_orbits
-from wtaut.semigroups import Partition, partitions_up_to
+from wtaut.semigroups import Partition, enumerate_semigroups, partitions_up_to
 
 PSI_P = MultiPoly.variable(PSI)
 L = lambda i: MultiPoly.variable(lam(i))  # noqa: E731
@@ -493,3 +495,16 @@ def test_generators_reachable_at_genus_two():
     # lambda_1, lambda_2, psi all lie in the span of pullbacks and psi
     assert kstar_schubert(Partition((1, 1)), 2) == L(2)
     assert PSI_P - kstar_schubert(Partition((1,)), 2) == L(1)
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+def test_schubert_pullback_vanishes_at_fixed_points_outside_its_shape(g):
+    """k*(sigma_mu) is zero at the fixed point of H unless mu fits in
+    mu(H) + (1^g), for every mu of length <= g and weight <= g(g-1)/2 + 2."""
+    semis = enumerate_semigroups(g)
+    for mu in partitions_up_to(g * (g - 1) // 2 + 2, max_length=g):
+        value = kstar_schubert(mu, g)
+        for h in semis:
+            shape = Partition(h.partition.part(i) + 1 for i in range(1, g + 1))
+            if not partition_contains(shape, mu):
+                assert fixed_point_value(value, h.gaps) == 0, (mu, h.gaps)

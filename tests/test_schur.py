@@ -15,6 +15,7 @@ from oracles import (
     falling_factorial,
     generalized_power,
     homogeneous_components,
+    hook_product,
     partition_contains,
     ratio_factorial_schur,
     ratio_shifted_schur,
@@ -219,11 +220,10 @@ def test_shifted_schur_vanishing_characterization():
                 assert value == 0, (mu, nu)
 
 
-def test_shifted_schur_two_one_example():
-    # direct check of s*_(2) at its own shape versus the hook formula
-    # s*_mu(mu) = prod over cells of (mu_i - j + nu'_j - i + 1) style oracle
-    # kept simple: nonvanishing plus an explicit small value
-    assert _eval_shifted_at_partition(Partition((2,)), Partition((2,)), 1) == 2
+def test_shifted_schur_at_its_own_shape_is_the_hook_product():
+    # s*_mu(mu) = H(mu), the product of the hook lengths (Okounkov-Olshanski)
+    for mu in partitions_up_to(6):
+        assert _eval_shifted_at_partition(mu, mu, max(mu.length, 1)) == hook_product(mu), mu
 
 
 # -- double Schur -----------------------------------------------------------------

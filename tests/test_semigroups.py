@@ -22,7 +22,7 @@ from oracles import (
     weierstrass_sequence,
 )
 from wtaut import semigroups
-from wtaut.errors import DataError, ResourceError
+from wtaut.errors import DataError
 from wtaut.schur import elementary_of_values
 from wtaut.semigroups import (
     NumericalSemigroup,
@@ -96,11 +96,11 @@ def test_partitions_up_to_are_in_canonical_order(max_weight, max_length):
 _VALUES = [
     Partition((3, 1, 1)),
     Partition(()),
-    NumericalSemigroup(3, (1, 2, 4)),
-    NumericalSemigroup(0, ()),
+    NumericalSemigroup((1, 2, 4)),
+    NumericalSemigroup(()),
     IndexSequence(d=1, head=(2, 0)),
     IndexSequence(d=-1),
-    HilbertReport(2, 3, (1, 2, 3, 3), (1, 2, 4, 5), (0, 0, 1, 2)),
+    HilbertReport((1, 2, 3, 3), (1, 2, 4, 5), (0, 0, 1, 2)),
 ]
 
 
@@ -118,11 +118,11 @@ def test_value_types_round_trip_through_pickle_and_copy(value):
     [
         (Partition, (1, 2), ValueError),
         (Partition, (2, 0), ValueError),
-        (NumericalSemigroup, (2, (1, 2, 3)), DataError),
-        (NumericalSemigroup, (2, (2, 4)), DataError),
+        (NumericalSemigroup, ((3, 2),), DataError),
+        (NumericalSemigroup, ((2, 4),), DataError),
         (IndexSequence, (1, (0, 2)), DataError),
     ],
-    ids=["partition-rising", "partition-zero", "semigroup-genus", "semigroup-closure", "sequence-rising"],
+    ids=["partition-rising", "partition-zero", "semigroup-rising", "semigroup-closure", "sequence-rising"],
 )
 def test_restoring_an_invalid_value_runs_its_checks(cls, fields, error):
     with pytest.raises(error):
@@ -194,10 +194,20 @@ def test_enumeration_is_sorted_and_duplicate_free():
 
 
 def test_enumeration_genus_zero_and_errors():
-    assert enumerate_semigroups(0) == [NumericalSemigroup(0, ())]
-    with pytest.raises(ResourceError):
-        enumerate_semigroups(13)
-    assert len(enumerate_semigroups(9, max_genus=13)) == 118
+    assert enumerate_semigroups(0) == [NumericalSemigroup(())]
+    with pytest.raises(DataError):
+        enumerate_semigroups(-1)
+    assert len(enumerate_semigroups(9)) == 118
+    # past the CLI's default cap: the genus cap is the CLI's alone
+    assert len(enumerate_semigroups(13)) == 1001
+
+
+def test_the_gap_list_is_the_whole_semigroup():
+    assert NumericalSemigroup._fields == ("gaps",)
+    assert NumericalSemigroup((1, 2, 4)).genus == 3
+    assert NumericalSemigroup(()).genus == 0
+    assert repr(NumericalSemigroup((1, 2, 4))) == "NumericalSemigroup(genus=3, gaps=[1, 2, 4])"
+    assert HilbertReport._fields == ("lower", "upper", "generator_counts")
 
 
 # -- sequences ----------------------------------------------------------------
@@ -211,7 +221,7 @@ def test_weierstrass_sequence_examples():
     seq = weierstrass_sequence(NumericalSemigroup.from_gaps([1, 2]))
     assert seq.head == (1, 0)
 
-    seq = weierstrass_sequence(NumericalSemigroup(0, ()))
+    seq = weierstrass_sequence(NumericalSemigroup(()))
     assert seq.head == () and seq.d == -1
     assert seq.entries(3) == (-2, -3, -4)
 
@@ -246,7 +256,7 @@ def test_sequence_inversion_checks_closure_once(monkeypatch):
 def test_sequence_rejection():
     assert semigroup_from_sequence(IndexSequence(d=1, head=(3, 0))) is None
     # pure tail with d = -1 is the trivial semigroup
-    assert semigroup_from_sequence(IndexSequence(d=-1)) == NumericalSemigroup(0, ())
+    assert semigroup_from_sequence(IndexSequence(d=-1)) == NumericalSemigroup(())
 
 
 def test_lemma_bounds_hold_on_all_enumerated_sequences():

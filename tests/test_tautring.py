@@ -4,7 +4,9 @@ from math import comb
 
 import pytest
 
-from oracles import coefficient_rows, integer_rows, lambda_psi_monomials, lower_bound_by_degree
+from oracles import (
+    coefficient_rows, fixed_point_value, integer_rows, lambda_psi_monomials, lower_bound_by_degree,
+)
 from wtaut.exactalg import Echelon
 from wtaut.semigroups import enumerate_semigroups
 from wtaut.tautring import (
@@ -69,3 +71,12 @@ def test_lower_bound_at_genus_ten():
     # monomials, when every lambda-monomial was added as a row.
     lower = hilbert_quotient_lower(10, 16)
     assert lower == [1, 2, 4, 7, 12, 19, 30, 45, 67, 97, 128, 161, 192, 201, 203, 204, 204]
+
+
+@pytest.mark.parametrize("g", range(1, 5))
+def test_relation_generators_vanish_at_every_fixed_point(g):
+    """I lies in I_ev, which is why the lower bound never exceeds the upper."""
+    semis = enumerate_semigroups(g)
+    for mu, relation in relation_generators(g, g * (g + 1) // 2 + 2):
+        for h in semis:
+            assert fixed_point_value(relation, h.gaps) == 0, (mu, h.gaps)

@@ -13,12 +13,15 @@ from oracles import (
     ParamSequence,
     double_schur,
     ev_homomorphism,
+    fixed_point_value,
     from_json,
     from_pairs,
+    hook_product,
     hprime_partition,
     intersection_nonempty,
     is_realizable,
     pairs_pushforward,
+    partition_contains,
     sequence_from_hprime_partition,
     terms,
     to_lambda_basis,
@@ -303,6 +306,22 @@ def test_localization_vanishing_against_domination(g):
                 assert value, (h_point.gaps, h_target.gaps)
             else:
                 assert not value, (h_point.gaps, h_target.gaps)
+
+
+@pytest.mark.parametrize("g", range(1, 8))
+def test_weierstrass_class_at_a_fixed_point_is_a_signed_hook_product_on_its_locus(g):
+    """The class of H is nonzero at the fixed point of H' exactly when
+    mu(H) fits in mu(H'), and at H' = H it is (-1)^|mu| H(mu), the
+    product of the hook lengths of mu = mu(H)."""
+    semis = enumerate_semigroups(g)
+    for h_target in semis:
+        mu = h_target.partition
+        cycle = weierstrass_class(h_target).class_pointed
+        for h_point in semis:
+            value = fixed_point_value(cycle, h_point.gaps)
+            assert (value != 0) == partition_contains(h_point.partition, mu), (h_point.gaps, mu)
+            if h_point == h_target:
+                assert value == (-1) ** mu.weight * hook_product(mu), mu
 
 
 def test_record_round_trips_polynomials(capsys):
