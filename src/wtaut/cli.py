@@ -7,11 +7,12 @@ is the CLI's alone: the library caps no genus, and build_config refuses
 a genus above the cap for every subcommand before any work.  A
 key=value config file (--config) may set only the keys in CONFIG_KEYS:
 genus, max_degree, mode, format, output, unshifted, paper_sign and
-kappa0_substitute, with a dash allowed for the underscore.  Explicit
-flags win over the file.  Any other key, a bool that is not one of
-BOOL_WORDS and an int that does not parse are data errors.  Each
-subcommand returns its payload for JSON and its table, with lazy rows,
-for CSV and LaTeX.
+kappa0_substitute, with a dash allowed for the underscore.  CONFIG_KEYS
+holds each key's default.  Explicit flags win over the file.  Any other
+key, a bool that is not one of BOOL_WORDS and an int that does not parse
+are data errors.  Each run is one argparse namespace: build_config fills
+it in, and each subcommand's run function reads it alone and returns its
+payload for JSON and its table, with lazy rows, for CSV and LaTeX.
 
 A polynomial is written as {"terms": [{"coeff", "exps"}, ...], "text"}.
 The x-root view value_x of pullback and psum, the class in the Chern
@@ -41,7 +42,7 @@ import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from . import __version__
 from .errors import DataError, ResourceError, UsageError
@@ -99,10 +100,12 @@ LOWER_RING_NOTE = (
 )
 
 
-# The options a config file may set, named as the RunConfig fields and the
-# flags' dests; every one but output is echoed in the envelope.
-CONFIG_KEYS = ("genus", "max_degree", "mode", "format", "output",
-               "unshifted", "paper_sign", "kappa0_substitute")
+# The options a config file may set, named as the flags' dests, each with its
+# default; every one but output is echoed in the envelope.  These defaults are
+# the only ones: a flag left out reads None and leaves the config file's value
+# or the default in place, and a file value is read by the type of its default.
+CONFIG_KEYS = {"genus": None, "max_degree": 6, "mode": "CM", "format": "json", "output": None,
+               "unshifted": False, "paper_sign": False, "kappa0_substitute": False}
 # The words a config file may give a bool, in any case.
 BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -110,32 +113,6 @@ BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, 
 def _mode(text: str) -> str:
     """The mode text names, in the case of its choices: CM and smooth in any case."""
     return text.upper().replace("SMOOTH", "smooth")
-
-
-class RunConfig(NamedTuple):
-    """Effective options for one run: the CONFIG_KEYS, then what build_config derives.
-
-    The defaults here are the only ones: a flag left out reads None and
-    leaves the config file's value or the default in place, and a file
-    value is read by the type of its field's default.
-    """
-
-    genus: str | None = None
-    max_degree: int = 6
-    mode: str = "CM"
-    format: str = "json"
-    output: str | None = None
-    unshifted: bool = False
-    paper_sign: bool = False
-    kappa0_substitute: bool = False
-    genera: range = range(0)
-    source_date: time.struct_time | None = None
-
-    def echo(self) -> dict:
-        low, high = self.genera[0], self.genera[-1]
-        echo = {key: getattr(self, key) for key in CONFIG_KEYS if key != "output"}
-        echo["genus"] = low if low == high else f"{low}-{high}"
-        return echo
 
 
 def _env_count(name: str, default: int | None) -> int | None:
@@ -169,15 +146,23 @@ def _source_date() -> time.struct_time | None:
     return stamp
 
 
-def make_envelope(command: str, config: RunConfig, payload, warnings: list[str]) -> dict:
+def _echo(run: argparse.Namespace) -> dict:
+    """The options the envelope echoes: every config key but output, the genus as A or A-B."""
+    low, high = run.genera[0], run.genera[-1]
+    echo = {key: getattr(run, key) for key in CONFIG_KEYS if key != "output"}
+    echo["genus"] = low if low == high else f"{low}-{high}"
+    return echo
+
+
+def make_envelope(run: argparse.Namespace, payload, warnings: list[str]) -> dict:
     return {
         "tool": "wtaut",
         "version": __version__,
-        "command": command,
-        "config": config.echo(),
+        "command": run.subcommand,
+        "config": _echo(run),
         "warnings": sorted(warnings),
         "payload": payload,
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", config.source_date or time.gmtime()),
+        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", run.source_date or time.gmtime()),
     }
 
 
@@ -186,7 +171,7 @@ def _parse_genus(text: str) -> tuple[int, int]:
     if head and tail:
         low, high = int(head), int(tail)
         if low > high:
-            raise argparse.ArgumentTypeError("empty genus range")
+            raise ValueError("empty genus range")
         return low, high
     value = int(text)
     return value, value
@@ -225,14 +210,13 @@ def _load_config_file(path: str) -> dict:
                 f"unknown config key {key!r} in {path}; the keys are {', '.join(CONFIG_KEYS)}"
             )
         values[key] = value.strip()
-    defaults = RunConfig._field_defaults
     for key, value in values.items():
         bad = f"bad {key} {value!r} in {path}"
-        if isinstance(defaults[key], bool):
+        if isinstance(CONFIG_KEYS[key], bool):
             if value.lower() not in BOOL_WORDS:
                 raise DataError(f"{bad}: not one of {', '.join(BOOL_WORDS)}")
             values[key] = BOOL_WORDS[value.lower()]
-        elif isinstance(defaults[key], int):
+        elif isinstance(CONFIG_KEYS[key], int):
             try:
                 values[key] = int(value)
             except ValueError as exc:
@@ -240,20 +224,31 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """RunConfig defaults, overridden by the config file's values, then by the flags given."""
+def build_config(args: argparse.Namespace) -> None:
+    """Fill in the run's namespace args: each config key the flags left None
+    takes the config file's value, or else its CONFIG_KEYS default.
+
+    Sets args.genera, the range of genera, and args.source_date, and
+    normalizes args.mode.  The checks run in a fixed order, so the first
+    error reported is always the same: a flag read as [], genus given and
+    parsed, the genus cap, a negative genus, SOURCE_DATE_EPOCH, mode,
+    format, degree cutoff.
+    """
+    # the argparse of some Pythons (3.11 among them) reads --flag=-- as [], past
+    # the flag's type and choices; only the genus reads it as "--", below
+    for key, value in vars(args).items():
+        if value == [] and key != "genus":
+            raise UsageError(f"bad {key} '--'")
     values = _load_config_file(args.config) if args.config else {}
-    for key in CONFIG_KEYS:
-        if getattr(args, key, None) is not None:
-            values[key] = getattr(args, key)
-    config = RunConfig(**values)
-    if config.genus is None:
+    for key, default in CONFIG_KEYS.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, values.get(key, default))
+    if args.genus is None:
         raise UsageError("a genus is required")
-    # the argparse of some Pythons (3.11 among them) reads --genus=-- as []
-    genus = "--" if config.genus == [] else config.genus
+    genus = "--" if args.genus == [] else args.genus
     try:
         low, high = _parse_genus(genus)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad genus {genus!r}: {exc}") from exc
     max_genus = _env_count("WTAUT_MAX_GENUS", DEFAULT_MAX_GENUS)
     if high > max_genus:
@@ -262,22 +257,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         )
     if low < 0:
         raise UsageError("genus must be non-negative")
-    config = config._replace(
-        mode=_mode(config.mode),
-        genera=range(low, high + 1),
-        source_date=_source_date(),
-    )
-    if config.mode not in ("CM", "smooth"):
+    args.genera = range(low, high + 1)
+    args.source_date = _source_date()
+    args.mode = _mode(args.mode)
+    if args.mode not in ("CM", "smooth"):
         raise DataError("mode must be CM or smooth")
-    if config.format not in FORMATS:
-        raise DataError(f"format must be one of {', '.join(FORMATS)}, not {config.format!r}")
-    if config.max_degree < 1:
+    if args.format not in FORMATS:
+        raise DataError(f"format must be one of {', '.join(FORMATS)}, not {args.format!r}")
+    if args.max_degree < 1:
         raise DataError("the degree cutoff must be at least 1")
-    if config.max_degree > MAX_DEGREE_CAP:
+    if args.max_degree > MAX_DEGREE_CAP:
         raise ResourceError(
-            f"degree cutoff {config.max_degree} too large; use at most {MAX_DEGREE_CAP}"
+            f"degree cutoff {args.max_degree} too large; use at most {MAX_DEGREE_CAP}"
         )
-    return config
 
 
 # -- polynomial rendering ----------------------------------------------------
@@ -400,9 +392,9 @@ def _set_cell(values) -> str:
     return "{" + " ".join(map(str, values)) + "}"
 
 
-def run_semigroups(config: RunConfig, args: argparse.Namespace):
+def run_semigroups(run: argparse.Namespace):
     payload = []
-    for g in config.genera:
+    for g in run.genera:
         records = [semigroup_record(h) for h in enumerate_semigroups(g)]
         payload.append({"genus": g, "count": len(records), "semigroups": records})
     rows = (
@@ -412,28 +404,28 @@ def run_semigroups(config: RunConfig, args: argparse.Namespace):
         for rec in block["semigroups"]
     )
     headers = ["genus", "gaps", "sequence_head", "partition"]
-    return payload, [], (headers, rows, {"genus": config.echo()["genus"]})
+    return payload, [], (headers, rows, {"genus": _echo(run)["genus"]})
 
 
-def run_class(config: RunConfig, args: argparse.Namespace):
-    gaps, parts = args.gaps, args.partition
+def run_class(run: argparse.Namespace):
+    gaps, parts = run.gaps, run.partition
     semigroup = None if gaps is None else _parse_flag("--gaps", gaps, NumericalSemigroup.from_gaps)
     partition = None if parts is None else _parse_flag("--partition", parts, Partition.of)
     if (semigroup is None) == (partition is None):
         raise DataError("choose exactly one selector: --gaps or --partition")
     if semigroup is not None:
-        for g in config.genera:
+        for g in run.genera:
             if g != semigroup.genus:
                 raise DataError(f"gap list has genus {semigroup.genus}, not the requested {g}")
     warnings = [f"normalization: {NORMALIZATION}"]
-    if config.unshifted:
+    if run.unshifted:
         warnings.append(UNSHIFTED_NOTE)
     payload = []
-    for g in config.genera:
+    for g in run.genera:
         if semigroup is not None:
-            cycle = weierstrass_class(semigroup, unshifted=config.unshifted)
+            cycle = weierstrass_class(semigroup, unshifted=run.unshifted)
         else:
-            cycle = virtual_class(partition, g, unshifted=config.unshifted)
+            cycle = virtual_class(partition, g, unshifted=run.unshifted)
         payload.append(
             {
                 "genus": g,
@@ -442,7 +434,7 @@ def run_class(config: RunConfig, args: argparse.Namespace):
                 "codim": cycle.partition.weight,
                 "class_pointed": cycle.class_pointed,
                 "class_unpointed": push_to_unpointed(
-                    cycle, substitute_kappa0=config.kappa0_substitute
+                    cycle, substitute_kappa0=run.kappa0_substitute
                 ),
                 "virtual": cycle.virtual,
                 "normalization": NORMALIZATION,
@@ -463,61 +455,61 @@ def run_class(config: RunConfig, args: argparse.Namespace):
     return payload, warnings, (headers, rows, {"normalization": NORMALIZATION})
 
 
-def run_pullback(config: RunConfig, args: argparse.Namespace):
-    mu = _parse_flag("--partition", args.partition, Partition.of)
-    if config.genera[0] < 1:
+def run_pullback(run: argparse.Namespace):
+    mu = _parse_flag("--partition", run.partition, Partition.of)
+    if run.genera[0] < 1:
         raise DataError("pullback needs genus at least 1")
     payload = [
         {
             "genus": g,
             "partition": list(mu),
             "weight": mu.weight,
-            "mode": config.mode,
+            "mode": run.mode,
             "value_x": _orbits_record(root_orbits(value, g)),  # of the class before any reduction
-            "value_lambda": mumford_reduce(value, g) if config.mode == "smooth" else value,
+            "value_lambda": mumford_reduce(value, g) if run.mode == "smooth" else value,
         }
-        for g in config.genera
+        for g in run.genera
         for value in [kstar_schubert(mu, g)]
     ]
     rows = ([str(rec["genus"]), _tuple_cell(mu), rec["value_lambda"].latex()] for rec in payload)
-    return payload, [], (["genus", "partition", "class"], rows, {"mode": config.mode})
+    return payload, [], (["genus", "partition", "class"], rows, {"mode": run.mode})
 
 
-def run_psum(config: RunConfig, args: argparse.Namespace):
-    power = args.power
+def run_psum(run: argparse.Namespace):
+    power = run.power
     if power < 1:
         raise DataError("the power must be at least 1")
-    smooth = config.mode == "smooth"
+    smooth = run.mode == "smooth"
     payload = []
-    for g in config.genera:
+    for g in run.genera:
         if g < 1:
             raise DataError("power sums need genus at least 1")
         record = {
             "genus": g,
             "power": power,
-            "mode": config.mode,
+            "mode": run.mode,
             "value_x": _orbits_record(kstar_power_sum_roots(power, g)),
             "value_lambda": kstar_power_sum(power, g),
         }
         if smooth:
-            record["value_kappa_psi"] = smooth_power_sum(power, g, paper_sign=config.paper_sign)
+            record["value_kappa_psi"] = smooth_power_sum(power, g, paper_sign=run.paper_sign)
         payload.append(record)
     warnings = [KAPPA_INDEX_NOTE if power % 2 else EVEN_SIGN_NOTE] if smooth else []
     rows = ([str(rec["genus"]), str(power), rec["value_lambda"].latex()] for rec in payload)
-    return payload, warnings, (["genus", "power", "class"], rows, {"mode": config.mode})
+    return payload, warnings, (["genus", "power", "class"], rows, {"mode": run.mode})
 
 
-def run_relations(config: RunConfig, args: argparse.Namespace):
+def run_relations(run: argparse.Namespace):
     payload = [
         {
             "genus": g,
-            "max_weight": config.max_degree,
+            "max_weight": run.max_degree,
             "generators": [
                 {"partition": list(mu), "weight": mu.weight, "value": poly}
-                for mu, poly in relation_generators(g, config.max_degree)
+                for mu, poly in relation_generators(g, run.max_degree)
             ],
         }
-        for g in config.genera
+        for g in run.genera
     ]
     rows = (
         [_tuple_cell(gen["partition"]), str(gen["weight"]), gen["value"].latex()]
@@ -527,14 +519,14 @@ def run_relations(config: RunConfig, args: argparse.Namespace):
     return payload, [], (["partition", "weight", "relation"], rows, {})
 
 
-def run_hilbert(config: RunConfig, args: argparse.Namespace):
+def run_hilbert(run: argparse.Namespace):
     payload = []
-    for g in config.genera:
-        report = sandwich_report(g, config.max_degree)
+    for g in run.genera:
+        report = sandwich_report(g, run.max_degree)
         payload.append(
             {
                 "genus": g,
-                "max_degree": config.max_degree,
+                "max_degree": run.max_degree,
                 "rows": [
                     {"degree": d, "lower": lower, "upper": upper}
                     for d, (lower, upper) in enumerate(zip(report.lower, report.upper))
@@ -547,7 +539,7 @@ def run_hilbert(config: RunConfig, args: argparse.Namespace):
         for block in payload
         for r in block["rows"]
     )
-    meta = {"max_degree": config.max_degree, "genus": config.echo()["genus"]}
+    meta = {"max_degree": run.max_degree, "genus": _echo(run)["genus"]}
     return payload, [LOWER_RING_NOTE], (["genus", "degree", "lower", "upper"], rows, meta)
 
 
@@ -575,11 +567,11 @@ def _parse_value(text: str) -> Fraction:
         raise DataError(f"bad --values entry {text!r}: {exc}") from None
 
 
-def run_schur_eval(config: RunConfig, args: argparse.Namespace):
-    kind, variables = args.kind, args.variables
+def run_schur_eval(run: argparse.Namespace):
+    kind, variables = run.kind, run.variables
     # an empty or blank --values is zero arguments, as _parse_flag reads --partition
-    values = None if args.values is None else args.values.split(",") if args.values.strip() else []
-    mu = _parse_flag("--partition", args.partition, Partition.of)
+    values = None if run.values is None else run.values.split(",") if run.values.strip() else []
+    mu = _parse_flag("--partition", run.partition, Partition.of)
     if (values is None) == (variables is None):
         raise DataError("choose exactly one of --values or --variables")
     if values is not None and len(values) > MAX_SCHUR_VALUES:
@@ -604,21 +596,21 @@ def run_schur_eval(config: RunConfig, args: argparse.Namespace):
 # -- driver ------------------------------------------------------------------
 
 
-def _emit(envelope: dict, config: RunConfig, table) -> None:
+def _emit(envelope: dict, run: argparse.Namespace, table) -> None:
     """Write the envelope as JSON, or table, (headers, rows, meta), as CSV or LaTeX.
 
     rows is a generator, so JSON output never builds the rows.
     """
     headers, rows, meta = table
     with _exact_digits():
-        if config.format == "json":
+        if run.format == "json":
             text = json_text(envelope) + "\n"
-        elif config.format == "csv":
+        elif run.format == "csv":
             text = _csv_lines(headers, rows, meta)
         else:
             text = _latex_table(headers, rows, caption=envelope["command"])
-    if config.output:
-        _write_output(Path(config.output), text)
+    if run.output:
+        _write_output(Path(run.output), text)
     else:
         sys.stdout.write(text)
 
@@ -726,11 +718,11 @@ def _joined_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     try:
-        config = build_config(args)
-        payload, warnings, table = args.run(config, args)
-        envelope = make_envelope(args.subcommand, config, payload, warnings)
+        build_config(args)
+        payload, warnings, table = args.run(args)
+        envelope = make_envelope(args, payload, warnings)
         with contextlib.suppress(BrokenPipeError):
-            _emit(envelope, config, table)
+            _emit(envelope, args, table)
         return 0
     except UsageError as exc:
         print(f"wtaut: usage error: {exc}", file=sys.stderr)

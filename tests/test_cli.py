@@ -624,15 +624,19 @@ def test_config_file_bool_words_in_any_case(capsys, tmp_path, word, value):
     assert json.loads(out)["config"]["unshifted"] is value
 
 
-def _exit_code_and_stdout(argv):
-    """main(argv)'s exit code and stdout, a usage error's SystemExit included."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _exit_code_and_streams(argv):
+    """main(argv)'s exit code, stdout and stderr, a usage error's SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _exit_code_and_stdout(argv):
+    return _exit_code_and_streams(argv)[:2]
 
 
 def _case_variants(word):
@@ -652,6 +656,164 @@ def test_mode_flag_and_config_file_agree_on_every_spelling(word):
         file_code, file_out = _exit_code_and_stdout(["--config", str(config), *argv])
     assert (flag_code == 0) == (file_code == 0), (flag_code, file_code)
     assert flag_out == file_out
+
+
+# (config file line, the same option as flags, the run both are added to, whether
+# the option changes the run's stdout)
+_FILE_AND_FLAG = {
+    "format-csv": ("format=csv", ["--format", "csv"], ["semigroups", "--genus", "0-3"], True),
+    "format-latex": ("format=latex", ["--format", "latex"],
+                     ["class", "--genus", "3", "--partition", "2,1"], True),
+    "max_degree-hilbert": ("max_degree=5", ["--max-degree", "5"], ["hilbert", "--genus", "3"], True),
+    "max_degree-relations": ("max_degree=5", ["--max-weight", "5"], ["relations", "--genus", "3"], True),
+    "mode-smooth": ("mode=smooth", ["--mode", "smooth"],
+                    ["pullback", "--genus", "3", "--partition", "2,1"], True),
+    "mode-CM": ("mode=CM", ["--mode", "CM"], ["pullback", "--genus", "3", "--partition", "2,1"], False),
+    "unshifted": ("unshifted=true", ["--unshifted"], ["class", "--genus", "3", "--gaps", "1,2,4"], True),
+    "kappa0_substitute": ("kappa0_substitute=yes", ["--kappa0-substitute"],
+                          ["class", "--genus", "3", "--gaps", "1,2,4"], True),
+    "paper_sign": ("paper_sign=1", ["--paper-sign"],
+                   ["psum", "--genus", "3", "--power", "2", "--mode", "smooth"], True),
+    "genus": ("genus=0-3", ["--genus", "0-3"], ["semigroups"], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FILE_AND_FLAG))
+def test_every_config_key_reads_the_same_from_the_file_as_from_its_flag(tmp_path, monkeypatch, case):
+    text, flags, argv, changes = _FILE_AND_FLAG[case]
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    config = tmp_path / "run.cfg"
+    config.write_text(text + "\n")
+    flag_code, flag_out = _exit_code_and_stdout([*argv, *flags])
+    file_code, file_out = _exit_code_and_stdout(["--config", str(config), *argv])
+    assert (flag_code, file_code) == (0, 0)
+    assert flag_out == file_out
+    if "--genus" in argv:  # without the option the run still succeeds, with the default
+        assert (_exit_code_and_stdout(argv)[1] != flag_out) == changes
+
+
+def test_config_file_output_writes_what_the_flag_writes(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    argv = ["hilbert", "--genus", "2", "--max-degree", "4"]
+    by_flag, by_file, config = tmp_path / "flag.json", tmp_path / "file.json", tmp_path / "run.cfg"
+    config.write_text(f"output={by_file}\n")
+    assert _exit_code_and_stdout([*argv, "--output", str(by_flag)]) == (0, "")
+    assert _exit_code_and_stdout(["--config", str(config), *argv]) == (0, "")
+    assert by_flag.read_bytes() == by_file.read_bytes()
+    assert by_flag.read_text() == _exit_code_and_stdout(argv)[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "--genus", "2", "--mode=--"],
+        ["hilbert", "--genus", "2", "--max-degree=--"],
+        ["psum", "--genus", "2", "--power=--"],
+        ["class", "--genus", "2", "--gaps=--"],
+        ["schur-eval", "--partition", "1", "--values=--"],
+        ["schur-eval", "--partition", "1", "--values", "1", "--kind=--"],
+        ["--config=--", "semigroups", "--genus", "1"],
+    ],
+)
+def test_a_double_dash_joined_to_a_flag_is_refused(argv):
+    # some Pythons' argparse (3.11 among them) hands --flag=-- over as [], others as "--"
+    code, out, err = _exit_code_and_streams(argv)
+    assert code in (2, 3), err
+    assert out == ""
+
+
+# The CLI's grammar for the property test below: each subcommand's flags, each
+# with the abbreviations argparse resolves uniquely among that subcommand's
+# flags, and the small valid values drawn beside the shared pool of bad ones.
+# A flag with no values takes none (store_true).  --output and --config are
+# left out: written files and config files have tests of their own.
+_COMMON_FLAGS = {
+    "--genus": (["--gen"], ["0", "1", "2", "4", "1-3", "2-4"]),
+    "--format": (["--form"], ["json", "csv", "latex"]),
+    "--mode": (["--mod"], ["CM", "smooth", "cm"]),
+}
+_PARTITIONS = ["1", "2,1", "3", "2,2", "3,2,1", "6"]
+_GRAMMAR = {
+    "semigroups": {},
+    "class": {
+        "--gaps": (["--gap"], ["1,3", "1,2,4", "1,2,3", "1,3,5"]),
+        "--partition": (["--part"], _PARTITIONS),
+        "--unshifted": (["--unsh"], []),
+        "--kappa0-substitute": (["--kappa"], []),
+    },
+    "pullback": {"--partition": (["--part"], _PARTITIONS)},
+    "psum": {
+        "--power": (["--pow"], ["1", "2", "3", "4"]),
+        "--paper-sign": (["--paper"], []),
+    },
+    "relations": {"--max-weight": (["--max-w"], ["1", "4", "8"])},
+    "hilbert": {"--max-degree": (["--max-d"], ["1", "4", "8"])},
+    "schur-eval": {
+        "--kind": (["--ki"], ["factorial", "shifted"]),
+        "--partition": (["--part"], _PARTITIONS),
+        "--values": (["--val", "--value"], ["0", "1/2,3", "-1,2", "1,2,3", "-.5"]),
+        "--variables": (["--var"], ["0", "2", "3"]),
+    },
+}
+_BAD_VALUES = ["", " ", "x", "1,,2", "1/0", "1e3", "3-4", "0-2", "-1", "-x", "--", "-1,2"]
+
+
+def _flags_of(sub):
+    common = {k: v for k, v in _COMMON_FLAGS.items() if not (sub == "schur-eval" and k == "--genus")}
+    return {**common, **_GRAMMAR[sub]}
+
+
+@st.composite
+def _cli_draws(draw):
+    """A subcommand and up to 4 of its flags, as (flag, spelling, value, joined)."""
+    sub = draw(st.sampled_from(sorted(_GRAMMAR)))
+    flags = _flags_of(sub)
+    chosen = []
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=4)):
+        abbreviations, good = flags[flag]
+        spelling = draw(st.sampled_from([flag, *abbreviations]))
+        if not good:
+            chosen.append((flag, spelling, None, False))
+        else:
+            value = draw(st.sampled_from(good) | st.sampled_from(_BAD_VALUES))
+            chosen.append((flag, spelling, value, draw(st.booleans())))
+    return sub, chosen
+
+
+def _cli_argv(sub, chosen, joined):
+    argv = [sub]
+    for _, spelling, value, join in chosen:
+        if value is None:
+            argv.append(spelling)
+        elif join if joined is None else joined:
+            argv.append(f"{spelling}={value}")
+        else:
+            argv += [spelling, value]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cli_draws())
+def test_the_cli_grammar_keeps_the_exit_code_contract(draw):
+    sub, chosen = draw
+    argv = _cli_argv(sub, chosen, None)
+    with mock.patch.dict(os.environ, SOURCE_DATE_EPOCH="0"):
+        code, out, err = _exit_code_and_streams(argv)
+        assert code in (0, 2, 3, 4), (argv, code)
+        if code in (3, 4):
+            assert out == ""
+            prefix = "wtaut: data error: " if code == 3 else "wtaut: resource error: "
+            assert err.startswith(prefix) and err.count("\n") == 1, err
+        fmt = next((value for flag, _, value, _ in chosen if flag == "--format"), "json")
+        if code == 0 and fmt == "json":
+            json.loads(out)
+        # argparse reads "--flag -v" as a flag missing its value, except where
+        # _joined_values joins --values to a number
+        if all(value is None or value[:1] != "-"
+               or (flag == "--values" and value[1:2] in tuple("0123456789."))
+               for flag, _, value, _ in chosen):
+            spaced = _exit_code_and_stdout(_cli_argv(sub, chosen, False))
+            assert spaced == _exit_code_and_stdout(_cli_argv(sub, chosen, True)), argv
 
 
 @pytest.mark.parametrize(
