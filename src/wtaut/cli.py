@@ -13,6 +13,8 @@ key, a bool that is not one of BOOL_WORDS and an int that does not parse
 are data errors.  Each run is one argparse namespace: build_config fills
 it in, and each subcommand's run function reads it alone and returns its
 payload for JSON and its table, with lazy rows, for CSV and LaTeX.
+class takes two polynomials from wcycles and writes the rest of the record:
+the gaps, codim, normalization, kappa_0 substitution and virtual flag.
 
 A polynomial is written as {"terms": [{"coeff", "exps"}, ...], "text"}.
 The x-root view value_x of pullback and psum, the class in the Chern
@@ -46,14 +48,16 @@ from typing import Iterable
 
 from . import __version__
 from .errors import DataError, ResourceError, UsageError
-from .exactalg import MultiPoly
+from .exactalg import MultiPoly, kap
 from .pullback import (
     kstar_power_sum, kstar_power_sum_roots, kstar_schubert, mumford_reduce, smooth_power_sum,
 )
 from .schur import factorial_schur, generic_arguments, root_orbits, shifted_schur
-from .semigroups import NumericalSemigroup, Partition, enumerate_semigroups, semigroup_record
+from .semigroups import (
+    NumericalSemigroup, Partition, enumerate_semigroups, in_staircase, semigroup_record,
+)
 from .tautring import relation_generators, sandwich_report
-from .wcycles import push_to_unpointed, virtual_class, weierstrass_class
+from .wcycles import pushforward_rule, weierstrass_class
 
 # The genus cap unless WTAUT_MAX_GENUS sets another, the only one: build_config
 # checks it for every subcommand before any work.  It is 12 because no cost
@@ -90,6 +94,9 @@ KAPPA_INDEX_NOTE = (
 )
 EVEN_SIGN_NOTE = (
     "even power sums use the derived negative sign; pass --paper-sign for the published form"
+)
+PAPER_SIGN_NOTE = (
+    "even power sums use the published positive sign (--paper-sign); the derived sign is negative"
 )
 # every class holds up to a nonzero constant factor: the record, the warning and
 # the CSV meta of class say so
@@ -422,21 +429,21 @@ def run_class(run: argparse.Namespace):
         warnings.append(UNSHIFTED_NOTE)
     payload = []
     for g in run.genera:
-        if semigroup is not None:
-            cycle = weierstrass_class(semigroup, unshifted=run.unshifted)
-        else:
-            cycle = virtual_class(partition, g, unshifted=run.unshifted)
+        mu = partition if semigroup is None else semigroup.partition
+        pointed = weierstrass_class(mu, g, unshifted=run.unshifted)
+        unpointed = pushforward_rule(pointed)
+        if run.kappa0_substitute:
+            unpointed = unpointed.substitute({kap(0): 2 * g - 2})
         payload.append(
             {
                 "genus": g,
                 "gaps": None if semigroup is None else list(semigroup.gaps),
-                "partition": list(cycle.partition),
-                "codim": cycle.partition.weight,
-                "class_pointed": cycle.class_pointed,
-                "class_unpointed": push_to_unpointed(
-                    cycle, substitute_kappa0=run.kappa0_substitute
-                ),
-                "virtual": cycle.virtual,
+                "partition": list(mu),
+                "codim": mu.weight,
+                "class_pointed": pointed,
+                "class_unpointed": unpointed,
+                # mu outside the staircase delta_(g-1): no semigroup of genus g has it
+                "virtual": not in_staircase(mu, g - 1),
                 "normalization": NORMALIZATION,
             }
         )
@@ -494,7 +501,8 @@ def run_psum(run: argparse.Namespace):
         if smooth:
             record["value_kappa_psi"] = smooth_power_sum(power, g, paper_sign=run.paper_sign)
         payload.append(record)
-    warnings = [KAPPA_INDEX_NOTE if power % 2 else EVEN_SIGN_NOTE] if smooth else []
+    even_note = PAPER_SIGN_NOTE if run.paper_sign else EVEN_SIGN_NOTE
+    warnings = [KAPPA_INDEX_NOTE if power % 2 else even_note] if smooth else []
     rows = ([str(rec["genus"]), str(power), rec["value_lambda"].latex()] for rec in payload)
     return payload, warnings, (["genus", "power", "class"], rows, {"mode": run.mode})
 

@@ -30,42 +30,20 @@ Pushing forward along the forgetful map sends lambda-monomial times
 psi^m to the same lambda-monomial times kappa_(m-1), dropping the degree
 by one.
 
-Every class here holds up to a nonzero constant factor.  A CycleClass
-holds the mathematics only: genus, partition, the two classes and the
-virtual flag.  The CLI writes the record of a class, with its gaps, its
-codim |mu| and its normalization.
+Every class here holds up to a nonzero constant factor.  Both functions
+return polynomials: weierstrass_class the pointed class, pushforward_rule
+its pushforward.  The CLI writes the record of a class: its gaps, its
+codim |mu|, its normalization, the kappa_0 substitution and the virtual
+flag.
 """
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .errors import DataError
 from .exactalg import Layout, MultiPoly, PSI, det, kap
 from .schur import psi_matrix
-from .semigroups import NumericalSemigroup, Partition, in_staircase
+from .semigroups import Partition
 
-__all__ = [
-    "CycleClass",
-    "weierstrass_class",
-    "virtual_class",
-    "push_to_unpointed",
-    "pushforward_rule",
-]
-
-
-class CycleClass(NamedTuple):
-    """A cycle class of genus g and partition mu, pointed and pushed forward.
-
-    Both classes hold up to a nonzero constant factor.  virtual flags a
-    mu outside the staircase delta_(g-1), whose sequence no semigroup
-    sequence dominates (see virtual_class).
-    """
-
-    genus: int
-    partition: Partition
-    class_pointed: MultiPoly
-    class_unpointed: MultiPoly
-    virtual: bool
+__all__ = ["weierstrass_class", "pushforward_rule"]
 
 
 def pushforward_rule(pointed: MultiPoly) -> MultiPoly:
@@ -92,49 +70,24 @@ def pushforward_rule(pointed: MultiPoly) -> MultiPoly:
     return MultiPoly(out, ring)
 
 
-def weierstrass_class(semigroup: NumericalSemigroup, unshifted: bool = False) -> CycleClass:
-    """Cycle class of the locus of points with the given semigroup.
+def weierstrass_class(mu: Partition, g: int, unshifted: bool = False) -> MultiPoly:
+    """Pointed cycle class of genus g driven by the partition mu, of length <= g.
 
-    This is virtual_class of semigroup.partition, (a_g - g, ..., a_1 - 1)
-    with zeros dropped; no semigroup is attached.  Its parts obey
-    a_j - j <= j - 1, since each of the a_j - j non-gaps x below a_j
-    gives a gap a_j - x below it, so mu fits in the staircase
-    delta_(g-1) and the class is never flagged virtual.  unshifted=True
-    returns the plain Schubert pullback kstar_schubert(mu, g) instead;
-    for mu = (1) that is g(g-1)/2 psi - lambda_1 rather than
+    For a semigroup H, mu = H.partition, (a_g - g, ..., a_1 - 1) with
+    zeros dropped, gives the class of the locus of points with
+    semigroup H.  Its parts obey a_j - j <= j - 1, since each of the
+    a_j - j non-gaps x below a_j gives a gap a_j - x below it, so mu
+    fits in the staircase delta_(g-1).  Any other mu gives the class of
+    the same formula, virtual when no semigroup sequence dominates the
+    sequence attached to mu, s_i = mu_i + g - i for i <= g with
+    d = g - 1: its bound s_i <= 2g - 2i is mu_i <= g - i, so that is
+    exactly when mu does not fit in delta_(g-1).  unshifted=True returns
+    the plain Schubert pullback kstar_schubert(mu, g) instead; for
+    mu = (1) that is g(g-1)/2 psi - lambda_1 rather than
     g(g+1)/2 psi - lambda_1.
-    """
-    return virtual_class(semigroup.partition, semigroup.genus, unshifted)
-
-
-def virtual_class(mu: Partition, g: int, unshifted: bool = False) -> CycleClass:
-    """Same formula driven by an arbitrary partition of length <= g.
-
-    Flagged virtual when no semigroup sequence dominates the sequence
-    attached to mu, s_i = mu_i + g - i for i <= g with d = g - 1.  Its
-    bound s_i <= 2g - 2i is mu_i <= g - i, so the flag is read off mu
-    itself: virtual exactly when mu does not fit in the staircase
-    delta_(g-1).  unshifted=True returns the plain Schubert pullback
-    kstar_schubert(mu, g), which for mu = (1) is g(g-1)/2 psi - lambda_1.
     """
     if mu.length > g:
         raise DataError("partition longer than the genus")
     if g < 1:
         raise DataError("cycle classes need genus at least 1")
-    pointed = det(psi_matrix(mu, g, shift=0 if unshifted else 1))
-    return CycleClass(
-        genus=g,
-        partition=mu,
-        class_pointed=pointed,
-        class_unpointed=pushforward_rule(pointed),
-        virtual=not in_staircase(mu, g - 1),
-    )
-
-
-def push_to_unpointed(cycle: CycleClass, substitute_kappa0: bool = False) -> MultiPoly:
-    """Unpointed class of a cycle; optionally set kappa_0 = 2g - 2."""
-    out = cycle.class_unpointed
-    if substitute_kappa0:
-        out = out.substitute({kap(0): MultiPoly.constant(2 * cycle.genus - 2)})
-    return out
-
+    return det(psi_matrix(mu, g, shift=0 if unshifted else 1))

@@ -88,8 +88,9 @@ reached from `src/`.
   every datum off the gap list (`NumericalSemigroup.partition`,
   `semigroup_record`, e_i of the gaps at the fixed points).
 * `sequence_from_hprime_partition`: the index sequence of a partition,
-  the inverse of `hprime_partition`, through which `virtual_class` tested
-  its flag by `is_realizable` before it read the flag off the staircase.
+  the inverse of `hprime_partition`, through which the virtual flag of a
+  class was tested by `is_realizable` before it was read off the
+  staircase; the tests check the flag against it.
 * `piecewise_hprime_partition`, `counted_dual_index_set`: the H'
   partition of a sequence by a formula piecewise around its last
   non-negative entry, and the dual index set with its virtual

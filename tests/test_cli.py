@@ -32,11 +32,11 @@ import oracles
 import wtaut.cli
 import wtaut.schur
 import wtaut.tautring
-from wtaut.cli import json_text, main
+from wtaut.cli import BOOL_WORDS, CONFIG_KEYS, FORMATS, json_text, main
 from oracles import U, xvar
 from wtaut.exactalg import PSI, MultiPoly, kap, lam, zvar
 from wtaut.schur import factorial_schur
-from wtaut.semigroups import Partition
+from wtaut.semigroups import Partition, partitions_up_to
 
 GOLDEN = Path(__file__).parent / "data" / "cli"
 
@@ -816,6 +816,94 @@ def test_the_cli_grammar_keeps_the_exit_code_contract(draw):
             assert spaced == _exit_code_and_stdout(_cli_argv(sub, chosen, True)), argv
 
 
+# The config keys drawn into files, each with its valid values; output is left
+# out, as test_config_file_output_writes_what_the_flag_writes covers it.
+_BOOL_SPELLINGS = st.sampled_from(sorted(BOOL_WORDS)).flatmap(_case_variants)
+_CONFIG_VALUES = {
+    "genus": st.sampled_from(["1", "2", "3", "0-2", "1-3"]),
+    "max_degree": st.sampled_from(["1", "3", "5"]),
+    "mode": _case_variants("CM") | _case_variants("smooth"),
+    "format": st.sampled_from(FORMATS),
+    "unshifted": _BOOL_SPELLINGS,
+    "paper_sign": _BOOL_SPELLINGS,
+    "kappa0_substitute": _BOOL_SPELLINGS,
+}
+# each subcommand's arguments that no config key sets, and its flag for each
+# config key but the common genus, mode and format
+_CONFIG_RUNS = {
+    "semigroups": ([], {}),
+    "class": (["--partition", "2,1"],
+              {"unshifted": "--unshifted", "kappa0_substitute": "--kappa0-substitute"}),
+    "pullback": (["--partition", "2,1"], {}),
+    "psum": (["--power", "2"], {"paper_sign": "--paper-sign"}),
+    "relations": ([], {"max_degree": "--max-weight"}),
+    "hilbert": ([], {"max_degree": "--max-degree"}),
+    "schur-eval": (["--partition", "2,1", "--values", "1,2"], {}),
+}
+_ERROR_PREFIXES = {2: "wtaut: usage error: ", 3: "wtaut: data error: ", 4: "wtaut: resource error: "}
+
+
+@st.composite
+def _config_draws(draw):
+    """A subcommand, the lines of a config file, and each key's value, None if drawn bad."""
+    sub = draw(st.sampled_from(sorted(_CONFIG_RUNS)))
+    lines, values = [], {}
+    for key in draw(st.lists(st.sampled_from(sorted(_CONFIG_VALUES)), unique=True, max_size=4)):
+        valid = draw(st.integers(0, 3)) > 0  # three in four values are valid
+        value = draw(_CONFIG_VALUES[key] if valid else st.sampled_from(_BAD_VALUES))
+        spelled = draw(st.sampled_from([key, key.replace("_", "-")]))
+        lines.append(spelled + draw(st.sampled_from(["=", " = "])) + value)
+        values[key] = value if valid else None
+    for _ in range(draw(st.integers(0, 2))):
+        extra = draw(st.sampled_from(["", "  ", "# a comment", "# genus=99"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return sub, lines, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(_config_draws())
+def test_drawn_config_files_keep_the_exit_code_contract_and_match_flags(draw):
+    sub, lines, values = draw
+    required, own_flags = _CONFIG_RUNS[sub]
+    flag_of = {"mode": "--mode", "format": "--format", **own_flags}
+    if sub != "schur-eval":  # schur-eval runs at genus 1 whatever the file says
+        flag_of["genus"] = "--genus"
+    argv = [sub, *required, *(["--genus", "2"] if "genus" in flag_of.keys() - values.keys() else [])]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, SOURCE_DATE_EPOCH="0"):
+        config = Path(tmp) / "run.cfg"
+        config.write_text("".join(line + "\n" for line in lines))
+        code, out, err = _exit_code_and_streams(["--config", str(config), *argv])
+        assert code in (0, 2, 3, 4), (lines, code)
+        if code:
+            assert out == ""
+            assert err.startswith(_ERROR_PREFIXES[code]) and err.count("\n") == 1, err
+        fmt = values.get("format") or "json"
+        if code == 0 and fmt == "json":
+            envelope = json.loads(out)
+        if None in values.values():
+            return
+        flags = []
+        for key, value in values.items():
+            if key not in flag_of:
+                continue
+            if isinstance(CONFIG_KEYS[key], bool):
+                flags += [flag_of[key]] * BOOL_WORDS[value.lower()]  # a false bool is no flag
+            else:
+                flags += [flag_of[key], value]
+        flag_code, flag_out = _exit_code_and_stdout([*argv, *flags])
+    assert flag_code == code, (lines, flags)
+    if code == 0 and fmt == "json":
+        # a key the subcommand has no flag for is only echoed
+        flag_envelope = json.loads(flag_out)
+        for key in values.keys() - flag_of.keys() - {"genus"}:
+            value = values[key]
+            read = BOOL_WORDS[value.lower()] if isinstance(CONFIG_KEYS[key], bool) else int(value)
+            flag_envelope["config"][key] = read
+        assert envelope == flag_envelope, (lines, flags)
+    else:
+        assert out == flag_out, (lines, flags)
+
+
 @pytest.mark.parametrize(
     "text, argv",
     [
@@ -853,6 +941,30 @@ def test_gap_list_genus_is_checked_against_the_whole_range_before_work(
     assert code == 3
     assert out == ""
     assert err == f"wtaut: data error: gap list has genus 3, not the requested {requested}\n"
+
+
+def test_kappa0_is_substituted_per_genus_across_a_genus_range(capsys):
+    code, out, err = _run(
+        capsys, ["class", "--genus", "1-4", "--partition", "1", "--kappa0-substitute"]
+    )
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    # kappa_0 = 2g - 2 times the divisor's g(g+1)/2
+    assert [rec["class_unpointed"]["text"] for rec in payload] == ["0", "6", "24", "60"]
+    assert [rec["virtual"] for rec in payload] == [True, False, False, False]
+
+
+def test_class_virtual_flag_matches_the_realizability_oracle():
+    start = time.perf_counter()
+    for mu in filter(len, partitions_up_to(6, max_length=4)):
+        argv = ["class", "--genus", f"{mu.length}-4", "--partition", ",".join(map(str, mu))]
+        code, out = _exit_code_and_stdout(argv)
+        assert code == 0, argv
+        for rec in json.loads(out)["payload"]:
+            g = rec["genus"]
+            realizable = oracles.is_realizable(oracles.sequence_from_hprime_partition(mu, g), g)
+            assert rec["virtual"] == (not realizable), (mu, g)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize(
@@ -958,6 +1070,27 @@ def test_psum_writes_its_root_view_without_in_roots(capsys, monkeypatch):
         ],
         "text": f"{-c}*psi^25*m() + m(25)",
     }
+
+
+@pytest.mark.parametrize("how", ["flag", "config", None])
+def test_even_power_warning_names_the_sign_the_run_uses(capsys, tmp_path, how):
+    argv = ["psum", "--genus", "2", "--power", "2", "--mode", "smooth"]
+    if how == "flag":
+        argv.append("--paper-sign")
+    elif how == "config":
+        config = tmp_path / "run.cfg"
+        config.write_text("paper_sign=yes\n")
+        argv = ["--config", str(config), *argv]
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    envelope = json.loads(out)
+    published = how is not None
+    assert envelope["payload"][0]["value_kappa_psi"]["text"] == ("psi^2" if published else "-psi^2")
+    assert envelope["warnings"] == [
+        "even power sums use the published positive sign (--paper-sign); the derived sign is negative"
+        if published
+        else "even power sums use the derived negative sign; pass --paper-sign for the published form"
+    ]
 
 
 def test_config_file_output_writes_the_file(capsys, tmp_path):

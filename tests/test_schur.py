@@ -355,7 +355,7 @@ def _forced_matrix(mu, g, variant, shift):
 @example(3, Partition((1, 1, 1, 1)))  # l(mu) > g
 def test_psi_matrix_variants_agree(g, mu):
     from wtaut.pullback import kstar_schubert
-    from wtaut.wcycles import virtual_class
+    from wtaut.wcycles import weierstrass_class
 
     if mu.length > g:  # the class is zero, and no matrix is built
         assert not kstar_schubert(mu, g)
@@ -369,7 +369,7 @@ def test_psi_matrix_variants_agree(g, mu):
         assert det(psi_matrix(mu, g, shift=shift)) == expected, (mu, g, shift)
     assert kstar_schubert(mu, g) == dets[0]
     # the unit shift of the interval gives the Weierstrass convention
-    assert virtual_class(mu, g).class_pointed == dets[1]
+    assert weierstrass_class(mu, g) == dets[1]
 
 
 def test_psi_matrix_raises_the_bound_where_the_intervals_were_shifted():

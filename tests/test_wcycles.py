@@ -34,14 +34,15 @@ from wtaut.errors import DataError
 from wtaut.exactalg import MultiPoly, PSI, kap, lam
 from wtaut.pullback import kstar_power_sum, kstar_schubert
 from wtaut.schur import lambda_ring
-from wtaut.semigroups import NumericalSemigroup, Partition, enumerate_semigroups, partitions_up_to
-from wtaut.tautring import violating_partitions
-from wtaut.wcycles import (
-    push_to_unpointed,
-    pushforward_rule,
-    virtual_class,
-    weierstrass_class,
+from wtaut.semigroups import (
+    NumericalSemigroup,
+    Partition,
+    enumerate_semigroups,
+    in_staircase,
+    partitions_up_to,
 )
+from wtaut.tautring import violating_partitions
+from wtaut.wcycles import pushforward_rule, weierstrass_class
 
 DATA = Path(__file__).parent / "data"
 PSI_P = MultiPoly.variable(PSI)
@@ -49,34 +50,36 @@ L = lambda i: MultiPoly.variable(lam(i))  # noqa: E731
 K = lambda j: MultiPoly.variable(kap(j))  # noqa: E731
 
 
+def _semigroup_class(h, unshifted=False):
+    return weierstrass_class(h.partition, h.genus, unshifted)
+
+
 def test_ordinary_semigroup_gives_unit_class():
     for g in (1, 2, 3, 4):
         h = NumericalSemigroup.from_gaps(range(1, g + 1))
-        cycle = weierstrass_class(h)
-        assert cycle.class_pointed == 1
-        assert cycle.partition == Partition(())
-        assert not cycle.virtual
+        assert _semigroup_class(h) == 1
+        assert h.partition == Partition(())
+        assert in_staircase(h.partition, g - 1)
 
 
 def test_genus_one_unique_semigroup_is_trivial():
-    cycle = weierstrass_class(NumericalSemigroup.from_gaps([1]))
-    assert cycle.class_pointed == 1
+    assert _semigroup_class(NumericalSemigroup.from_gaps([1])) == 1
 
 
 def test_hyperelliptic_genus_two_class():
-    cycle = weierstrass_class(NumericalSemigroup.from_gaps([1, 3]))
-    assert cycle.partition == Partition((1,))
-    assert cycle.class_pointed == -L(1) + PSI_P.scale(3)
-    assert cycle.class_unpointed == K(0).scale(3)
+    h = NumericalSemigroup.from_gaps([1, 3])
+    cycle = _semigroup_class(h)
+    assert h.partition == Partition((1,))
+    assert cycle == -L(1) + PSI_P.scale(3)
+    assert pushforward_rule(cycle) == K(0).scale(3)
 
 
 def test_weierstrass_divisor_formula_across_genera():
     # the partition (1) class must match -lambda_1 + g(g+1)/2 psi
     for g in range(2, 6):
-        cycle = virtual_class(Partition((1,)), g)
         expected = -L(1) + PSI_P.scale(Fraction(g * (g + 1), 2))
-        assert cycle.class_pointed == expected
-        assert not cycle.virtual
+        assert weierstrass_class(Partition((1,)), g) == expected
+        assert in_staircase(Partition((1,)), g - 1)
 
 
 def test_unshifted_variant_differs():
@@ -84,16 +87,16 @@ def test_unshifted_variant_differs():
     u -> -psi and e_1(x) = -lambda_1 that is -lambda_1 + psi at g = 2,
     while the shifted class is -lambda_1 + 3 psi."""
     h = NumericalSemigroup.from_gaps([1, 3])
-    cycle = weierstrass_class(h, unshifted=True)
-    assert cycle.class_pointed == -L(1) + PSI_P
-    assert cycle.class_pointed != weierstrass_class(h).class_pointed
+    cycle = _semigroup_class(h, unshifted=True)
+    assert cycle == -L(1) + PSI_P
+    assert cycle != _semigroup_class(h)
 
 
 @pytest.mark.parametrize("g", [3, 4, 5])
 def test_unshifted_divisor_matches_power_sum(g):
-    cycle = virtual_class(Partition((1,)), g, unshifted=True)
-    assert cycle.class_pointed == -L(1) + PSI_P.scale(Fraction(g * (g - 1), 2))
-    assert cycle.class_pointed == kstar_power_sum(1, g)
+    cycle = weierstrass_class(Partition((1,)), g, unshifted=True)
+    assert cycle == -L(1) + PSI_P.scale(Fraction(g * (g - 1), 2))
+    assert cycle == kstar_power_sum(1, g)
 
 
 def test_unshifted_class_is_schubert_pullback():
@@ -110,13 +113,13 @@ def test_unshifted_class_is_schubert_pullback():
             for a in range(1, g + 1)
         }
         for h in enumerate_semigroups(g):
-            unshifted = weierstrass_class(h, unshifted=True)
-            shifted = weierstrass_class(h)
-            mu = unshifted.partition
-            assert unshifted.class_pointed == kstar_schubert(mu, g), h.gaps
-            assert shifted.class_pointed == unshifted.class_pointed.substitute(twist), h.gaps
+            unshifted = _semigroup_class(h, unshifted=True)
+            shifted = _semigroup_class(h)
+            mu = h.partition
+            assert unshifted == kstar_schubert(mu, g), h.gaps
+            assert shifted == unshifted.substitute(twist), h.gaps
             if mu.weight:
-                assert unshifted.class_pointed != shifted.class_pointed, h.gaps
+                assert unshifted != shifted, h.gaps
 
 
 def test_virtual_class_matches_double_schur_oracle():
@@ -128,15 +131,16 @@ def test_virtual_class_matches_double_schur_oracle():
         args = [MultiPoly.variable(xvar(i)) - u for i in range(1, g + 1)]
         for mu in partitions_up_to(6, max_length=g):
             oracle = double_schur(mu, args, a).substitute({U: -PSI_P})
-            assert virtual_class(mu, g).class_pointed == to_lambda_basis(oracle, g), (mu, g)
+            assert weierstrass_class(mu, g) == to_lambda_basis(oracle, g), (mu, g)
 
 
 def _assert_matches_reference(name):
     ref = json.loads((DATA / name).read_text())
-    cycle = weierstrass_class(NumericalSemigroup.from_gaps(ref["gaps"]))
-    assert list(cycle.partition) == ref["partition"]
-    assert cycle.class_pointed.canonical_str() == ref["class_pointed"]
-    assert cycle.class_unpointed.canonical_str() == ref["class_unpointed"]
+    h = NumericalSemigroup.from_gaps(ref["gaps"])
+    cycle = _semigroup_class(h)
+    assert list(h.partition) == ref["partition"]
+    assert cycle.canonical_str() == ref["class_pointed"]
+    assert pushforward_rule(cycle).canonical_str() == ref["class_unpointed"]
 
 
 def test_five_by_five_class_matches_reference():
@@ -150,11 +154,11 @@ def test_hyperelliptic_genus_seven_class_matches_reference():
 
 
 def test_virtual_class_examples():
-    cycle = virtual_class(Partition((1,)), 3)
-    assert cycle.class_pointed == -L(1) + PSI_P.scale(6)
-    assert virtual_class(Partition(()), 3).class_pointed == 1
-    flagged = virtual_class(Partition((3,)), 1)
-    assert flagged.virtual
+    assert weierstrass_class(Partition((1,)), 3) == -L(1) + PSI_P.scale(6)
+    assert weierstrass_class(Partition(()), 3) == 1
+    flagged = Partition((3,))
+    weierstrass_class(flagged, 1)  # computed, although no semigroup of genus 1 has it
+    assert not in_staircase(flagged, 0)
 
 
 def test_virtual_flag_is_the_realizability_of_the_partitions_sequence():
@@ -165,30 +169,30 @@ def test_virtual_flag_is_the_realizability_of_the_partitions_sequence():
     for g in range(1, 9):
         flagged = set()
         for mu in partitions_up_to(12, max_length=g):
-            virtual = virtual_class(mu, g).virtual
+            virtual = not in_staircase(mu, g - 1)
             assert virtual == (not is_realizable(sequence_from_hprime_partition(mu, g), g)), (mu, g)
             if virtual:
                 flagged.add(mu)
         assert set(violating_partitions(g, 12)) <= flagged
-    assert virtual_class(Partition((2,)), 2).virtual and Partition((2,)) not in violating_partitions(2, 2)
+    assert not in_staircase(Partition((2,)), 1) and Partition((2,)) not in violating_partitions(2, 2)
 
 
 def test_virtual_class_rejects_long_partitions():
     with pytest.raises(DataError):
-        virtual_class(Partition((1, 1)), 1)
+        weierstrass_class(Partition((1, 1)), 1)
 
 
 def test_class_degrees_match_codimension():
     for g in range(1, 5):
         for h in enumerate_semigroups(g):
-            cycle = weierstrass_class(h)
-            mu = cycle.partition
+            cycle = _semigroup_class(h)
+            mu = h.partition
             if mu.weight == 0:
-                assert cycle.class_pointed == 1
-                assert not cycle.class_unpointed
+                assert cycle == 1
+                assert not pushforward_rule(cycle)
                 continue
-            assert weighted_degrees(cycle.class_pointed) == {mu.weight}
-            assert weighted_degrees(cycle.class_unpointed) == {mu.weight - 1}
+            assert weighted_degrees(cycle) == {mu.weight}
+            assert weighted_degrees(pushforward_rule(cycle)) == {mu.weight - 1}
 
 
 def test_pushforward_rule_examples():
@@ -229,9 +233,9 @@ def test_unpointed_classes_are_the_pairs_pushforward_and_have_no_psi():
     for g in range(1, 5):
         for mu in partitions_up_to(6, max_length=g):
             for unshifted in (False, True):
-                cycle = virtual_class(mu, g, unshifted)
-                assert cycle.class_unpointed == pairs_pushforward(cycle.class_pointed), (mu, g)
-                assert PSI not in cycle.class_unpointed.variables(), (mu, g)
+                cycle = weierstrass_class(mu, g, unshifted)
+                assert pushforward_rule(cycle) == pairs_pushforward(cycle), (mu, g)
+                assert PSI not in pushforward_rule(cycle).variables(), (mu, g)
 
 
 def test_pushforward_rejects_foreign_variables():
@@ -240,20 +244,20 @@ def test_pushforward_rejects_foreign_variables():
 
 
 def test_push_to_unpointed_weierstrass_point_count():
-    cycle = weierstrass_class(NumericalSemigroup.from_gaps([1, 3]))
-    assert push_to_unpointed(cycle, substitute_kappa0=True) == 6  # = 2g + 2
+    cycle = _semigroup_class(NumericalSemigroup.from_gaps([1, 3]))
+    assert pushforward_rule(cycle).substitute({kap(0): 2 * 2 - 2}) == 6  # = 2g + 2
 
 
 def test_push_drops_degree_by_one_everywhere():
     for g in (2, 3, 4):
         for h in enumerate_semigroups(g):
-            cycle = weierstrass_class(h)
-            if cycle.partition.weight == 0:
+            cycle = _semigroup_class(h)
+            if h.partition.weight == 0:
                 continue
-            pushed = cycle.class_unpointed
+            pushed = pushforward_rule(cycle)
             if not pushed:
                 continue
-            assert max(weighted_degrees(pushed)) == max(weighted_degrees(cycle.class_pointed)) - 1
+            assert max(weighted_degrees(pushed)) == max(weighted_degrees(cycle)) - 1
 
 
 def test_intersection_open_cell_criterion():
@@ -297,11 +301,11 @@ def test_localization_vanishing_against_domination(g):
     dominated locus."""
     semis = enumerate_semigroups(g)
     for h_target in semis:
-        cycle = weierstrass_class(h_target)
+        cycle = _semigroup_class(h_target)
         seq_target = weierstrass_sequence(h_target)
         for h_point in semis:
             seq_point = weierstrass_sequence(h_point)
-            value = ev_homomorphism(cycle.class_pointed, h_point)
+            value = ev_homomorphism(cycle, h_point)
             if _dominates(seq_point, seq_target, g + 2):
                 assert value, (h_point.gaps, h_target.gaps)
             else:
@@ -316,7 +320,7 @@ def test_weierstrass_class_at_a_fixed_point_is_a_signed_hook_product_on_its_locu
     semis = enumerate_semigroups(g)
     for h_target in semis:
         mu = h_target.partition
-        cycle = weierstrass_class(h_target).class_pointed
+        cycle = _semigroup_class(h_target)
         for h_point in semis:
             value = fixed_point_value(cycle, h_point.gaps)
             assert (value != 0) == partition_contains(h_point.partition, mu), (h_point.gaps, mu)
@@ -327,9 +331,10 @@ def test_weierstrass_class_at_a_fixed_point_is_a_signed_hook_product_on_its_locu
 def test_record_round_trips_polynomials(capsys):
     assert main(["class", "--genus", "3", "--gaps", "1,3,5"]) == 0
     [rec] = json.loads(capsys.readouterr().out)["payload"]
-    cycle = weierstrass_class(NumericalSemigroup.from_gaps([1, 3, 5]))
-    assert from_json(rec["class_pointed"]["terms"]) == cycle.class_pointed
-    assert from_json(rec["class_unpointed"]["terms"]) == cycle.class_unpointed
-    assert rec["codim"] == cycle.partition.weight
+    h = NumericalSemigroup.from_gaps([1, 3, 5])
+    cycle = _semigroup_class(h)
+    assert from_json(rec["class_pointed"]["terms"]) == cycle
+    assert from_json(rec["class_unpointed"]["terms"]) == pushforward_rule(cycle)
+    assert rec["codim"] == h.partition.weight
     assert rec["gaps"] == [1, 3, 5]
     assert rec["normalization"] == "up-to-constant"
