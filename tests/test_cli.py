@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import select
 import stat
 import subprocess
@@ -255,6 +256,14 @@ def test_json_writer_covers_zero_constants_and_kappa0():
         assert json_text(poly) == json.dumps(oracles.poly_payload(poly), indent=2, sort_keys=True)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.characters(exclude_categories=())))  # lone surrogates too
+@example('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028\ud800\udfff\U0001f600\U0010ffff')
+def test_json_writer_writes_any_string_as_json_dumps_does(text):
+    assert json_text(text) == json.dumps(text)
+    assert json_text({text: [text]}) == json.dumps({text: [text]}, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("obj", [Fraction(1, 2), 0.5, (1, 2), {1, 2}, {1: "int key"}, [b"bytes"]])
 def test_json_writer_refuses_unknown_types(obj):
     with pytest.raises(TypeError):
@@ -280,6 +289,37 @@ def test_exit_codes(capsys, argv, code):
     assert got == code
     assert out == ""
     assert err.startswith("wtaut: data error: " if code == 3 else "wtaut: ")
+
+
+# Each subcommand's options in the order its help lists them.  The order, not
+# the help text, is pinned: argparse formats help differently across Pythons.
+_SHARED_OPTIONS = ["-h", "--genus", "--format", "--output", "--mode"]
+_SUBCOMMAND_OPTIONS = {
+    "semigroups": _SHARED_OPTIONS,
+    "class": [*_SHARED_OPTIONS, "--gaps", "--partition", "--unshifted", "--kappa0-substitute"],
+    "pullback": [*_SHARED_OPTIONS, "--partition"],
+    "psum": [*_SHARED_OPTIONS, "--power", "--paper-sign"],
+    "relations": [*_SHARED_OPTIONS, "--max-weight"],
+    "hilbert": [*_SHARED_OPTIONS, "--max-degree"],
+    "schur-eval": [
+        "-h", "--format", "--output", "--mode", "--kind", "--partition", "--values", "--variables"
+    ],
+}
+
+
+def _help_text(capsys, argv: list[str]) -> str:
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--help"])
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_each_subcommand_lists_the_shared_options_then_its_own(capsys):
+    # the top-level usage line lists the subcommands
+    assert re.search(r"\{([\w,-]+)\}", _help_text(capsys, []))[1].split(",") == list(_SUBCOMMAND_OPTIONS)
+    for name, expected in _SUBCOMMAND_OPTIONS.items():
+        # each option line starts at a two-space indent with its first flag
+        assert re.findall(r"^  (-[-\w]+)", _help_text(capsys, [name]), re.M) == expected, name
 
 
 @pytest.mark.parametrize("genus", ["13", "0-3"])
@@ -508,6 +548,50 @@ def test_output_into_a_fifo_whose_reader_closes_early_exits_0(capsys, tmp_path, 
         out, err = writer.communicate(timeout=60)
     assert (writer.returncode, out, err) == (0, "", "")
     assert data.decode() == expected[:10]
+
+
+def _cli_process(argv: list[str], env: dict | None = None) -> subprocess.Popen:
+    """`python -m wtaut.cli argv` in a process of its own, stdout and stderr piped."""
+    env = dict(env or os.environ, PYTHONPATH=str(Path(wtaut.cli.__file__).parents[1]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "wtaut.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["class", "--genus", "4", "--gaps", "1,2,3,5"], 0),
+        (["class", "--genus"], 2),  # refused by argparse, which exits
+        (["class", "--genus", "3", "--gaps", "2,3"], 3),
+        (["semigroups", "--genus", "13"], 4),
+    ],
+)
+def test_the_process_entry_point_writes_what_main_writes(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    try:
+        got = main(argv)
+    except SystemExit as stop:
+        got = stop.code
+    captured = capsys.readouterr()
+    out, err = _cli_process(argv).communicate(timeout=60)
+    assert got == code
+    assert (out, err.decode()) == (captured.out.encode(), captured.err)
+
+
+def test_stdout_whose_reader_closes_early_exits_0(capsys, monkeypatch):
+    # as `... | head -c 10` on stdout, with stdout buffered: a run under
+    # PYTHONUNBUFFERED would not meet a failed flush at exit
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    argv = ["semigroups", "--genus", "0-9"]
+    assert len(_run(capsys, argv)[1]) > 1 << 16  # more than a pipe buffer holds
+    writer = _cli_process(argv)
+    head = writer.stdout.read(10)
+    writer.stdout.close()
+    _, err = writer.communicate(timeout=60)
+    assert (writer.returncode, err) == (0, b"")
+    assert head == b'{\n  "comma'
 
 
 def test_output_through_a_symlink_writes_its_target(capsys, tmp_path, monkeypatch):
@@ -1181,7 +1265,8 @@ def test_bad_source_date_epoch_is_rejected_before_work(capsys, monkeypatch, valu
 
 def test_importing_the_cli_loads_no_dataclasses_datetime_or_csv():
     # Every CLI run pays for what `import wtaut.cli` loads; dataclasses (which
-    # loads inspect) and datetime are not needed, and csv only for CSV output.
+    # loads inspect), datetime and json are not needed, and csv only for CSV
+    # output.
     script = (
         "import sys; before = set(sys.modules); import wtaut.cli; "
         "print(*sorted(set(sys.modules) - before))"
@@ -1192,4 +1277,4 @@ def test_importing_the_cli_loads_no_dataclasses_datetime_or_csv():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert "wtaut.cli" in loaded
-    assert not {"dataclasses", "inspect", "datetime", "csv"} & set(loaded)
+    assert not {"dataclasses", "inspect", "datetime", "csv", "json"} & set(loaded)
