@@ -200,9 +200,10 @@ def _load_config_file(path: str) -> dict:
     text.
     """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error has no strerror
+        reason = getattr(exc, "strerror", None) or exc
+        raise DataError(f"cannot read config file {path}: {reason}") from exc
     values: dict = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -775,7 +776,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceError as exc:
         print(f"wtaut: resource error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError) as exc:  # DataError is a ValueError
+    except ValueError as exc:  # DataError is a ValueError
         print(f"wtaut: data error: {exc}", file=sys.stderr)
         return 3
 

@@ -12,6 +12,10 @@ conventions, both partitions of length at most g:
   zeros dropped, NumericalSemigroup.partition.  The parts weakly
   decrease because a_(j+1) > a_j, and they are non-negative because
   a_j >= j.
+
+The semigroups of genus g + 1 are the children of those of genus g: a
+child extends its parent's gaps by one n above the top gap F (0 for the
+empty list), n <= 2F + 1, that keeps them closed under addition.
 """
 
 from __future__ import annotations
@@ -132,43 +136,11 @@ class NumericalSemigroup(namedtuple("NumericalSemigroup", "gaps")):
         """The number of gaps."""
         return len(self.gaps)
 
-    def contains(self, n: int) -> bool:
-        return n >= 0 and n not in self.gaps
-
-    @property
-    def frobenius(self) -> int:
-        """Largest gap, -1 for the full semigroup."""
-        return self.gaps[-1] if self.gaps else -1
-
     @property
     def partition(self) -> Partition:
         """(a_g - g, ..., a_1 - 1) with zeros dropped: the partition of
         the cycle of points with this semigroup (index-g convention)."""
         return Partition.of(a - j for j, a in reversed(list(enumerate(self.gaps, 1))))
-
-    @property
-    def multiplicity(self) -> int:
-        """Smallest nonzero element."""
-        m = 1
-        while m in self.gaps:
-            m += 1
-        return m
-
-    def min_generators(self) -> tuple[int, ...]:
-        """Elements not expressible as a sum of two nonzero elements.
-
-        They lie in [m, F + m]: above that, n = m + (n - m) with n - m > F.
-        The full semigroup (F = -1, m = 1) has the one generator 1.
-        """
-        bound = max(self.frobenius, 0) + self.multiplicity
-        gens = []
-        for n in range(1, bound + 1):
-            if not self.contains(n):
-                continue
-            if any(self.contains(x) and self.contains(n - x) for x in range(1, n)):
-                continue
-            gens.append(n)
-        return tuple(gens)
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup(genus={self.genus}, gaps={list(self.gaps)})"
@@ -199,25 +171,29 @@ def _closure_witness(gaps: set[int]) -> Optional[tuple[int, int]]:
 def enumerate_semigroups(genus: int) -> list[NumericalSemigroup]:
     """All numerical semigroups of the given genus, ordered by gap list.
 
-    Walks the semigroup tree: children of H are obtained by removing a
-    minimal generator n larger than the Frobenius number, which reaches
-    every semigroup of each genus exactly once; n tops the gap list, so
-    the child's gaps stay increasing.  For g = 0..13 there are 1, 1, 2,
-    4, 7, 12, 23, 39, 67, 118, 204, 343, 592 and 1001, a count that grows
-    like powers of the golden ratio (Zhai, "Fibonacci-like growth of
-    numerical semigroups of a given genus", Semigroup Forum 86, 2013).
+    Walks the semigroup tree (Bras-Amorós, Semigroup Forum 76, 2008) on
+    plain gap tuples.  A child extends its parent's gaps by one n above
+    the top gap F (0 for the empty list) that keeps them closed; those n
+    are the minimal generators of the parent above F, so every semigroup
+    of each genus is reached exactly once, and they are at most
+    F + m <= 2F + 1, m the smallest non-gap: a larger n is m + (n - m)
+    with n - m > F a non-gap.  For g = 0..13 there are 1, 1, 2, 4, 7, 12, 23, 39, 67, 118,
+    204, 343, 592 and 1001, a count that grows like powers of the golden
+    ratio (Zhai, "Fibonacci-like growth of numerical semigroups of a
+    given genus", Semigroup Forum 86, 2013).
     """
     if genus < 0:
         raise DataError("genus must be non-negative")
-    level = [NumericalSemigroup(())]
+    level = [()]
     for _ in range(genus):
         level = [
-            NumericalSemigroup(h.gaps + (n,))
-            for h in level
-            for n in h.min_generators()
-            if n > h.frobenius
+            gaps + (n,)
+            for gaps in level
+            for top in (gaps[-1] if gaps else 0,)
+            for n in range(top + 1, 2 * top + 2)
+            if _closure_witness(set(gaps + (n,))) is None
         ]
-    return sorted(level)
+    return [NumericalSemigroup(gaps) for gaps in sorted(level)]
 
 
 def semigroup_record(semigroup: NumericalSemigroup) -> dict:

@@ -428,6 +428,16 @@ def test_sandwich_violation_is_a_data_error(capsys, monkeypatch):
     assert "at degree 0" in err
 
 
+def test_a_key_error_inside_a_run_is_not_reported_as_bad_input(capsys, monkeypatch):
+    def lookup_fails(genus):
+        raise KeyError(genus)
+
+    monkeypatch.setattr(wtaut.cli, "enumerate_semigroups", lookup_fails)
+    with pytest.raises(KeyError):
+        main(["semigroups", "--genus", "2"])
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv", CSV_ARGV, ids=lambda argv: argv[0])
 def test_csv_rows_match_header_width(capsys, argv):
     code, out, _ = _run(capsys, argv + ["--format", "csv"])
@@ -639,16 +649,27 @@ def test_unknown_config_key_is_rejected_before_work(capsys, tmp_path, monkeypatc
     assert "max_degree" in err
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
 def test_unreadable_config_file_is_a_data_error(capsys, tmp_path, kind):
     config = tmp_path / "run.cfg"
     if kind == "directory":
         config.mkdir()
+    elif kind == "not-utf8":
+        config.write_bytes(b"format=\xff\n")
     code, out, err = _run(capsys, ["--config", str(config), "semigroups", "--genus", "1"])
     assert code == 3
     assert out == ""
     assert err.startswith("wtaut: data error: cannot read config file ")
     assert str(config) in err
+
+
+def test_config_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_bytes("# r\u00e9glages\nformat=csv\n".encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    out, err = _cli_process(["--config", str(config), "semigroups", "--genus", "1"], env).communicate(timeout=60)
+    assert err == b""
+    assert out.startswith(b"# ")
 
 
 def test_config_file_values_and_flag_precedence(capsys, tmp_path):

@@ -154,23 +154,6 @@ def test_closure_witness_matches_the_listed_oracle(gaps):
 def test_semigroup_helpers():
     h = NumericalSemigroup.from_gaps([1, 2, 4])
     assert h.genus == 3
-    assert h.frobenius == 4
-    assert h.multiplicity == 3
-    assert h.min_generators() == (3, 5, 7)
-    assert h.contains(0) and not h.contains(4) and not h.contains(-1)
-
-
-def test_full_semigroup_is_generated_by_one():
-    assert NumericalSemigroup.from_gaps([]).min_generators() == (1,)
-
-
-def test_min_generators_match_brute_force_up_to_genus_6():
-    """Nonzero elements up to 4g + 2 that are no sum of two nonzero elements."""
-    for g in range(7):
-        for h in enumerate_semigroups(g):
-            elements = [n for n in range(1, 4 * g + 3) if n not in h.gaps]
-            sums = {a + b for a in elements for b in elements}
-            assert h.min_generators() == tuple(n for n in elements if n not in sums), h
 
 
 # -- enumeration --------------------------------------------------------------
@@ -181,8 +164,8 @@ def test_enumeration_counts_match_known_values():
         assert len(enumerate_semigroups(g)) == expected
 
 
-def test_enumeration_matches_brute_force_up_to_genus_6():
-    for g in range(7):
+def test_enumeration_matches_brute_force_up_to_genus_10():
+    for g in range(11):
         tree = [h.gaps for h in enumerate_semigroups(g)]
         assert tree == brute_force_semigroups(g)
 
@@ -409,7 +392,7 @@ def test_dual_of_weierstrass_sequence_is_minus_semigroup():
     h = NumericalSemigroup.from_gaps([1, 3])
     dual = dual_index_set(weierstrass_sequence(h))
     for n in range(-9, 3):
-        assert dual.contains(n) == h.contains(-n)
+        assert dual.contains(n) == (-n >= 0 and -n not in h.gaps)
 
 
 def test_dual_of_pure_tail_is_minus_naturals():
