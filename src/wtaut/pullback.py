@@ -26,11 +26,18 @@ and schur.in_roots expands those orbits into monomials of the x_i.
 On the smooth locus a class is reduced modulo Mumford's relations
 c(E) c(E*) = 1.  They involve lambda only, so the degree-d slice of the
 ideal they generate is I_d = sum_k psi^k J_(d-k), where J is the
-lambda-only Mumford ideal: psi is a free block index.  mumford_reduce
-reduces each psi^k block against the Echelon of the slice of J at its
-lambda-weight, cached per genus and weight.  Q[lambda]/J has the
-Hilbert series prod_{i<=g} (1 + t^i), of total dimension 2^g (it is the
-cohomology of the Lagrangian Grassmannian LG(g)).
+lambda-only Mumford ideal: psi is a free block index.  Q[lambda]/J has
+the Hilbert series prod_{i<=g} (1 + t^i), of total dimension 2^g (it is
+the cohomology of the Lagrangian Grassmannian LG(g)), and no slice of J
+is built.  Under the concave weights f(i) = i (2g + 1 - i) of the
+lambda_i the generator gen_k leads with lambda_k^2; these leading terms
+are coprime, so the generators are a Groebner basis and the square-free
+monomials lambda_S are a basis of the quotient, reached by the rewrite
+rule lambda_k^2 = 2 sum_{i<k, 2k-i<=g} (-1)^(k+i+1) lambda_i
+lambda_(2k-i) (lambda_0 = 1).  mumford_reduce writes each psi^k block
+on that basis and reads off the graded-lex normal form: its coefficients
+on the smallest monomials of the block's lambda-weight whose images are
+independent, cached per genus and weight.
 """
 
 from __future__ import annotations
@@ -134,35 +141,92 @@ def lambda_monomials(g: int, weight: int, ring: Layout) -> list[Monomial]:
 
 
 @lru_cache(maxsize=None)
+def _square_free(g: int, ring: Layout):
+    """The memoised map that writes a lambda-monomial of ring in the
+    square-free basis of Q[lambda]/J: it returns {lambda_S: int} (an
+    entry may be 0), where lambda_S is the product of the lambda_i for i
+    in S.
+
+    A monomial divisible by some lambda_k^2 is rewritten by the rule
+
+        lambda_k^2 = 2 sum_{i<k, 2k-i<=g} (-1)^(k+i+1) lambda_i lambda_(2k-i),   lambda_0 = 1,
+
+    which is gen_k = 0 (see _mumford_pivots) solved for its leading term,
+    and each term of the result in turn.  Every step lowers the concave
+    weight, so this ends, and since the gen_k are a Groebner basis the
+    image does not depend on which square is rewritten first.  The sum
+    is empty where no i < k has 2k - i <= g: lambda_1^2 = 0 at g = 1.
+    The dicts returned are shared by every caller, which must not change
+    them.
+    """
+    units = [0, *(ring.units[lam(i)] for i in range(1, g + 1))]
+    rules = [
+        (2 * units[k], [(2 * (-1) ** (k + i + 1), units[i] + units[2 * k - i]) for i in range(max(0, 2 * k - g), k)])
+        for k in range(1, g + 1)
+    ]
+    images: dict[Monomial, dict] = {}
+
+    def image(mono: Monomial) -> dict:
+        found = images.get(mono)
+        if found is None:
+            for square, terms in rules:
+                if ring.divides(square, mono):
+                    found = {}
+                    for c, pair in terms:
+                        for s, d in image(mono - square + pair).items():
+                            found[s] = found.get(s, 0) + c * d
+                    break
+            else:
+                found = {mono: 1}
+            images[mono] = found
+        return found
+
+    return image
+
+
+@lru_cache(maxsize=None)
 def _mumford_pivots(g: int, weight: int, ring: Layout):
-    """Row-echelon basis of the weight slice J_w of the lambda-only
-    Mumford ideal J, its monomials packed in ring.
+    """The standard monomials of the weight slice of Q[lambda]/J, packed
+    in ring, and the Echelon that writes a class on them.
 
     J is generated by the even parts of c(E) c(E*) - 1, for k = 1..g,
 
-        gen_k = sum_{i+j=2k} (-1)^i lambda_i lambda_j,   lambda_0 = 1,
+        gen_k = sum_{i+j=2k} (-1)^i lambda_i lambda_j,   lambda_0 = 1.
 
-    while the odd parts cancel under i <-> j.  The pairs i and 2k - i
-    meet in one monomial, so gen_k has coefficient 2 (-1)^i on
-    lambda_i lambda_(2k-i) for i < k and (-1)^k on lambda_k^2.  Each
-    row m * gen_k is written from those packed monomials directly.
+    Weigh lambda_i by f(i) = i (2g + 1 - i).  f is strictly concave with
+    f(0) = 0, so f(i) + f(2k - i) < 2 f(k) for 0 <= i < k: the leading
+    term of gen_k is lambda_k^2.  These leading terms are pairwise
+    coprime, so the gen_k are a Groebner basis under that order
+    (Buchberger's first criterion) and the square-free monomials of the
+    weight, the columns here, are a basis of the slice; _square_free
+    writes every monomial on them.
 
-    Returns (lambda_monomials(g, weight, ring), the exactalg.Echelon of
-    the integer rows m * gen_k).
+    The normal form is the graded-lex one, on the monomials that lead
+    (in canonical order) no member of J_w.  A monomial is one of those
+    exactly when its image is independent of the images of all smaller
+    monomials, so they are kept walking lambda_monomials(g, weight,
+    ring) from the smallest up, wherever an image raises the rank,
+    until there are as many as columns; the images span the slice, so
+    the walk always gets there.
+
+    Returns (the columns, the kept monomials, the Echelon of the rows
+    [image(kept_j) | -e_j]).  Reducing [image(p) | 0] against it clears
+    the columns and leaves the coefficients of p on the kept monomials.
     """
     basis = lambda_monomials(g, weight, ring)
-    column = {m: i for i, m in enumerate(basis)}
-    units = [0, *(ring.units[lam(i)] for i in range(1, g + 1))]
-    echelon = Echelon()
-    for k in range(1, min(g, weight // 2) + 1):
-        terms = [(units[i] + units[2 * k - i], 2 * (-1) ** i) for i in range(max(0, 2 * k - g), k)]
-        terms.append((2 * units[k], (-1) ** k))
-        for m in lambda_monomials(g, weight - 2 * k, ring):
-            row = [0] * len(basis)
-            for mono, c in terms:
-                row[column[m + mono]] = c
-            echelon.add(row)
-    return basis, echelon
+    image = _square_free(g, ring)
+    high = sum(1 << ring.offsets[lam(i)] for i in range(1, g + 1)) * (ring.mask - 1)  # exponent bits above 1
+    columns = [m for m in basis if not m & high]
+    kept, rank, solve = [], Echelon(), Echelon()
+    for m in reversed(basis):
+        if len(kept) == len(columns):
+            break
+        row = [image(m).get(s, 0) for s in columns]
+        rank.add(row)
+        if len(rank) > len(kept):
+            solve.add(row + [-int(i == len(kept)) for i in range(len(columns))])
+            kept.append(m)
+    return columns, kept, solve
 
 
 def mumford_reduce(p: MultiPoly, g: int) -> MultiPoly:
@@ -171,14 +235,16 @@ def mumford_reduce(p: MultiPoly, g: int) -> MultiPoly:
     The generators involve lambda only, so the ideal's degree-d slice is
     I_d = sum_k psi^k J_(d-k), one block per psi power, and canonical
     order sorts each block as it sorts the lambda parts.  Each
-    (lambda-weight, psi power) block of p is reduced by the Echelon of J
-    at that weight, which makes the result unique.  Idempotent, and
-    zero exactly on members of the ideal.
+    (lambda-weight, psi power) block of p is written on the square-free
+    basis and solved for its coefficients on the standard monomials of
+    _mumford_pivots at that weight, which makes the result unique.
+    Idempotent, and zero exactly on members of the ideal.
     """
     for v in p.variables():
         if v.family not in ("lambda", "psi") or v.index > g:
             raise ValueError("mumford_reduce expects a polynomial in lambda_1..lambda_g and psi")
     ring = lambda_ring(g, p.degree())
+    image = _square_free(g, ring)
     psi = ring.units[PSI]
     blocks: dict[tuple[int, int], dict] = {}
     for mono, c in p.recast(ring).items():
@@ -187,11 +253,13 @@ def mumford_reduce(p: MultiPoly, g: int) -> MultiPoly:
         blocks.setdefault((mono >> ring.shift, k), {})[mono] = c
     out = {}
     for (weight, k), part in blocks.items():
-        basis, echelon = _mumford_pivots(g, weight, ring)
-        vec = echelon.reduce([part.get(m, 0) for m in basis])
-        for m, c in zip(basis, vec):
-            if c:
-                out[m + k * psi] = c
+        columns, kept, solve = _mumford_pivots(g, weight, ring)
+        vec = dict.fromkeys(columns, 0)
+        for m, c in part.items():
+            for s, d in image(m).items():
+                vec[s] += c * d
+        for m, c in zip(kept, solve.reduce([*vec.values(), *[0] * len(kept)])[len(kept) :]):
+            out[m + k * psi] = c
     return MultiPoly(out, ring)
 
 

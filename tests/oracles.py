@@ -15,13 +15,14 @@ reached from `src/`.
   leading orbits.
 * `lambda_psi_monomials`, `coefficient_rows`, `integer_rows`,
   `full_slice_pivots`, `full_slice_reduce`: the Mumford normal form by
-  eliminating whole (lambda, psi) degree slices, the route
-  `mumford_reduce` took before it reduced psi-block by psi-block over
-  the lambda-only ideal.
+  eliminating whole (lambda, psi) degree slices of the ideal, which
+  `mumford_reduce` never builds: it writes each psi block on the
+  square-free basis of Q[lambda]/J and solves for the standard
+  monomials.
 * `mumford_generators`: the Mumford relations as polynomials, the even
-  parts of c(E) c(E*) - 1 summed over the pairs (i, 2k - i), the route
-  `pullback._mumford_pivots` took before it wrote each row from the
-  relations' coefficients.
+  parts of c(E) c(E*) - 1 summed over the pairs (i, 2k - i).  The tests
+  build the rows m * gen_k from them, for the dimensions of Q[lambda]/J
+  and for the rows the square-free rewrite must send to zero.
 * `lower_bound_by_degree`: the fixed-point lower Hilbert bound ranked
   from scratch at every degree, one row per semigroup, the route
   `hilbert_quotient_lower` took before it grew one echelon of

@@ -79,6 +79,15 @@ SHA256_PINS = {
         ["pullback", "--genus", "6", "--partition", "5,4,3,2", "--mode", "smooth"],
         "c9e55f10d82cc182431985f059d0b4a03758a1f56132b4726996fcbe6cec42ee",
     ),
+    # every weight of Q[lambda_1..lambda_7] up to its top, 28
+    "pullback_g7_p7654321_smooth": (
+        ["pullback", "--genus", "7", "--partition", "7,6,5,4,3,2,1", "--mode", "smooth"],
+        "9c0208a38cc6da916fce6211b64dda02c54d67ad2770d966c0ac66249fded877",
+    ),
+    "pullback_g6_p654321_smooth": (
+        ["pullback", "--genus", "6", "--partition", "6,5,4,3,2,1", "--mode", "smooth"],
+        "3ee1771fc02b7c0b8058d3ea67ee347a15cc2b3f88411a00db036dda0c74a6ca",
+    ),
     "class_g9_hyperelliptic": (
         ["class", "--genus", "9", "--gaps", "1,3,5,7,9,11,13,15,17"],
         "dccfb12ca7a8b03af07ae858dc4a1b7ac7991599765aebd07d1b6ff98397a49b",

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     ParamSequence,
     _elementary_product_table,
+    coefficient_rows,
     complete_in_x,
     double_schur,
     elementary_in_x,
@@ -14,6 +15,7 @@ from oracles import (
     from_pairs,
     full_slice_reduce,
     homogeneous_components,
+    integer_rows,
     lambda_psi_monomials,
     mono_sort_key,
     mumford_generators,
@@ -28,9 +30,9 @@ from oracles import (
     weighted_degrees,
     xvar,
 )
-from wtaut.exactalg import MultiPoly, PSI, det, kap, lam
+from wtaut.exactalg import Echelon, MultiPoly, PSI, det, kap, lam
 from wtaut.pullback import (
-    _mumford_pivots,
+    _square_free,
     bernoulli,
     kstar_power_sum,
     kstar_power_sum_roots,
@@ -321,26 +323,72 @@ def test_mumford_generators_are_the_even_parts_of_the_chern_product(g):
     )
 
 
+def _lambda_only_monomials(g, w):
+    return [m for m in lambda_psi_monomials(g, w) if PSI not in m.variables()]
+
+
+def _mumford_rows(g, w):
+    """The products m * gen_k of weight w, m a lambda-monomial, from the
+    relations as polynomials."""
+    return [
+        m * gen
+        for gen_degree, gen in mumford_generators(g)
+        if gen_degree <= w
+        for m in _lambda_only_monomials(g, w - gen_degree)
+    ]
+
+
 @pytest.mark.parametrize("g", range(6))
 def test_lambda_quotient_has_the_lagrangian_grassmannian_hilbert_series(g):
-    """dim (Q[lambda]/J)_w is the coefficient of t^w in prod_{i<=g} (1 + t^i)."""
+    """dim (Q[lambda]/J)_w is the coefficient of t^w in prod_{i<=g} (1 + t^i),
+    from an echelon of the rows m * gen_k, which mumford_reduce never builds."""
     series = [1]
     for i in range(1, g + 1):
         series = [a + (series[w - i] if w >= i else 0) for w, a in enumerate(series + [0] * i)]
     top = g * (g + 1) // 2
     dims = []
     for w in range(top + 3):
-        basis, echelon = _mumford_pivots(g, w, lambda_ring(g, w))
+        basis = _lambda_only_monomials(g, w)
+        echelon = Echelon(integer_rows(coefficient_rows(_mumford_rows(g, w), basis)))
         dims.append(len(basis) - len(echelon))
     assert dims == series + [0, 0]
     assert sum(dims) == 2**g
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("g", range(1, 8))
+def test_square_free_rewrite_sends_every_mumford_row_to_zero(g):
+    """Each row m * gen_k, written on the square-free basis by _square_free,
+    is zero: the rewrite rule is the relations solved for lambda_k^2."""
+    top = min(g * (g + 1) // 2, 2 * g + 4) + 1
+    ring = lambda_ring(g, top)
+    image = _square_free(g, ring)
+    for w in range(top + 1):
+        for row in _mumford_rows(g, w):
+            total = {}
+            for mono, c in row.recast(ring).items():
+                for s, d in image(mono).items():
+                    total[s] = total.get(s, 0) + c * d
+            assert not any(total.values()), (g, w, row)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6, 7])
 def test_mumford_reduce_matches_full_slice_elimination(g):
-    for mu in partitions_up_to(8, max_length=g):
+    top = {5: 10, 6: 10, 7: 12}.get(g, 8)
+    for mu in partitions_up_to(top, max_length=g):
         value = kstar_schubert(mu, g)
         assert mumford_reduce(value, g) == full_slice_reduce(value, g), mu
+
+
+def test_mumford_reduce_edge_cases():
+    """The zero class, a pure-psi class, and lambda_1^2 at g = 1, where the
+    sum of the rewrite rule is empty, so lambda_1^2 is zero."""
+    for g in (1, 2, 5):
+        assert mumford_reduce(MultiPoly.zero(), g) == 0
+        pure_psi = PSI_P**4 - PSI_P.scale(Fraction(3, 2)) + 7
+        assert mumford_reduce(pure_psi, g) == pure_psi == full_slice_reduce(pure_psi, g)
+    assert not mumford_reduce(L(1) ** 2, 1)
+    assert mumford_reduce(L(1) ** 2 * PSI_P + L(1) - PSI_P, 1) == L(1) - PSI_P
+    assert mumford_reduce(L(1) ** 2, 2) == L(2).scale(2) == full_slice_reduce(L(1) ** 2, 2)
 
 
 def test_mumford_reduce_kills_degree_two_generator():
